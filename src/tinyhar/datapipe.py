@@ -92,20 +92,6 @@ class ChannelGroup(Enum):
 
 
 @dataclass(frozen=True)
-class SensorFrame:
-    """One synchronized 791-channel reading."""
-
-    timestamp_ms: float
-    channels: np.ndarray  # (791,)
-
-    def __post_init__(self):
-        if self.channels.shape != (NUM_CHANNELS,):
-            raise DatapipeError(
-                f"frame must have {NUM_CHANNELS} channels, "
-                f"got {self.channels.shape}")
-
-
-@dataclass(frozen=True)
 class SessionRecording:
     """A contiguous labeled 6 Hz recording from one subject/session."""
 

@@ -35,11 +35,20 @@ def _round_half_away_div(num: np.ndarray, den: int) -> np.ndarray:
 
 
 def requantize(acc: np.ndarray, mult: FixedPointMultiplier) -> np.ndarray:
-    """Scale an int32/int64 accumulator by mantissa * 2**(exponent - 31)."""
+    """Scale an int32/int64 accumulator by mantissa * 2**(exponent - 31).
+
+    Right shifts round half away from zero. For multipliers >= 2**30 (a
+    left shift) the result is exact while it is within +-2**31; beyond
+    that it keeps its sign and is at least 2**31 in magnitude, so it
+    saturates to the correct int8 rail.
+    """
     prod = acc.astype(np.int64) * mult.mantissa
     shift = 31 - mult.exponent
     if shift <= 0:
-        return prod << (-shift)
+        # mantissa >= 2**30, so any nonzero product is far outside int8:
+        # clamp it before the left shift so int64 cannot wrap
+        limit = 1 << 31
+        return np.clip(prod, -limit, limit) << min(-shift, 31)
     half = np.int64(1) << (shift - 1)
     # round half away from zero: shift the magnitude, restore the sign
     return np.sign(prod) * ((np.abs(prod) + half) >> shift)

@@ -195,13 +195,3 @@ def quantize_model(graph: ModelGraph, representative_set) -> QuantizedModel:
         qlayers.append(ql)
     return QuantizedModel(layers=qlayers, input_shape=graph.input_shape,
                           num_classes=graph.num_classes, input_qp=act_qps[0])
-
-
-def quantized_param_count(model: QuantizedModel) -> int:
-    total = 0
-    for ql in model.layers:
-        if ql.weights:
-            total += sum(int(w.size) for w in ql.weights.values())
-        if ql.bias is not None:
-            total += int(ql.bias.size)
-    return total

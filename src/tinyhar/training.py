@@ -2,8 +2,11 @@
 
 Batched forward/backward kernels (float64), Adam and SGD optimizers,
 categorical cross-entropy loss, and a central finite-difference gradient
-checker. LSTM graphs are out of scope: they are supported for inference,
-quantization and benchmarking only.
+checker. Convolutions run as im2col plus one GEMM in both directions: the
+conv weight gradient is ``cols.T @ dout`` over all windows and time steps.
+Backpropagation stops at the first layer's parameters; no gradient with
+respect to the input window is computed. LSTM graphs are out of scope: they
+are supported for inference, quantization and benchmarking only.
 """
 from __future__ import annotations
 
@@ -49,10 +52,13 @@ def _check_trainable(graph: ModelGraph) -> None:
 
 
 def _im2col(x: np.ndarray, kernel: int) -> np.ndarray:
-    # (N, T, C) -> (N, T_out, kernel * C), window rows in (k, c) order
-    out_steps = x.shape[1] - kernel + 1
-    cols = np.stack([x[:, k:k + out_steps, :] for k in range(kernel)], axis=2)
-    return cols.reshape(x.shape[0], out_steps, kernel * x.shape[2])
+    # (N, T, C) -> (N, T_out, kernel * C), window rows in (k, c) order. The
+    # window view copies nothing; the one copy makes the rows contiguous, so
+    # matmul over ``cols`` takes the BLAS path and its summation order.
+    n, steps, channels = x.shape
+    windows = np.lib.stride_tricks.sliding_window_view(x, kernel, axis=1)
+    return np.ascontiguousarray(windows.transpose(0, 1, 3, 2)).reshape(
+        n, steps - kernel + 1, kernel * channels)
 
 
 def _forward_batch(graph: ModelGraph, params, x: np.ndarray, *,
@@ -116,20 +122,39 @@ def _loss_and_dlogits(logits: np.ndarray, labels: np.ndarray):
 
 
 def _backward_batch(graph: ModelGraph, params, caches, dlogits: np.ndarray):
-    """Returns per-layer gradient dicts mirroring ``params``."""
+    """Returns per-layer gradient dicts mirroring ``params``.
+
+    Stops after the parameter gradients of layer 0: nothing needs the
+    gradient with respect to the input window.
+    """
     grads = [dict() for _ in graph.layers]
     dvalue = dlogits
     for idx in range(len(graph.layers) - 1, -1, -1):
-        cache = caches[idx]
+        cache, spec = caches[idx], graph.layers[idx]
         tag = cache[0]
-        if tag == "softmax":
-            continue  # folded into the loss gradient
         if tag == "dense":
-            x = cache[1]
-            w = params[idx]["w"]
-            grads[idx]["w"] = x.T @ dvalue
+            grads[idx]["w"] = cache[1].T @ dvalue
             grads[idx]["b"] = dvalue.sum(axis=0)
-            dvalue = dvalue @ w.T
+        elif tag == "conv":
+            cols = cache[1]
+            dout = dvalue.reshape(-1, dvalue.shape[2])
+            dw2 = cols.reshape(-1, cols.shape[2]).T @ dout
+            grads[idx]["w"] = dw2.reshape(
+                spec.kernel, spec.in_channels, -1).transpose(1, 0, 2)
+            grads[idx]["b"] = dvalue.sum(axis=(0, 1))
+        if idx == 0:
+            break
+        if tag == "dense":
+            dvalue = dvalue @ params[idx]["w"].T
+        elif tag == "conv":
+            w2, in_shape = cache[2], cache[3]
+            dcols = (dvalue @ w2.T).reshape(
+                dvalue.shape[0], dvalue.shape[1], spec.kernel, spec.in_channels)
+            dx = np.zeros(in_shape)
+            out_steps = dvalue.shape[1]
+            for k in range(spec.kernel):
+                dx[:, k:k + out_steps, :] += dcols[:, :, k, :]
+            dvalue = dx
         elif tag == "flatten":
             dvalue = dvalue.reshape(cache[1])
         elif tag == "pool":
@@ -141,24 +166,9 @@ def _backward_batch(graph: ModelGraph, params, caches, dlogits: np.ndarray):
         elif tag == "dropout":
             keep, scale = cache[1], cache[2]
             dvalue = dvalue * keep * scale
-        elif tag == "identity":
-            continue
         elif tag == "relu":
             dvalue = dvalue * cache[1]
-        elif tag == "conv":
-            cols, w2, in_shape = cache[1], cache[2], cache[3]
-            spec = graph.layers[idx]
-            dw2 = np.einsum("ntk,ntf->kf", cols, dvalue)
-            grads[idx]["w"] = dw2.reshape(
-                spec.kernel, spec.in_channels, -1).transpose(1, 0, 2)
-            grads[idx]["b"] = dvalue.sum(axis=(0, 1))
-            dcols = (dvalue @ w2.T).reshape(
-                dvalue.shape[0], dvalue.shape[1], spec.kernel, spec.in_channels)
-            dx = np.zeros(in_shape)
-            out_steps = dvalue.shape[1]
-            for k in range(spec.kernel):
-                dx[:, k:k + out_steps, :] += dcols[:, :, k, :]
-            dvalue = dx
+        # "softmax" is folded into the loss gradient, "identity" passes through
     return grads
 
 
@@ -178,11 +188,25 @@ class _Adam:
                 if key not in self.m:
                     self.m[key] = np.zeros_like(g)
                     self.v[key] = np.zeros_like(g)
-                self.m[key] = self.beta1 * self.m[key] + (1 - self.beta1) * g
-                self.v[key] = self.beta2 * self.v[key] + (1 - self.beta2) * g * g
-                m_hat = self.m[key] / (1 - self.beta1 ** self.t)
-                v_hat = self.v[key] / (1 - self.beta2 ** self.t)
-                params[idx][name] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                m, v = self.m[key], self.v[key]
+                # In place, with the rounding of the textbook expressions
+                # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+                # step = lr * m_hat / (sqrt(v_hat) + eps), so results are
+                # bit-identical to them.
+                tmp = np.multiply(1 - self.beta1, g)
+                m *= self.beta1
+                m += tmp
+                np.multiply(1 - self.beta2, g, out=tmp)
+                tmp *= g
+                v *= self.beta2
+                v += tmp
+                step = np.divide(m, 1 - self.beta1 ** self.t)
+                step *= self.lr
+                np.divide(v, 1 - self.beta2 ** self.t, out=tmp)
+                np.sqrt(tmp, out=tmp)
+                tmp += self.eps
+                step /= tmp
+                params[idx][name] -= step
 
 
 class _Sgd:
@@ -195,24 +219,23 @@ class _Sgd:
                 params[idx][name] -= self.lr * g
 
 
-def predict_proba(graph: ModelGraph, x: np.ndarray) -> np.ndarray:
-    """Batched class probabilities (inference mode, float64)."""
+def _predict_logits(graph: ModelGraph, x: np.ndarray) -> np.ndarray:
     _check_trainable(graph)
     params = [{k: v.astype(np.float64) for k, v in p.items()}
               for p in graph.params]
     logits, _ = _forward_batch(graph, params, x.astype(np.float64),
                                train=False, rng=None)
-    return np.exp(_log_softmax(logits))
+    return logits
+
+
+def predict_proba(graph: ModelGraph, x: np.ndarray) -> np.ndarray:
+    """Batched class probabilities (inference mode, float64)."""
+    return np.exp(_log_softmax(_predict_logits(graph, x)))
 
 
 def predict_batch(graph: ModelGraph, x: np.ndarray) -> np.ndarray:
     """Batched argmax predictions (inference mode, float64)."""
-    _check_trainable(graph)
-    params = [{k: v.astype(np.float64) for k, v in p.items()}
-              for p in graph.params]
-    logits, _ = _forward_batch(graph, params, x.astype(np.float64),
-                               train=False, rng=None)
-    return logits.argmax(axis=1)
+    return _predict_logits(graph, x).argmax(axis=1)
 
 
 def train(graph: ModelGraph, train_set, val_set, cfg: TrainConfig):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from tinyhar import float_engine as fe
 from tinyhar import int8_engine as ie
 from tinyhar.model_ir import build_deep_conv_lstm, build_mc_cnn
-from tinyhar.quantizer import (QuantParams, affine_params,
-                               decompose_multiplier, dequantize,
+from tinyhar.quantizer import (FixedPointMultiplier, QuantParams,
+                               affine_params, decompose_multiplier, dequantize,
                                quantize_model, quantize_tensor,
                                symmetric_params)
 
@@ -123,6 +125,31 @@ class TestRequantize:
         acc = np.array([1, -1, 3, -3, 2, -2], dtype=np.int64)
         out = ie.requantize(acc, mult)
         assert list(out) == [1, -1, 2, -2, 1, -1]
+
+    @given(accs=st.lists(st.integers(-(1 << 31), (1 << 31) - 1),
+                         min_size=1, max_size=6),
+           mantissa=st.integers(1 << 30, (1 << 31) - 1),
+           exponent=st.integers(31, 90))
+    @example(accs=[(1 << 31) - 1, -(1 << 31)], mantissa=(1 << 31) - 1,
+             exponent=33)
+    def test_left_shift_against_exact_integers(self, accs, mantissa, exponent):
+        # multipliers >= 2**30 take the left-shift branch
+        out = ie.requantize(np.array(accs, dtype=np.int64),
+                            FixedPointMultiplier(mantissa, exponent))
+        for acc, got in zip(accs, out.tolist()):
+            exact = acc * mantissa * 2 ** (exponent - 31)
+            if abs(exact) <= 1 << 31:
+                assert got == exact
+            else:  # saturates to the correct rail, never wraps
+                assert (got > 0) == (exact > 0) and abs(got) >= 1 << 31
+            assert min(max(got, -128), 127) == min(max(exact, -128), 127)
+
+    def test_left_shift_saturates_near_int32_limits(self):
+        mult = decompose_multiplier(2.0 ** 33)
+        assert mult.exponent == 34
+        acc = np.array([(1 << 31) - 1, -(1 << 31), 1, -1, 0], dtype=np.int64)
+        out = ie.requantize(acc, mult)
+        assert np.clip(out, -128, 127).tolist() == [127, -128, 127, -128, 0]
 
 
 class TestLstmHybrid:

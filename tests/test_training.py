@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tinyhar import training
-from tinyhar.model_ir import build_deep_conv_lstm, build_mc_cnn
+from tinyhar.model_ir import (LayerKind, ModelGraph, build_deep_conv_lstm,
+                              build_mc_cnn, dense, flatten, init_params, relu,
+                              softmax)
 from tinyhar.training import TrainConfig, UnsupportedLayerError, grad_check, train
 
 
@@ -72,8 +76,6 @@ class TestGradCheck:
         assert grad_check(g, w, label=1, num_samples=200, seed=2) <= 1e-3
 
     def test_dense_only_graph(self):
-        from tinyhar.model_ir import (ModelGraph, dense, flatten, init_params,
-                                      relu, softmax)
         layers = (flatten(), dense(8, 6), relu(), dense(6, 3), softmax())
         g = ModelGraph(layers, init_params(layers, 0), (4, 2), 3)
         w = np.random.default_rng(3).normal(size=(4, 2))
@@ -89,3 +91,133 @@ class TestGradCheck:
         _, dlogits = training._loss_and_dlogits(logits, np.array([1]))
         grads = training._backward_batch(g, params, caches, dlogits)
         assert np.all(grads[0]["w"] == 0.0)  # conv weight grads vanish
+
+
+def stacked_im2col(x, kernel):
+    """The im2col construction the trainer used before the window view."""
+    out_steps = x.shape[1] - kernel + 1
+    cols = np.stack([x[:, k:k + out_steps, :] for k in range(kernel)], axis=2)
+    return cols.reshape(x.shape[0], out_steps, kernel * x.shape[2])
+
+
+def full_backward(graph, params, caches, dlogits):
+    """Reference backprop: einsum conv weight gradient, and the gradient is
+    carried through every layer down to the input window."""
+    grads = [dict() for _ in graph.layers]
+    dvalue = dlogits
+    for idx in range(len(graph.layers) - 1, -1, -1):
+        cache = caches[idx]
+        tag = cache[0]
+        if tag == "dense":
+            grads[idx]["w"] = cache[1].T @ dvalue
+            grads[idx]["b"] = dvalue.sum(axis=0)
+            dvalue = dvalue @ params[idx]["w"].T
+        elif tag == "flatten":
+            dvalue = dvalue.reshape(cache[1])
+        elif tag == "pool":
+            in_shape, pool, out_steps = cache[1], cache[2], cache[3]
+            dx = np.zeros(in_shape)
+            dx[:, :out_steps * pool] = np.repeat(dvalue / pool, pool, axis=1)
+            dvalue = dx
+        elif tag == "dropout":
+            dvalue = dvalue * cache[1] * cache[2]
+        elif tag == "relu":
+            dvalue = dvalue * cache[1]
+        elif tag == "conv":
+            cols, w2, in_shape = cache[1], cache[2], cache[3]
+            spec = graph.layers[idx]
+            dw2 = np.einsum("ntk,ntf->kf", cols, dvalue)
+            grads[idx]["w"] = dw2.reshape(
+                spec.kernel, spec.in_channels, -1).transpose(1, 0, 2)
+            grads[idx]["b"] = dvalue.sum(axis=(0, 1))
+            dcols = (dvalue @ w2.T).reshape(
+                dvalue.shape[0], dvalue.shape[1], spec.kernel, spec.in_channels)
+            dx = np.zeros(in_shape)
+            for k in range(spec.kernel):
+                dx[:, k:k + dvalue.shape[1], :] += dcols[:, :, k, :]
+            dvalue = dx
+    return grads, dvalue
+
+
+def conv_first_case():
+    g = build_mc_cnn(5, 16, 8, dense_width=6, num_classes=4, seed=3)
+    x = np.random.default_rng(4).normal(size=(9, 16, 5))
+    return g, x
+
+
+def dense_first_case():
+    # the trainer's kernels take (N, features) rows straight into layer 0
+    layers = (dense(7, 6), relu(), dense(6, 3), softmax())
+    g = ModelGraph(layers, init_params(layers, 5), (1, 7), 3)
+    return g, np.random.default_rng(6).normal(size=(9, 7))
+
+
+def flatten_first_case():
+    layers = (flatten(), dense(8, 6), relu(), dense(6, 3), softmax())
+    g = ModelGraph(layers, init_params(layers, 7), (4, 2), 3)
+    return g, np.random.default_rng(8).normal(size=(9, 4, 2))
+
+
+def batch_gradients(graph, x, train_mode=True):
+    params = [{k: v.astype(np.float64) for k, v in p.items()}
+              for p in graph.params]
+    logits, caches = training._forward_batch(
+        graph, params, x, train=train_mode, rng=np.random.default_rng(0))
+    labels = np.arange(x.shape[0]) % graph.num_classes
+    _, dlogits = training._loss_and_dlogits(logits, labels)
+    return (training._backward_batch(graph, params, caches, dlogits),
+            full_backward(graph, params, caches, dlogits))
+
+
+class TestKernelOracles:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 4), steps=st.integers(1, 12),
+           channels=st.integers(1, 6), data=st.data())
+    def test_im2col_equals_stacked_slices(self, n, steps, channels, data):
+        kernel = data.draw(st.integers(1, steps))
+        x = np.random.default_rng(n * 100 + steps).normal(
+            size=(n, steps, channels))
+        cols = training._im2col(x, kernel)
+        ref = stacked_im2col(x, kernel)
+        assert cols.shape == ref.shape
+        assert cols.flags.c_contiguous
+        assert cols.tobytes() == ref.tobytes()
+
+    def test_conv_weight_gradient_matches_einsum(self):
+        g, x = conv_first_case()
+        grads, (ref, _) = batch_gradients(g, x)
+        conv_layers = [i for i, spec in enumerate(g.layers)
+                       if spec.kind == LayerKind.CONV1D]
+        assert len(conv_layers) == 2
+        for idx in conv_layers:
+            got, want = grads[idx]["w"], ref[idx]["w"]
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("case", [conv_first_case, dense_first_case,
+                                      flatten_first_case])
+    def test_backward_stops_at_layer_zero_with_same_gradients(self, case):
+        g, x = case()
+        grads, (ref, dx) = batch_gradients(g, x)
+        assert dx.shape == x.shape  # the reference does reach the input
+        assert [sorted(d) for d in grads] == [sorted(d) for d in ref]
+        for idx, layer_ref in enumerate(ref):
+            for name, want in layer_ref.items():
+                got = grads[idx][name]
+                if g.layers[idx].kind == LayerKind.CONV1D and name == "w":
+                    assert np.abs(got - want).max() <= \
+                        1e-12 * np.abs(want).max()
+                else:
+                    assert np.array_equal(got, want)
+
+    def test_same_seed_byte_identical_parameters(self):
+        x, y = separable_toy_set()
+        g = build_mc_cnn(2, 8, 8, dense_width=8, num_classes=2, seed=2)
+        cfg = TrainConfig(epochs=3, batch_size=16, seed=9)
+        first, _ = train(g, (x, y), None, cfg)
+        second, _ = train(g, (x, y), None, cfg)
+        for p1, p2 in zip(first.params, second.params):
+            assert sorted(p1) == sorted(p2)
+            for name in p1:
+                assert p1[name].dtype == np.float32
+                assert p1[name].tobytes() == p2[name].tobytes()
