@@ -14,7 +14,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np
 
 from tinyhar import datapipe as dp
-from tinyhar import int8_engine, mcu, metrics, modelfile, training
+from tinyhar import mcu, metrics, modelfile, training
+from tinyhar.benchlab import classify
 from tinyhar.model_ir import Precision, build_mc_cnn
 from tinyhar.quantizer import quantize_model
 from tinyhar.synth import synth_generate
@@ -66,11 +67,8 @@ def main() -> int:
           f"int8 {int8_size / 1024:.1f} KiB "
           f"(ratio {float_size / int8_size:.2f})")
 
-    x, y = dp.stack_windows(test)
-    float_preds = training.predict_batch(graph, x)
-    int8_preds = np.empty(len(test), dtype=np.int64)
-    for i, sample in enumerate(test):
-        _, int8_preds[i] = int8_engine.run_quantized(qmodel, sample.window)
+    float_preds, y = classify(graph, test)
+    int8_preds, _ = classify(qmodel, test)
     agreement = float(np.mean(float_preds == int8_preds))
     print(f"evaluation on held-out session:")
     print(f"  float accuracy {metrics.accuracy(float_preds, y):.4f}, "

@@ -3,7 +3,7 @@ benchlab for multi-modal activity recognition."""
 
 from .datapipe import ChannelGroup, SessionRecording, WindowedSample
 from .model_ir import (ModelGraph, Precision, build_deep_conv_lstm,
-                       build_mc_cnn, model_size_bytes, param_count)
+                       build_mc_cnn, param_count)
 from .quantizer import QuantizedModel, quantize_model
 from .int8_engine import run_quantized, timed_inference
 from .float_engine import forward
@@ -16,6 +16,6 @@ __all__ = [
     "BUILTIN_PROFILES", "ChannelGroup", "McuProfile", "ModelGraph",
     "Precision", "QuantizedModel", "SessionRecording", "WindowedSample",
     "build_deep_conv_lstm", "build_mc_cnn", "estimate_arena", "fits_on",
-    "forward", "model_size_bytes", "param_count", "quantize_model",
+    "forward", "param_count", "quantize_model",
     "run_quantized", "synth_generate", "timed_inference",
 ]

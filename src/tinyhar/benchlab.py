@@ -45,7 +45,7 @@ class SweepConfig:
     batch_size: int = 32
     learning_rate: float = 1e-3
     rep_windows: int = 32          # calibration subset size
-    max_eval_windows: int = 300    # int8 per-window evaluation cap
+    max_eval_windows: int = 300    # evaluation windows per config and precision
     measure_host_latency: bool = False  # keeps sweep output deterministic
     latency_reps: int = 5
     jobs: int = 1
@@ -102,17 +102,15 @@ def mcu_results_for(model, precision: Precision,
     return results
 
 
-def _evaluate_float(graph: ModelGraph, test: list[WindowedSample]):
-    x, y = stack_windows(test)
-    preds = training.predict_batch(graph, x)
-    return preds, y
-
-
-def _evaluate_int8(qmodel: QuantizedModel, test: list[WindowedSample]):
-    preds = np.empty(len(test), dtype=np.int64)
-    for i, sample in enumerate(test):
-        _, preds[i] = int8_engine.run_quantized(qmodel, sample.window)
-    return preds, np.array([s.label for s in test], dtype=np.int64)
+def classify(model, samples: list[WindowedSample]):
+    """(predicted classes, true labels) of ``samples`` under a float
+    ModelGraph or a QuantizedModel, in one batched call."""
+    x, labels = stack_windows(samples)
+    if isinstance(model, QuantizedModel):
+        _, preds = int8_engine.run_quantized(model, x)
+    else:
+        preds = training.predict_batch(model, x)
+    return preds, labels
 
 
 def _prepared_windows(sessions, group: ChannelGroup, cfg: SweepConfig):
@@ -149,11 +147,7 @@ def run_config(sessions, arch: str, group: ChannelGroup, level: str,
                             precision=precision, model_size_bytes=size,
                             mcu_results=mcu_results_for(model, precision, size))
         if trainable:
-            subset = test_set[:cfg.max_eval_windows]
-            if precision == Precision.FLOAT32:
-                preds, labels = _evaluate_float(graph, subset)
-            else:
-                preds, labels = _evaluate_int8(qmodel, subset)
+            preds, labels = classify(model, test_set[:cfg.max_eval_windows])
             report.accuracy = metrics.accuracy(preds, labels)
             report.macro_f1 = metrics.macro_f1(preds, labels)
             report.confusion = metrics.confusion(preds, labels)

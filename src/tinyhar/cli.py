@@ -157,19 +157,13 @@ def cmd_eval(args) -> int:
         raise CliError("eval supports trained MC-CNN models only")
     sessions = _load_dataset(args.data)
     group = ChannelGroup.from_width(model.input_shape[1])
-    _, test_set = _prepare_split(sessions, group, model.input_shape[0],
-                                 args.stride, args.held_out_session)
+    # keep no train split alive: at stride 1 it is the largest array here
+    test_set = _prepare_split(sessions, group, model.input_shape[0],
+                              args.stride, args.held_out_session)[1]
     if not test_set:
         raise CliError(f"held-out session {args.held_out_session} "
                        f"produced no windows")
-    if quantized:
-        preds = np.empty(len(test_set), dtype=np.int64)
-        for i, sample in enumerate(test_set):
-            _, preds[i] = int8_engine.run_quantized(model, sample.window)
-    else:
-        x, _ = stack_windows(test_set)
-        preds = training.predict_batch(model, x)
-    labels = np.array([s.label for s in test_set])
+    preds, labels = benchlab.classify(model, test_set)
     precision = Precision.INT8_FULL if quantized else Precision.FLOAT32
     size = len(modelfile.serialize(model))
     first_conv = next(s for s in layers if s.kind == LayerKind.CONV1D)
@@ -316,7 +310,7 @@ def build_parser() -> _Parser:
     p.add_argument("--learning-rate", type=float, default=1e-3,
                    help="Adam learning rate")
     p.add_argument("--max-eval-windows", type=int, default=300,
-                   help="cap on per-config int8 evaluation windows")
+                   help="cap on evaluation windows per config and precision")
     p.add_argument("--measure-host-latency", action="store_true",
                    help="also record host wall-clock latency "
                         "(makes the CSV nondeterministic)")

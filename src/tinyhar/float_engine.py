@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model_ir import LayerKind, ModelGraph, ShapeMismatchError
+from .model_ir import LayerKind, ModelGraph, ShapeMismatchError, check_finite
 
 
 def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -95,9 +95,10 @@ def lstm_forward(seq: np.ndarray, w_x: np.ndarray, w_h: np.ndarray,
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.max(logits)
+    """Normalizes each row (last axis) of ``logits``."""
+    shifted = logits - np.max(logits, axis=-1, keepdims=True)
     ex = np.exp(shifted)
-    return ex / ex.sum()
+    return ex / ex.sum(axis=-1, keepdims=True)
 
 
 def _apply_layer(spec, layer_params, value):
@@ -124,10 +125,12 @@ def _apply_layer(spec, layer_params, value):
 
 
 def forward(graph: ModelGraph, window: np.ndarray) -> np.ndarray:
-    """Full inference on one window; returns the class probability vector."""
+    """Full inference on one window; returns the class probability vector.
+    NaN or infinite input raises ``NonFiniteInputError``."""
     if tuple(window.shape) != graph.input_shape:
         raise ShapeMismatchError(
             f"window shape {window.shape} != model input {graph.input_shape}")
+    check_finite(window)
     value = window
     for spec, layer_params in zip(graph.layers, graph.params):
         value = _apply_layer(spec, layer_params, value)

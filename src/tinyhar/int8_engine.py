@@ -6,6 +6,10 @@ round-half-away-from-zero rounding. The accumulation matmul is performed in
 float64, which is exact for these magnitudes (|acc| << 2**53) and keeps the
 path bit-reproducible across platforms. The LSTM executes hybrid: int8
 storage, float cell math, requantized output.
+
+Kernels take leading batch axes, as TFLite's int8 kernels do, so one
+``run_quantized`` call classifies a whole batch of windows, bit for bit
+as one call per window would.
 """
 from __future__ import annotations
 
@@ -15,9 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import float_engine
-from .model_ir import LayerKind, ShapeMismatchError
+from .model_ir import LayerKind, ShapeMismatchError, check_finite
 from .quantizer import (FixedPointMultiplier, QuantParams, QuantizedModel,
                         dequantize, quantize_tensor)
+
+# windows quantized and run together by run_quantized; bounds its memory
+BLOCK_WINDOWS = 256
 
 
 @dataclass
@@ -71,8 +78,8 @@ def conv1d_int8(q_in: np.ndarray, in_qp: QuantParams, q_w: np.ndarray,
                 bias: np.ndarray, mult: FixedPointMultiplier,
                 out_qp: QuantParams,
                 audit: SaturationAudit | None = None) -> np.ndarray:
-    """q_in: (T, C) int8; q_w: (C, K, F) int8; bias: (F,) int32."""
-    steps, channels = q_in.shape
+    """q_in: (..., T, C) int8; q_w: (C, K, F) int8; bias: (F,) int32."""
+    steps, channels = q_in.shape[-2:]
     in_channels, kernel, filters = q_w.shape
     if channels != in_channels:
         raise ShapeMismatchError(
@@ -84,10 +91,11 @@ def conv1d_int8(q_in: np.ndarray, in_qp: QuantParams, q_w: np.ndarray,
     centered = q_in.astype(np.int64) - in_qp.zero_point
     w2 = np.ascontiguousarray(q_w.transpose(1, 0, 2)).reshape(
         kernel * in_channels, filters)
-    cols = np.empty((out_steps, kernel * in_channels), dtype=np.int64)
+    cols = np.empty(q_in.shape[:-2] + (out_steps, kernel * in_channels),
+                    dtype=np.int64)
     for k in range(kernel):
-        cols[:, k * in_channels:(k + 1) * in_channels] = \
-            centered[k:k + out_steps]
+        cols[..., k * in_channels:(k + 1) * in_channels] = \
+            centered[..., k:k + out_steps, :]
     acc = _int_matmul(cols, w2) + bias.astype(np.int64)
     return _saturate(requantize(acc, mult) + out_qp.zero_point, audit)
 
@@ -96,12 +104,12 @@ def dense_int8(q_in: np.ndarray, in_qp: QuantParams, q_w: np.ndarray,
                bias: np.ndarray, mult: FixedPointMultiplier,
                out_qp: QuantParams,
                audit: SaturationAudit | None = None) -> np.ndarray:
-    """q_in: (D,) int8; q_w: (D, O) int8; bias: (O,) int32."""
-    if q_in.shape[0] != q_w.shape[0]:
+    """q_in: (..., D) int8; q_w: (D, O) int8; bias: (O,) int32."""
+    if q_in.shape[-1] != q_w.shape[0]:
         raise ShapeMismatchError(
-            f"dense input width {q_in.shape[0]} != weight rows {q_w.shape[0]}")
+            f"dense input width {q_in.shape[-1]} != weight rows {q_w.shape[0]}")
     centered = q_in.astype(np.int64) - in_qp.zero_point
-    acc = _int_matmul(centered[None, :], q_w)[0] + bias.astype(np.int64)
+    acc = _int_matmul(centered, q_w) + bias.astype(np.int64)
     return _saturate(requantize(acc, mult) + out_qp.zero_point, audit)
 
 
@@ -114,39 +122,46 @@ def relu_int8(q_in: np.ndarray, in_qp: QuantParams,
 
 
 def avg_pool1d_int8(q_in: np.ndarray, pool: int) -> np.ndarray:
-    """Integer sum then rounded division; quantization params unchanged."""
-    if q_in.ndim != 2:
-        raise ShapeMismatchError(f"avg_pool1d needs a 2D input, got {q_in.shape}")
-    out_steps = q_in.shape[0] // pool
+    """Pools the time axis (-2) of a (..., T, C) input: integer sum then
+    rounded division; quantization params unchanged."""
+    if q_in.ndim < 2:
+        raise ShapeMismatchError(
+            f"avg_pool1d needs a (..., T, C) input, got {q_in.shape}")
+    steps, channels = q_in.shape[-2:]
+    out_steps = steps // pool
     if out_steps < 1:
         raise ShapeMismatchError(
-            f"pool {pool} exhausts {q_in.shape[0]} time steps")
-    sums = q_in[:out_steps * pool].astype(np.int64).reshape(
-        out_steps, pool, q_in.shape[1]).sum(axis=1)
+            f"pool {pool} exhausts {steps} time steps")
+    sums = q_in[..., :out_steps * pool, :].astype(np.int64).reshape(
+        q_in.shape[:-2] + (out_steps, pool, channels)).sum(axis=-2)
     return _round_half_away_div(sums, pool).astype(np.int8)
 
 
 def lstm_hybrid(q_in: np.ndarray, in_qp: QuantParams, weights: dict,
                 weight_qps: dict, bias: np.ndarray, bias_scale: float,
                 out_qp: QuantParams) -> np.ndarray:
-    """Dequantize, run the float LSTM cell, requantize to the calibrated
-    output range."""
+    """Dequantize, run the float LSTM cell over each (T, D) sequence of
+    ``q_in``, requantize to the calibrated output range."""
     x = dequantize(q_in, in_qp)
     w_x = dequantize(weights["w_x"], weight_qps["w_x"])
     w_h = dequantize(weights["w_h"], weight_qps["w_h"])
     b = bias.astype(np.float64) * bias_scale
-    h = float_engine.lstm_forward(x, w_x, w_h, b)
-    return quantize_tensor(h, out_qp)
+    h = np.stack([float_engine.lstm_forward(seq, w_x, w_h, b)
+                  for seq in x.reshape((-1,) + x.shape[-2:])])
+    return quantize_tensor(h.reshape(x.shape[:-1] + (-1,)), out_qp)
 
 
 def softmax_int8(q_logits: np.ndarray, in_qp: QuantParams,
                  out_qp: QuantParams) -> np.ndarray:
+    """Normalizes each row (last axis) of the logits."""
     probs = float_engine.softmax(dequantize(q_logits, in_qp))
     return quantize_tensor(probs, out_qp)
 
 
 def run_layers(model: QuantizedModel, q_value: np.ndarray,
                audit: SaturationAudit | None = None) -> np.ndarray:
+    """Runs a quantized (N, T, C) batch through every layer; returns the
+    (N, K) int8 output."""
     for ql in model.layers:
         kind = ql.spec.kind
         if kind == LayerKind.CONV1D:
@@ -160,9 +175,9 @@ def run_layers(model: QuantizedModel, q_value: np.ndarray,
         elif kind == LayerKind.AVGPOOL1D:
             q_value = avg_pool1d_int8(q_value, ql.spec.pool)
         elif kind == LayerKind.FLATTEN:
-            q_value = q_value.reshape(-1)
+            q_value = q_value.reshape(len(q_value), -1)
         elif kind == LayerKind.DENSE:
-            vec = q_value[-1] if q_value.ndim == 2 else q_value
+            vec = q_value[:, -1] if q_value.ndim == 3 else q_value
             q_value = dense_int8(vec, ql.in_qp, ql.weights["w"], ql.bias,
                                  ql.multiplier, ql.out_qp, audit)
         elif kind == LayerKind.LSTM:
@@ -175,21 +190,32 @@ def run_layers(model: QuantizedModel, q_value: np.ndarray,
     return q_value
 
 
-def run_quantized(model: QuantizedModel, window: np.ndarray,
+def run_quantized(model: QuantizedModel, x: np.ndarray,
                   audit: SaturationAudit | None = None):
-    """Integer inference on one real-valued window.
+    """Integer inference on one real-valued (T, C) window, returning
+    (probability vector, class), or on an (N, T, C) batch, returning
+    ((N, K) probabilities, (N,) classes), run BLOCK_WINDOWS at a time.
 
-    Returns (probability vector, predicted class); argmax ties break toward
-    the lowest class index.
+    Argmax ties break toward the lowest class index. Non-finite input
+    raises ``NonFiniteInputError``.
     """
-    if tuple(window.shape) != model.input_shape:
-        raise ShapeMismatchError(
-            f"window shape {window.shape} != model input {model.input_shape}")
-    q_value = quantize_tensor(window, model.input_qp)
-    q_out = run_layers(model, q_value, audit)
+    single = x.ndim == 2
+    batch = x[None] if single else x
+    if batch.ndim != 3 or tuple(batch.shape[1:]) != model.input_shape:
+        raise ShapeMismatchError(f"input shape {x.shape} is neither "
+                                 f"{model.input_shape} nor a batch of it")
+    check_finite(batch)
     out_qp = model.layers[-1].out_qp
-    probs = dequantize(q_out, out_qp)
-    return probs, int(np.argmax(probs))
+    blocks = [np.empty((0, model.num_classes))]
+    for start in range(0, len(batch), BLOCK_WINDOWS):
+        q_value = quantize_tensor(batch[start:start + BLOCK_WINDOWS],
+                                  model.input_qp)
+        blocks.append(dequantize(run_layers(model, q_value, audit), out_qp))
+    probs = np.concatenate(blocks)
+    classes = probs.argmax(axis=1)
+    if single:
+        return probs[0], int(classes[0])
+    return probs, classes
 
 
 @dataclass(frozen=True)
@@ -204,13 +230,13 @@ def timed_inference(model, window: np.ndarray, repetitions: int,
                     warmup: int = 3) -> LatencyStats:
     """Wall-clock latency of the inference call only (input prep excluded).
 
-    ``model`` may be a QuantizedModel or a float ModelGraph; warm-up runs
-    are discarded.
+    ``model`` may be a QuantizedModel, timed as a batch of one window, or a
+    float ModelGraph; warm-up runs are discarded.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     if isinstance(model, QuantizedModel):
-        q_input = quantize_tensor(window, model.input_qp)
+        q_input = quantize_tensor(window[None], model.input_qp)
 
         def call():
             run_layers(model, q_input)

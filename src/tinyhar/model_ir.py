@@ -1,5 +1,5 @@
 """Layer-graph model representation: layer specs, the two network builders,
-parameter accounting, and size estimates.
+and parameter accounting.
 
 A model is a plain ordered list of layers. There is no general computation
 graph: the only supported topologies are the conv->pool->dense classifier
@@ -29,6 +29,16 @@ class DivisibilityError(GraphError):
 
 class ShapeMismatchError(GraphError):
     """Adjacent layers or tensors disagree on shape."""
+
+
+class NonFiniteInputError(ValueError):
+    """A model input holds NaN or infinity."""
+
+
+def check_finite(x: np.ndarray) -> None:
+    """Raise NonFiniteInputError unless every value of ``x`` is finite."""
+    if not np.isfinite(x).all():
+        raise NonFiniteInputError("input holds NaN or infinity")
 
 
 class LayerKind(Enum):
@@ -165,13 +175,6 @@ def output_shapes(layers: tuple[LayerSpec, ...],
 
 
 # LSTM gate order throughout: input, forget, candidate, output.
-_PARAM_KEYS = {
-    LayerKind.CONV1D: ("w", "b"),
-    LayerKind.DENSE: ("w", "b"),
-    LayerKind.LSTM: ("w_x", "w_h", "b"),
-}
-
-
 def param_shapes(spec: LayerSpec) -> dict[str, tuple[int, ...]]:
     if spec.kind == LayerKind.CONV1D:
         return {"w": (spec.in_channels, spec.kernel, spec.out_filters),
@@ -320,33 +323,3 @@ def param_count(graph: ModelGraph) -> tuple[list[int], int]:
     """Per-layer parameter counts and their total."""
     counts = [layer_param_count(spec) for spec in graph.layers]
     return counts, sum(counts)
-
-
-def bias_count(graph: ModelGraph) -> int:
-    total = 0
-    for spec in graph.layers:
-        if spec.kind in (LayerKind.CONV1D, LayerKind.DENSE):
-            total += spec.out_filters if spec.kind == LayerKind.CONV1D else spec.out_dim
-        elif spec.kind == LayerKind.LSTM:
-            total += 4 * spec.hidden
-    return total
-
-
-# serialized bookkeeping per quantized tensor: scale (f64) + zero point (i32)
-QPARAM_BYTES = 12
-
-
-def model_size_bytes(graph: ModelGraph, precision: Precision,
-                     overhead: int = 0) -> int:
-    """Analytic serialized-size estimate.
-
-    Float32 stores every parameter in 4 bytes. Int8Full stores weights in 1
-    byte, biases in 4 (int32), plus per-tensor quantization bookkeeping.
-    """
-    _, total = param_count(graph)
-    if precision == Precision.FLOAT32:
-        return 4 * total + overhead
-    biases = bias_count(graph)
-    n_qtensors = sum(len(param_shapes(s)) + 1 for s in graph.layers
-                     if s.kind in _PARAM_KEYS)
-    return (total - biases) + 4 * biases + QPARAM_BYTES * n_qtensors + overhead

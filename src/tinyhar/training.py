@@ -5,8 +5,9 @@ categorical cross-entropy loss, and a central finite-difference gradient
 checker. Convolutions run as im2col plus one GEMM in both directions: the
 conv weight gradient is ``cols.T @ dout`` over all windows and time steps.
 Backpropagation stops at the first layer's parameters; no gradient with
-respect to the input window is computed. LSTM graphs are out of scope: they
-are supported for inference, quantization and benchmarking only.
+respect to the input window is computed. A dense layer fed a sequence reads
+its last time step, as in the IR. LSTM graphs are out of scope: they are
+supported for inference, quantization and benchmarking only.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model_ir import LayerKind, ModelGraph
+from .model_ir import LayerKind, ModelGraph, check_finite
 
 
 class UnsupportedLayerError(ValueError):
@@ -62,9 +63,12 @@ def _im2col(x: np.ndarray, kernel: int) -> np.ndarray:
 
 
 def _forward_batch(graph: ModelGraph, params, x: np.ndarray, *,
-                   train: bool, rng: np.random.Generator | None):
-    """Returns (logits, caches). ``x`` is (N, T, C)."""
-    caches = []
+                   rng: np.random.Generator | None = None,
+                   caches: list | None = None) -> np.ndarray:
+    """Returns the logits of ``x`` (N, T, C). Dropout runs only given
+    ``rng``; caches for :func:`_backward_batch` are kept only given a
+    ``caches`` list, so an inference pass frees each im2col after use."""
+    keep_cache = caches.append if caches is not None else (lambda _: None)
     value = x
     for spec, layer_params in zip(graph.layers, params):
         kind = spec.kind
@@ -73,38 +77,41 @@ def _forward_batch(graph: ModelGraph, params, x: np.ndarray, *,
             w2 = w.transpose(1, 0, 2).reshape(spec.kernel * spec.in_channels, -1)
             cols = _im2col(value, spec.kernel)
             out = cols @ w2 + b
-            caches.append(("conv", cols, w2, value.shape))
+            keep_cache(("conv", cols, w2, value.shape))
             value = out
         elif kind == LayerKind.RELU:
             mask = value > 0
-            caches.append(("relu", mask))
+            keep_cache(("relu", mask))
             value = value * mask
         elif kind == LayerKind.DROPOUT:
-            if train and spec.rate > 0.0:
+            if rng is not None and spec.rate > 0.0:
                 keep = rng.random(value.shape) >= spec.rate
                 scale = 1.0 / (1.0 - spec.rate)
-                caches.append(("dropout", keep, scale))
+                keep_cache(("dropout", keep, scale))
                 value = value * keep * scale
             else:
-                caches.append(("identity",))
+                keep_cache(("identity",))
         elif kind == LayerKind.AVGPOOL1D:
             n, steps, ch = value.shape
             out_steps = steps // spec.pool
             kept = value[:, :out_steps * spec.pool].reshape(
                 n, out_steps, spec.pool, ch)
-            caches.append(("pool", value.shape, spec.pool, out_steps))
+            keep_cache(("pool", value.shape, spec.pool, out_steps))
             value = kept.mean(axis=2)
         elif kind == LayerKind.FLATTEN:
-            caches.append(("flatten", value.shape))
+            keep_cache(("flatten", value.shape))
             value = value.reshape(value.shape[0], -1)
         elif kind == LayerKind.DENSE:
             w, b = layer_params["w"], layer_params["b"]
-            caches.append(("dense", value))
+            in_shape = value.shape
+            if value.ndim == 3:  # fed a sequence: read the last time step
+                value = value[:, -1]
+            keep_cache(("dense", value, in_shape))
             value = value @ w + b
         elif kind == LayerKind.SOFTMAX:
-            caches.append(("softmax",))
+            keep_cache(("softmax",))
             # handled jointly with the loss; value stays as logits
-    return value, caches
+    return value
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -146,6 +153,10 @@ def _backward_batch(graph: ModelGraph, params, caches, dlogits: np.ndarray):
             break
         if tag == "dense":
             dvalue = dvalue @ params[idx]["w"].T
+            if len(cache[2]) == 3:  # only the last time step was read
+                dseq = np.zeros(cache[2])
+                dseq[:, -1] = dvalue
+                dvalue = dseq
         elif tag == "conv":
             w2, in_shape = cache[2], cache[3]
             dcols = (dvalue @ w2.T).reshape(
@@ -221,11 +232,11 @@ class _Sgd:
 
 def _predict_logits(graph: ModelGraph, x: np.ndarray) -> np.ndarray:
     _check_trainable(graph)
+    x = np.asarray(x, dtype=np.float64)
+    check_finite(x)
     params = [{k: v.astype(np.float64) for k, v in p.items()}
               for p in graph.params]
-    logits, _ = _forward_batch(graph, params, x.astype(np.float64),
-                               train=False, rng=None)
-    return logits
+    return _forward_batch(graph, params, x)
 
 
 def predict_proba(graph: ModelGraph, x: np.ndarray) -> np.ndarray:
@@ -261,18 +272,16 @@ def train(graph: ModelGraph, train_set, val_set, cfg: TrainConfig):
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             xb, yb = x_train[idx], y_train[idx]
-            logits, caches = _forward_batch(graph, params, xb,
-                                            train=True, rng=rng)
+            caches = []
+            logits = _forward_batch(graph, params, xb, rng=rng, caches=caches)
             loss, dlogits = _loss_and_dlogits(logits, yb)
             grads = _backward_batch(graph, params, caches, dlogits)
             opt.step(params, grads)
             epoch_loss += loss * len(idx)
-        logits, _ = _forward_batch(graph, params, x_train, train=False, rng=None)
+        logits = _forward_batch(graph, params, x_train)
         train_acc = float((logits.argmax(axis=1) == y_train).mean())
         if x_val is not None and len(x_val):
-            vlogits, _ = _forward_batch(graph, params,
-                                        x_val.astype(np.float64),
-                                        train=False, rng=None)
+            vlogits = _forward_batch(graph, params, x_val.astype(np.float64))
             val_acc = float((vlogits.argmax(axis=1) == y_val).mean())
         else:
             val_acc = float("nan")
@@ -304,11 +313,11 @@ def grad_check(graph: ModelGraph, window: np.ndarray, label: int,
     y = np.array([label])
 
     def loss_at(p):
-        logits, _ = _forward_batch(graph, p, x, train=False, rng=None)
-        loss, _ = _loss_and_dlogits(logits, y)
+        loss, _ = _loss_and_dlogits(_forward_batch(graph, p, x), y)
         return loss
 
-    logits, caches = _forward_batch(graph, params, x, train=False, rng=None)
+    caches = []
+    logits = _forward_batch(graph, params, x, caches=caches)
     _, dlogits = _loss_and_dlogits(logits, y)
     grads = _backward_batch(graph, params, caches, dlogits)
 

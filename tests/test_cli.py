@@ -100,6 +100,28 @@ class TestEval:
         assert run("eval", "--model", str(tmp_path / "absent.thar"),
                    "--data", str(dataset), "--out", str(tmp_path / "o")) == 1
 
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_non_finite_input_exits_one(self, dataset, trained, tmp_path,
+                                        quantized):
+        model = trained
+        if quantized:
+            assert run("quantize", "--model", str(trained), "--data",
+                       str(dataset), "--window-len", "12", "--held-out-session",
+                       "2", "--out", str(tmp_path / "q")) == 0
+            model = tmp_path / "q" / "model_int8.thar"
+        bad = tmp_path / "bad_data"
+        bad.mkdir()
+        for path in dataset.iterdir():
+            lines = path.read_text().splitlines(keepends=True)
+            if "session2" in path.name:  # the held-out session
+                row = lines[5].split(",")
+                row[10] = "nan"  # barometer, a channel of the 17-wide group
+                lines[5] = ",".join(row)
+            (bad / path.name).write_text("".join(lines))
+        assert run("eval", "--model", str(model), "--data", str(bad),
+                   "--stride", "12", "--held-out-session", "2",
+                   "--out", str(tmp_path / "o")) == 1
+
     def test_corrupt_model_exits_one(self, dataset, tmp_path):
         bad = tmp_path / "bad.thar"
         bad.write_bytes(b"NOPE" + b"\x00" * 32)

@@ -1,11 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tinyhar import float_engine as fe
 from tinyhar import int8_engine as ie
-from tinyhar.model_ir import build_deep_conv_lstm, build_mc_cnn
+from tinyhar.model_ir import (NonFiniteInputError, ShapeMismatchError,
+                              build_deep_conv_lstm, build_mc_cnn)
 from tinyhar.quantizer import (FixedPointMultiplier, QuantParams,
                                affine_params, decompose_multiplier, dequantize,
                                quantize_model, quantize_tensor,
@@ -243,6 +246,97 @@ class TestRunQuantized:
         probs, pred = ie.run_quantized(qm, rng.normal(size=(24, 6)))
         assert abs(probs.sum() - 1.0) <= 8 / 256
         assert 0 <= pred < 15
+
+
+@pytest.fixture(scope="module")
+def quantized_deep_conv_lstm():
+    graph = build_deep_conv_lstm(6, 24, 4, hidden=5, seed=13)
+    rng = np.random.default_rng(14)
+    return graph, quantize_model(graph, [rng.normal(size=(24, 6))
+                                         for _ in range(4)])
+
+
+class TestBatch:
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(1, 9), arch=st.sampled_from(["mc_cnn", "lstm"]),
+           seed=st.integers(0, 2**16))
+    def test_batch_equals_single_window_calls(self, quantized_mc_cnn,
+                                              quantized_deep_conv_lstm,
+                                              n, arch, seed):
+        _, qm = quantized_mc_cnn if arch == "mc_cnn" \
+            else quantized_deep_conv_lstm
+        x = np.random.default_rng(seed).normal(size=(n,) + qm.input_shape)
+        single_audit, batch_audit = ie.SaturationAudit(), ie.SaturationAudit()
+        singles = [ie.run_quantized(qm, w, single_audit) for w in x]
+        # blocks of 4 windows, so n > 4 crosses a block boundary
+        with mock.patch.object(ie, "BLOCK_WINDOWS", 4):
+            probs, classes = ie.run_quantized(qm, x, batch_audit)
+        assert probs.tobytes() == np.stack([p for p, _ in singles]).tobytes()
+        assert classes.tolist() == [c for _, c in singles]
+        assert batch_audit == single_audit
+
+    def test_full_block_boundary(self, quantized_mc_cnn):
+        _, qm = quantized_mc_cnn
+        x = np.random.default_rng(16).normal(
+            size=(ie.BLOCK_WINDOWS + 1,) + qm.input_shape)
+        probs, classes = ie.run_quantized(qm, x)
+        last_probs, last_class = ie.run_quantized(qm, x[-1])
+        assert probs.shape == (len(x), qm.num_classes)
+        assert probs[-1].tobytes() == last_probs.tobytes()
+        assert classes[-1] == last_class
+
+    def test_empty_batch(self, quantized_mc_cnn):
+        _, qm = quantized_mc_cnn
+        probs, classes = ie.run_quantized(qm, np.zeros((0,) + qm.input_shape))
+        assert probs.shape == (0, qm.num_classes) and classes.shape == (0,)
+
+    def test_kernels_with_leading_axis_equal_per_window(self):
+        rng = np.random.default_rng(17)
+        qp, out_qp = QuantParams(0.05, 3), QuantParams(0.1, -7)
+        mult = decompose_multiplier(0.02)
+        q = rng.integers(-128, 128, size=(3, 10, 4)).astype(np.int8)
+        q_w = rng.integers(-127, 128, size=(4, 3, 5)).astype(np.int8)
+        bias = rng.integers(-500, 500, size=5).astype(np.int32)
+        d_w = rng.integers(-127, 128, size=(4, 6)).astype(np.int8)
+        d_bias = rng.integers(-500, 500, size=6).astype(np.int32)
+        lstm_w = {"w_x": rng.integers(-127, 128, size=(4, 8)).astype(np.int8),
+                  "w_h": rng.integers(-127, 128, size=(2, 8)).astype(np.int8)}
+        lstm_qps = {"w_x": QuantParams(0.01, 0), "w_h": QuantParams(0.02, 0)}
+        lstm_bias = rng.integers(-50, 50, size=8).astype(np.int32)
+        kernels = [
+            lambda v: ie.conv1d_int8(v, qp, q_w, bias, mult, out_qp),
+            lambda v: ie.dense_int8(v, qp, d_w, d_bias, mult, out_qp),
+            lambda v: ie.relu_int8(v, qp, mult, out_qp),
+            lambda v: ie.avg_pool1d_int8(v, 3),
+            lambda v: ie.lstm_hybrid(v, qp, lstm_w, lstm_qps, lstm_bias,
+                                     0.0005, out_qp),
+            lambda v: ie.softmax_int8(v, qp, out_qp),
+        ]
+        for kernel in kernels:
+            batched = kernel(q)
+            for i in range(len(q)):
+                assert batched[i].tobytes() == kernel(q[i]).tobytes()
+
+    @pytest.mark.parametrize("shape", [(3, 16, 5), (16, 5), (2, 3, 16, 4),
+                                       (4,), (3, 15, 4)])
+    def test_wrong_input_shape_raises(self, quantized_mc_cnn, shape):
+        _, qm = quantized_mc_cnn
+        with pytest.raises(ShapeMismatchError):
+            ie.run_quantized(qm, np.zeros(shape))
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_run_quantized_raises(self, quantized_mc_cnn, bad):
+        graph, qm = quantized_mc_cnn
+        x = np.zeros((5, 16, 4))
+        x[3, 7, 2] = bad
+        with pytest.raises(NonFiniteInputError):
+            ie.run_quantized(qm, x)
+        with pytest.raises(NonFiniteInputError):
+            ie.run_quantized(qm, x[3])
+        with pytest.raises(NonFiniteInputError):
+            fe.forward(graph, x[3])
 
 
 class TestTimedInference:

@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from tinyhar import mcu
+from tinyhar import mcu, modelfile
 from tinyhar.model_ir import (ModelGraph, Precision, avg_pool1d, build_mc_cnn,
-                              conv1d, dense, flatten, init_params,
-                              model_size_bytes, relu, softmax)
+                              conv1d, dense, flatten, init_params, relu,
+                              softmax)
 from tinyhar.quantizer import quantize_model
 
 KIB = 1024
@@ -109,8 +109,11 @@ class TestFeasibility:
 
     def test_largest_float_model_rejected_on_smallest_part(self):
         graph = build_mc_cnn(23, 24, 400, seed=0)
-        size_f = model_size_bytes(graph, Precision.FLOAT32)
-        size_q = model_size_bytes(graph, Precision.INT8_FULL)
+        rng = np.random.default_rng(0)
+        qmodel = quantize_model(graph, [rng.normal(size=(24, 23))
+                                        for _ in range(2)])
+        size_f = len(modelfile.serialize(graph))
+        size_q = len(modelfile.serialize(qmodel))
         p = mcu.BUILTIN_PROFILES["nrf52840"]
         arena_f = mcu.estimate_arena(graph, Precision.FLOAT32)
         arena_q = mcu.estimate_arena(graph, Precision.INT8_FULL)

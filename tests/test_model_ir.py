@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tinyhar import model_ir
-from tinyhar.model_ir import (DivisibilityError, LayerKind, Precision,
+from tinyhar import model_ir, modelfile
+from tinyhar.model_ir import (DivisibilityError, LayerKind,
                               ShapeUnderflowError, build_deep_conv_lstm,
-                              build_mc_cnn, model_size_bytes, param_count)
+                              build_mc_cnn, param_count)
+from tinyhar.quantizer import quantize_model
 
 ALL_GROUPS = (17, 23, 768, 791)
 MC_CNN_LEVELS = (128, 256, 400)
@@ -102,24 +103,35 @@ class TestAllPaperConfigs:
         assert g.layer_output_shapes()[-1] == (15,)
 
 
+def serialized_sizes(graph):
+    """(float, int8) sizes of the graph's serialized .thar files."""
+    rng = np.random.default_rng(0)
+    qmodel = quantize_model(graph, [rng.normal(size=graph.input_shape)
+                                    for _ in range(2)])
+    return len(modelfile.serialize(graph)), len(modelfile.serialize(qmodel))
+
+
 class TestModelSize:
     def test_float_size_no_overhead(self):
-        g = build_mc_cnn(8, 16, 8, dense_width=4, num_classes=3)
-        _, total = param_count(g)
-        assert model_size_bytes(g, Precision.FLOAT32) == 4 * total
+        # a float file stores every parameter in 4 bytes: two graphs of the
+        # same structure differ by 4 bytes per extra parameter
+        small = build_mc_cnn(8, 16, 8, dense_width=4, num_classes=3)
+        large = build_mc_cnn(8, 16, 8, dense_width=9, num_classes=3)
+        extra = param_count(large)[1] - param_count(small)[1]
+        assert extra > 0
+        assert (len(modelfile.serialize(large))
+                - len(modelfile.serialize(small))) == 4 * extra
 
     def test_int8_strictly_smaller(self):
-        g = build_mc_cnn(23, 24, 128)
-        assert (model_size_bytes(g, Precision.INT8_FULL)
-                < model_size_bytes(g, Precision.FLOAT32))
+        size_f, size_q = serialized_sizes(build_mc_cnn(23, 24, 128))
+        assert size_q < size_f
 
     @pytest.mark.parametrize("channels", ALL_GROUPS)
     @pytest.mark.parametrize("first_filters", MC_CNN_LEVELS)
     def test_ratio_in_paper_band(self, channels, first_filters):
-        g = build_mc_cnn(channels, 24, first_filters)
-        ratio = (model_size_bytes(g, Precision.FLOAT32)
-                 / model_size_bytes(g, Precision.INT8_FULL))
-        assert 3.0 <= ratio <= 4.5
+        size_f, size_q = serialized_sizes(
+            build_mc_cnn(channels, 24, first_filters))
+        assert 3.0 <= size_f / size_q <= 4.5
 
 
 class TestGraphImmutability:

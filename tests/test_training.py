@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tinyhar import training
+from tinyhar import float_engine, training
 from tinyhar.model_ir import (LayerKind, ModelGraph, build_deep_conv_lstm,
-                              build_mc_cnn, dense, flatten, init_params, relu,
-                              softmax)
+                              build_mc_cnn, conv1d, dense, flatten,
+                              init_params, relu, softmax)
 from tinyhar.training import TrainConfig, UnsupportedLayerError, grad_check, train
 
 
@@ -59,6 +59,30 @@ class TestTrain:
         assert len(lines) == 4
 
 
+class TestDenseAfterSequence:
+    """A dense layer fed a (T, D) sequence reads its last time step."""
+
+    @pytest.fixture
+    def graph(self):
+        layers = (conv1d(4, 8, 3), relu(), dense(8, 15), softmax())
+        return ModelGraph(layers, init_params(layers, 3), (10, 4), 15)
+
+    def test_predict_matches_float_executor(self, graph):
+        x = np.random.default_rng(4).normal(size=(5, 10, 4))
+        preds = training.predict_batch(graph, x)
+        assert preds.shape == (5,)
+        assert preds.tolist() == [int(float_engine.forward(graph, w).argmax())
+                                  for w in x]
+
+    def test_trains_with_exact_gradients(self, graph):
+        rng = np.random.default_rng(5)
+        x, y = rng.normal(size=(20, 10, 4)), rng.integers(0, 15, size=20)
+        trained, history = train(graph, (x, y), None,
+                                 TrainConfig(epochs=2, batch_size=8))
+        assert len(history) == 2 and np.isfinite(history[-1]["loss"])
+        assert grad_check(trained, x[0], int(y[0]), seed=6) <= 1e-3
+
+
 class TestConfigValidation:
     def test_bad_epochs(self):
         with pytest.raises(ValueError):
@@ -86,8 +110,8 @@ class TestGradCheck:
         params = [{k: v.astype(np.float64) for k, v in p.items()}
                   for p in g.params]
         x = np.zeros((1, 12, 3))
-        logits, caches = training._forward_batch(g, params, x,
-                                                 train=False, rng=None)
+        caches = []
+        logits = training._forward_batch(g, params, x, caches=caches)
         _, dlogits = training._loss_and_dlogits(logits, np.array([1]))
         grads = training._backward_batch(g, params, caches, dlogits)
         assert np.all(grads[0]["w"] == 0.0)  # conv weight grads vanish
@@ -158,11 +182,12 @@ def flatten_first_case():
     return g, np.random.default_rng(8).normal(size=(9, 4, 2))
 
 
-def batch_gradients(graph, x, train_mode=True):
+def batch_gradients(graph, x):
     params = [{k: v.astype(np.float64) for k, v in p.items()}
               for p in graph.params]
-    logits, caches = training._forward_batch(
-        graph, params, x, train=train_mode, rng=np.random.default_rng(0))
+    caches = []
+    logits = training._forward_batch(
+        graph, params, x, rng=np.random.default_rng(0), caches=caches)
     labels = np.arange(x.shape[0]) % graph.num_classes
     _, dlogits = training._loss_and_dlogits(logits, labels)
     return (training._backward_batch(graph, params, caches, dlogits),
