@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import int8_engine, mcu, metrics, modelfile, training
-from .datapipe import (ChannelGroup, WindowedSample, fit_stats, make_windows,
+from .datapipe import (ChannelGroup, Windows, fit_stats, make_windows,
                        normalize, split_by_session, stack_windows)
 from .int8_engine import LatencyStats
 from .model_ir import (ModelGraph, Precision, build_deep_conv_lstm,
@@ -102,7 +102,7 @@ def mcu_results_for(model, precision: Precision,
     return results
 
 
-def classify(model, samples: list[WindowedSample]):
+def classify(model, samples: Windows):
     """(predicted classes, true labels) of ``samples`` under a float
     ModelGraph or a QuantizedModel, in one batched call."""
     x, labels = stack_windows(samples)

@@ -143,6 +143,7 @@ def forward_collect(graph: ModelGraph, window: np.ndarray) -> list[np.ndarray]:
     if tuple(window.shape) != graph.input_shape:
         raise ShapeMismatchError(
             f"window shape {window.shape} != model input {graph.input_shape}")
+    check_finite(window)
     acts = [window]
     value = window
     for spec, layer_params in zip(graph.layers, graph.params):

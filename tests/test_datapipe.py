@@ -1,3 +1,8 @@
+import csv
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,6 +99,137 @@ class TestCsvRoundTrip:
         dp.write_csv(path, ts, frames, labels)
         with pytest.raises(dp.RowParseError, match="label 99"):
             dp.ingest_csv(path)
+
+    @pytest.mark.parametrize("column", [0, 5, 791])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_value_names_line(self, tmp_path, column, bad):
+        ts, frames, labels = self._sample(3)
+        path = tmp_path / "rec.csv"
+        dp.write_csv(path, ts, frames, labels)
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[column] = bad
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        for parse in (dp.ingest_csv, dp._ingest_rows):
+            with pytest.raises(dp.RowParseError, match=":3: non-finite"):
+                parse(path)
+
+    def test_write_csv_bytes_match_csv_writer(self, tmp_path):
+        ts, frames, labels = self._sample(6)
+        frames[0, :6] = [np.nan, np.inf, -np.inf, -0.0, 1e-300, 123456789.0]
+        frames[1] *= 1e6
+        ts[2] = 1e9 / 3
+        dp.write_csv(tmp_path / "fast.csv", ts, frames, labels)
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(dp.CSV_HEADER)
+            for t, frame, label in zip(ts, frames, labels):
+                writer.writerow([f"{t:.3f}"] + [f"{v:.6g}" for v in frame]
+                                + [int(label)])
+        assert ((tmp_path / "fast.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
+
+
+def _line_of(exc: Exception) -> int | None:
+    found = re.search(r"\.csv:(\d+):", str(exc))
+    return int(found.group(1)) if found else None
+
+
+def _parse(parse, path):
+    try:
+        return parse(path)
+    except dp.DatapipeError as exc:
+        return type(exc), _line_of(exc)
+
+
+_CELL_EDITS = {"empty cell": lambda v: "", "value 1_0": lambda v: "1_0",
+               "nan": lambda v: "nan", "quoted cell": lambda v: f'"{v}"'}
+_LABEL_EDITS = {"label 3.0": "3.0", "label 1_0": "1_0"}
+_CORRUPTIONS = sorted([*_CELL_EDITS, *_LABEL_EDITS, "blank line",
+                       "short line", "swapped timestamps", "none"])
+
+
+def _corrupt(rows, kind, i, c):
+    """One corruption of data row ``i`` (cell ``c``), where the row has
+    the cells it needs."""
+    cells = rows[i]
+    if kind == "blank line":
+        rows.insert(i, [])
+    elif kind == "short line":
+        rows[i] = cells[:c]
+    elif kind == "swapped timestamps":
+        if i and cells and rows[i - 1]:
+            cells[0], rows[i - 1][0] = rows[i - 1][0], cells[0]
+    elif kind in _LABEL_EDITS:
+        if cells:
+            cells[-1] = _LABEL_EDITS[kind]
+    elif kind in _CELL_EDITS and c < len(cells):
+        cells[c] = _CELL_EDITS[kind](cells[c])
+
+
+def _assert_paths_agree(kinds, row, column, seed):
+    """Corrupt a 4-row CSV; the fast path and the row parser must return
+    bit-identical arrays, or raise the same error type naming the same
+    line."""
+    rng = np.random.default_rng(seed)
+    ts = np.arange(4) * dp.GRID_STEP_MS
+    frames = rng.normal(size=(4, dp.NUM_CHANNELS)) * 10.0 ** rng.integers(
+        -4, 6, size=dp.NUM_CHANNELS)
+    labels = rng.integers(0, dp.NUM_CLASSES, size=4)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rec.csv"
+        dp.write_csv(path, ts, frames, labels)
+        header, *lines = path.read_text().splitlines()
+        rows = [line.split(",") for line in lines]
+        for kind in kinds:
+            _corrupt(rows, kind, row, column)
+        path.write_text("\n".join([header] + [",".join(r) for r in rows])
+                        + "\n")
+        fast = _parse(dp.ingest_csv, path)
+        reference = _parse(dp._ingest_rows, path)
+    assert len(fast) == len(reference)
+    if len(reference) == 2:  # (error type, line)
+        assert fast == reference
+        return
+    for got, want in zip(fast, reference):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+class TestIngestOracle:
+    """The loadtxt fast path of ``ingest_csv`` against the row parser."""
+
+    @pytest.mark.parametrize("kind", _CORRUPTIONS)
+    def test_each_corruption(self, kind):
+        _assert_paths_agree([kind], row=1, column=5, seed=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kinds=st.lists(st.sampled_from(_CORRUPTIONS), min_size=1,
+                          max_size=2),
+           row=st.integers(0, 3), column=st.integers(0, 792),
+           seed=st.integers(0, 2**16))
+    def test_fast_path_agrees_with_row_parser(self, kinds, row, column, seed):
+        _assert_paths_agree(kinds, row, column, seed)
+
+    def test_round_trip_is_bit_identical_to_row_parser(self, tmp_path):
+        rng = np.random.default_rng(1)
+        n = 50
+        frames = rng.normal(size=(n, dp.NUM_CHANNELS)) * 1e3
+        path = tmp_path / "rec.csv"
+        dp.write_csv(path, np.arange(n) * dp.GRID_STEP_MS, frames,
+                     rng.integers(0, dp.NUM_CLASSES, size=n))
+        for got, want in zip(dp.ingest_csv(path), dp._ingest_rows(path)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
+    def test_header_only_file_is_empty(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        dp.write_csv(path, [], np.zeros((0, dp.NUM_CHANNELS)), [])
+        ts, frames, labels = dp.ingest_csv(path)
+        assert ts.shape == (0,) and frames.shape == (0, dp.NUM_CHANNELS)
+        assert labels.shape == (0,)
 
 
 def _stream(name, start_col, rate_hz, duration_s, fn):
@@ -196,13 +332,132 @@ class TestWindows:
         with pytest.raises(dp.DatapipeError):
             dp.make_windows([_session([0] * 4)], window_len=0, stride=1)
 
-    @given(st.lists(st.integers(0, 14), min_size=1, max_size=24))
-    def test_window_label_matches_bincount_oracle(self, labels):
+    @given(st.lists(st.integers(0, 14), min_size=1, max_size=40),
+           st.integers(1, 8), st.integers(1, 5))
+    def test_window_label_matches_bincount_oracle(self, labels, window_len,
+                                                  stride):
         arr = np.array(labels)
-        counts = np.bincount(arr, minlength=15)
-        winners = np.flatnonzero(counts == counts.max())
-        expected = int(winners[0]) if len(winners) == 1 else 0
-        assert dp.window_label(arr) == expected
+        wins = dp.make_windows([_session(arr)], window_len, stride)
+        starts = range(0, len(arr) - window_len + 1, stride)
+        assert len(wins) == len(starts)
+        for win, start in zip(wins, starts):
+            counts = np.bincount(arr[start:start + window_len], minlength=15)
+            winners = np.flatnonzero(counts == counts.max())
+            expected = int(winners[0]) if len(winners) == 1 else 0
+            assert win.label == expected
+
+
+def _reference_windows(sessions, window_len, stride, group):
+    """The windows as the old list of per-window samples."""
+    out = []
+    for rec in sessions:
+        frames = rec.frames[:, group.indices()]
+        for start in range(0, len(rec.labels) - window_len + 1, stride):
+            counts = np.bincount(rec.labels[start:start + window_len],
+                                 minlength=dp.NUM_CLASSES)
+            winners = np.flatnonzero(counts == counts.max())
+            out.append(dp.WindowedSample(
+                window=frames[start:start + window_len],
+                label=int(winners[0]) if len(winners) == 1 else dp.NULL_CLASS,
+                subject=rec.subject, session=rec.session))
+    return out
+
+
+def _assert_same_items(wins, reference):
+    assert len(wins) == len(reference)
+    for got, want in zip(wins, reference):
+        assert np.array_equal(got.window, want.window)
+        assert (got.label, got.subject, got.session) == \
+            (want.label, want.subject, want.session)
+
+
+class TestWindowsSequence:
+    @pytest.fixture
+    def sessions(self):
+        rng = np.random.default_rng(7)
+        return [_session(rng.integers(0, 4, size=n), subject=s % 2,
+                         session=s, seed=s) for s, n in ((0, 30), (1, 5),
+                                                         (2, 41))]
+
+    def test_items_match_list_semantics(self, sessions):
+        group = dp.ChannelGroup.G17
+        wins = dp.make_windows(sessions, 6, 4, group)
+        ref = _reference_windows(sessions, 6, 4, group)
+        _assert_same_items(wins, ref)
+        _assert_same_items(wins[2:9], ref[2:9])
+        _assert_same_items(wins[::3][:4], ref[::3][:4])
+        _assert_same_items(wins[-3:], ref[-3:])
+        mask = np.array([w.label == 1 for w in ref])
+        _assert_same_items(wins[mask], [w for w, m in zip(ref, mask) if m])
+        _assert_same_items(wins[np.array([5, 0, 5])],
+                           [ref[5], ref[0], ref[5]])
+        _assert_same_items([wins[-1], wins[np.int64(3)]], [ref[-1], ref[3]])
+        with pytest.raises(IndexError):
+            wins[len(ref)]
+        x, y = dp.stack_windows(wins[1:7])
+        assert np.array_equal(x, np.stack([w.window for w in ref[1:7]]))
+        assert np.array_equal(y, [w.label for w in ref[1:7]])
+
+    def test_split_matches_list_filter(self, sessions):
+        wins = dp.make_windows(sessions, 6, 2)
+        ref = _reference_windows(sessions, 6, 2, dp.ChannelGroup.G791)
+        train, test = dp.split_by_session(wins, held_out_session=2)
+        _assert_same_items(train, [w for w in ref if w.session != 2])
+        _assert_same_items(test, [w for w in ref if w.session == 2])
+
+    def test_windows_are_read_only(self, sessions):
+        wins = dp.make_windows(sessions, 6, 4)
+        stats = dp.fit_stats(wins)
+        for w in (wins, dp.normalize(wins, stats)):
+            with pytest.raises(ValueError):
+                w[0].window[0, 0] = 1.0
+
+    def test_normalize_matches_per_window_formula(self, sessions):
+        group = dp.ChannelGroup.G23
+        wins = dp.make_windows(sessions, 6, 9, group)
+        stats = dp.fit_stats(wins)
+        safe_std = np.where(stats.std > 0, stats.std, 1.0)
+        held_out = dp.split_by_session(wins, 0)[1][::2]
+        out = dp.normalize(held_out, stats)
+        _assert_same_items(out, [
+            dp.WindowedSample(window=(w.window - stats.mean) / safe_std,
+                              label=w.label, subject=w.subject,
+                              session=w.session) for w in held_out])
+        # only the rows its windows cover are kept
+        assert len(out.frames) == len(np.unique(held_out.rows()))
+
+
+class TestFitStatsOracle:
+    """Blockwise fit_stats against the stacked mean/std, bit for bit."""
+
+    @pytest.mark.parametrize("group", [dp.ChannelGroup.G17,
+                                       dp.ChannelGroup.G791])
+    @pytest.mark.parametrize("stride", [1, 5, 12, 24])
+    @pytest.mark.parametrize("block_bytes", [1, 50_000, dp.FIT_BLOCK_BYTES])
+    def test_bit_identical_to_stacked_formula(self, monkeypatch, group,
+                                              stride, block_bytes):
+        monkeypatch.setattr(dp, "FIT_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(stride)
+        recs = []
+        for s, n in enumerate((90, 61)):
+            rec = _session(rng.integers(0, 15, size=n), session=s, seed=s)
+            # channels of mixed magnitude
+            recs.append(dp.SessionRecording(
+                subject=0, session=s, timestamps=rec.timestamps,
+                frames=rec.frames * 10.0 ** rng.integers(
+                    -4, 7, size=dp.NUM_CHANNELS) + rng.normal(
+                        size=dp.NUM_CHANNELS) * 1e3,
+                labels=rec.labels))
+        wins = dp.make_windows(recs, 12, stride, group)
+        flat = np.stack([w.window for w in wins]).reshape(-1, group.width)
+        stats = dp.fit_stats(wins)
+        assert stats.mean.tobytes() == flat.mean(axis=0).tobytes()
+        assert stats.std.tobytes() == flat.std(axis=0).tobytes()
+
+    def test_no_windows_rejected(self):
+        wins = dp.make_windows([_session([0] * 3)], window_len=4, stride=1)
+        with pytest.raises(dp.DatapipeError):
+            dp.fit_stats(wins)
 
 
 class TestNormalization:
@@ -216,20 +471,21 @@ class TestNormalization:
         assert np.abs(flat.std(axis=0) - 1.0).max() < 1e-6
 
     def test_zero_variance_channel_passes_through(self):
-        win = np.ones((4, 2))
-        win[:, 1] = [1.0, 2.0, 3.0, 4.0]
-        s = dp.WindowedSample(window=win, label=0, subject=0, session=0)
-        stats = dp.fit_stats([s])
-        out = dp.normalize([s], stats)[0].window
+        rec = _session([0] * 4)
+        rec.frames[:, 0] = 1.0
+        rec.frames[:, 1] = [1.0, 2.0, 3.0, 4.0]
+        wins = dp.make_windows([rec], 4, 4)
+        stats = dp.fit_stats(wins)
+        out = dp.normalize(wins, stats)[0].window
         assert np.allclose(out[:, 0], 0.0)  # centered, not scaled
 
     def test_stats_come_from_train_only(self):
-        a = dp.WindowedSample(window=np.zeros((2, 1)), label=0, subject=0,
-                              session=0)
-        b = dp.WindowedSample(window=np.full((2, 1), 100.0), label=0,
-                              subject=0, session=1)
-        stats = dp.fit_stats([a])
-        out = dp.normalize([b], stats)[0].window
+        recs = [_session([0] * 2, session=0), _session([0] * 2, session=1)]
+        recs[0].frames[:] = 0.0
+        recs[1].frames[:] = 100.0
+        train, test = dp.split_by_session(dp.make_windows(recs, 2, 2), 1)
+        stats = dp.fit_stats(train)
+        out = dp.normalize(test, stats)[0].window
         assert np.all(out == 100.0)  # test split shifted by train stats only
 
 

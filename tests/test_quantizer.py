@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from tinyhar import float_engine as fe
 from tinyhar import modelfile
-from tinyhar.model_ir import LayerKind, build_mc_cnn
+from tinyhar.model_ir import LayerKind, NonFiniteInputError, build_mc_cnn
 from tinyhar.quantizer import (DEGENERATE_SCALE, EmptyDatasetError,
                                FixedPointMultiplier,
                                NonPositiveMultiplierError, QuantParams,
@@ -156,6 +156,13 @@ class TestQuantizeModel:
         a = modelfile.serialize(quantize_model(small_graph, rep))
         b = modelfile.serialize(quantize_model(small_graph, rep))
         assert a == b
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_representative_window_raises(self, small_graph, rep,
+                                                     bad):
+        rep[2][5, 1] = bad
+        with pytest.raises(NonFiniteInputError):
+            quantize_model(small_graph, rep)
 
     def test_int8_model_weights_are_int8(self, small_graph, rep):
         qm = quantize_model(small_graph, rep)

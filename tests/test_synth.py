@@ -72,8 +72,7 @@ class TestClassStructure:
                                   sessions_per_subject=3, duration_s=300.0)
         wins = dp.make_windows(sessions, window_len=24, stride=12,
                                group=dp.ChannelGroup.G23)
-        train = [w for w in wins if w.session != 3]
-        test = [w for w in wins if w.session == 3]
+        train, test = dp.split_by_session(wins, held_out_session=3)
         xtr, ytr = dp.stack_windows(train)
         xte, yte = dp.stack_windows(test)
         ftr, fte = xtr.mean(axis=1), xte.mean(axis=1)
