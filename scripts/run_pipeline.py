@@ -15,7 +15,7 @@ import numpy as np
 
 from tinyhar import datapipe as dp
 from tinyhar import mcu, metrics, modelfile, training
-from tinyhar.benchlab import classify
+from tinyhar.benchlab import classify, prepared_windows
 from tinyhar.model_ir import Precision, build_mc_cnn
 from tinyhar.quantizer import quantize_model
 from tinyhar.synth import synth_generate
@@ -39,10 +39,8 @@ def main() -> int:
     print(f"generating synthetic dataset (seed {args.seed}) ...")
     sessions = synth_generate(args.seed, subjects=2, sessions_per_subject=5,
                               duration_s=args.duration_s)
-    windows = dp.make_windows(sessions, window_len=24, stride=12, group=group)
-    train, test = dp.split_by_session(windows, held_out_session=5)
-    stats = dp.fit_stats(train)
-    train, test = dp.normalize(train, stats), dp.normalize(test, stats)
+    train, test = prepared_windows(sessions, group, window_len=24, stride=12,
+                                   held_out_session=5)
     print(f"  {len(train)} train / {len(test)} held-out windows "
           f"({group.width} channels)")
 

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import int8_engine, mcu, metrics, modelfile, training
-from .datapipe import (ChannelGroup, Windows, fit_stats, make_windows,
-                       normalize, split_by_session, stack_windows)
+from .datapipe import (ChannelGroup, DatapipeError, Windows, fit_stats,
+                       make_windows, normalize, split_by_session,
+                       stack_windows)
 from .int8_engine import LatencyStats
 from .model_ir import (ModelGraph, Precision, build_deep_conv_lstm,
                        build_mc_cnn)
@@ -113,9 +114,14 @@ def classify(model, samples: Windows):
     return preds, labels
 
 
-def _prepared_windows(sessions, group: ChannelGroup, cfg: SweepConfig):
-    windows = make_windows(sessions, cfg.window_len, cfg.stride, group)
-    train, test = split_by_session(windows, cfg.held_out_session)
+def prepared_windows(sessions, group: ChannelGroup, window_len: int,
+                     stride: int, held_out_session: int):
+    """(train, test) windows, z-scored with train-split statistics."""
+    windows = make_windows(sessions, window_len, stride, group)
+    train, test = split_by_session(windows, held_out_session)
+    if not train:
+        raise DatapipeError(f"no training windows left after holding out "
+                            f"session {held_out_session}")
     stats = fit_stats(train)
     return normalize(train, stats), normalize(test, stats)
 
@@ -127,7 +133,9 @@ def run_config(sessions, arch: str, group: ChannelGroup, level: str,
     """Train (MC-CNN only), quantize, and evaluate one configuration,
     producing one report per requested precision."""
     train_set, test_set = (prepared if prepared is not None
-                           else _prepared_windows(sessions, group, cfg))
+                           else prepared_windows(sessions, group,
+                                                 cfg.window_len, cfg.stride,
+                                                 cfg.held_out_session))
     seed = cfg.seed + 1000 * LEVELS.index(level) + group.width
     graph = build_for(arch, group, level, cfg.window_len, seed)
     trainable = arch == "mc_cnn"
@@ -168,7 +176,9 @@ def sweep(sessions, cfg: SweepConfig,
     prepared = {}
     for group in groups:
         try:
-            prepared[group] = _prepared_windows(sessions, group, cfg)
+            prepared[group] = prepared_windows(
+                sessions, group, cfg.window_len, cfg.stride,
+                cfg.held_out_session)
         except Exception as exc:  # recorded per config below
             prepared[group] = exc
     configs = [(arch, group, level) for arch in architectures

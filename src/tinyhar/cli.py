@@ -17,8 +17,7 @@ import numpy as np
 from . import benchlab, int8_engine, mcu, metrics, modelfile, synth, training
 from .benchlab import SweepConfig
 from .datapipe import (ChannelGroup, DatapipeError, SessionRecording,
-                       fit_stats, ingest_csv, make_windows, normalize,
-                       split_by_session, stack_windows, write_csv)
+                       ingest_csv, stack_windows, write_csv)
 from .model_ir import GraphError, LayerKind, ModelGraph, Precision, build_mc_cnn
 from .modelfile import ModelFileError
 from .quantizer import QuantizedModel, quantize_model
@@ -67,17 +66,6 @@ def _load_model(path: str):
     return modelfile.load(model_path)
 
 
-def _prepare_split(sessions, group: ChannelGroup, window_len: int,
-                   stride: int, held_out_session: int):
-    windows = make_windows(sessions, window_len, stride, group)
-    train, test = split_by_session(windows, held_out_session)
-    if not train:
-        raise CliError(f"no training windows left after holding out session "
-                       f"{held_out_session}")
-    stats = fit_stats(train)
-    return normalize(train, stats), normalize(test, stats)
-
-
 def cmd_synth(args) -> int:
     outdir = Path(args.out)
     _write_config_echo(outdir, args)
@@ -101,8 +89,8 @@ def cmd_train(args) -> int:
     _write_config_echo(outdir, args)
     sessions = _load_dataset(args.data)
     group = ChannelGroup.from_width(args.group)
-    train_set, test_set = _prepare_split(sessions, group, args.window_len,
-                                         args.stride, args.held_out_session)
+    train_set, test_set = benchlab.prepared_windows(
+        sessions, group, args.window_len, args.stride, args.held_out_session)
     graph = build_mc_cnn(group.width, args.window_len,
                          first_filters=args.filters, seed=args.seed)
     cfg = training.TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
@@ -128,8 +116,9 @@ def cmd_quantize(args) -> int:
         raise CliError(f"{args.model} is already quantized")
     sessions = _load_dataset(args.data)
     group = ChannelGroup.from_width(model.input_shape[1])
-    train_set, _ = _prepare_split(sessions, group, model.input_shape[0],
-                                  args.stride, args.held_out_session)
+    train_set, _ = benchlab.prepared_windows(
+        sessions, group, model.input_shape[0], args.stride,
+        args.held_out_session)
     rep = [s.window for s in train_set[:args.rep_windows]]
     qmodel = quantize_model(model, rep)
     out_path = outdir / "model_int8.thar"
@@ -158,8 +147,9 @@ def cmd_eval(args) -> int:
     sessions = _load_dataset(args.data)
     group = ChannelGroup.from_width(model.input_shape[1])
     # keep no train split alive: at stride 1 it is the largest array here
-    test_set = _prepare_split(sessions, group, model.input_shape[0],
-                              args.stride, args.held_out_session)[1]
+    test_set = benchlab.prepared_windows(
+        sessions, group, model.input_shape[0], args.stride,
+        args.held_out_session)[1]
     if not test_set:
         raise CliError(f"held-out session {args.held_out_session} "
                        f"produced no windows")

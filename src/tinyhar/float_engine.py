@@ -1,24 +1,31 @@
 """Float reference executor.
 
-Single-window, layer-by-layer evaluation of a ``ModelGraph``. This is the
-numeric oracle against which the integer engine is checked; it favors a
-direct transcription of each layer's definition over batching tricks
-(the trainer in :mod:`tinyhar.training` has its own batched kernels).
+Layer-by-layer evaluation of a ``ModelGraph``, the numeric oracle for the
+int8 engine. Like the int8 kernels, each kernel takes leading batch axes.
+Every matrix product runs one GEMV per row: a GEMM sums in another order
+and differs in the last bits, so only GEMV rows give each window the same
+result, bit for bit, in any batch. The trainer in :mod:`tinyhar.training`
+keeps its own GEMM kernels.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .model_ir import LayerKind, ModelGraph, ShapeMismatchError, check_finite
+from .model_ir import LayerKind, ModelGraph, ShapeMismatchError, window_batch
+
+
+def _rowwise_matmul(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``v @ w`` for (..., D) rows, one GEMV per row."""
+    return (v[..., None, :] @ w)[..., 0, :]
 
 
 def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Valid (unpadded) 1D convolution.
 
-    x: (time_steps, in_channels); w: (in_channels, kernel, out_filters);
-    b: (out_filters,). Output: (time_steps - kernel + 1, out_filters).
+    x: (..., time_steps, in_channels); w: (in_channels, kernel, out_filters);
+    b: (out_filters,). Output: (..., time_steps - kernel + 1, out_filters).
     """
-    steps, channels = x.shape
+    steps, channels = x.shape[-2:]
     in_channels, kernel, _ = w.shape
     if channels != in_channels:
         raise ShapeMismatchError(
@@ -26,13 +33,15 @@ def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     if steps < kernel:
         raise ShapeMismatchError(
             f"input has {steps} steps, kernel needs {kernel}")
+    lead = x.shape[:-2]
     out_steps = steps - kernel + 1
     # weights flattened in (kernel, channel) order to match the window rows
     w2 = np.ascontiguousarray(w.transpose(1, 0, 2)).reshape(
         kernel * in_channels, -1)
-    out = np.empty((out_steps, w.shape[2]), dtype=np.result_type(x, w))
+    out = np.empty(lead + (out_steps, w.shape[2]), dtype=np.result_type(x, w))
     for t in range(out_steps):
-        out[t] = x[t:t + kernel].reshape(-1) @ w2
+        out[..., t, :] = _rowwise_matmul(
+            x[..., t:t + kernel, :].reshape(lead + (-1,)), w2)
     return out + b
 
 
@@ -40,22 +49,30 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0)
 
 
-def avg_pool1d(x: np.ndarray, pool: int) -> np.ndarray:
-    """Non-overlapping mean pooling along time; trailing remainder dropped."""
-    if x.ndim != 2:
-        raise ShapeMismatchError(f"avg_pool1d needs a 2D input, got {x.shape}")
-    out_steps = x.shape[0] // pool
+def pool_groups(x: np.ndarray, pool: int) -> np.ndarray:
+    """The (..., T // pool, pool, C) groups that non-overlapping pooling
+    of a (..., T, C) input reduces along time; trailing remainder dropped."""
+    if x.ndim < 2:
+        raise ShapeMismatchError(
+            f"avg_pool1d needs a (..., T, C) input, got {x.shape}")
+    steps, channels = x.shape[-2:]
+    out_steps = steps // pool
     if out_steps < 1:
         raise ShapeMismatchError(
-            f"pool {pool} exhausts {x.shape[0]} time steps")
-    return x[:out_steps * pool].reshape(out_steps, pool, x.shape[1]).mean(axis=1)
+            f"pool {pool} exhausts {steps} time steps")
+    return x[..., :out_steps * pool, :].reshape(
+        x.shape[:-2] + (out_steps, pool, channels))
+
+
+def avg_pool1d(x: np.ndarray, pool: int) -> np.ndarray:
+    return pool_groups(x, pool).mean(axis=-2)
 
 
 def dense_forward(v: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if v.shape[0] != w.shape[0]:
+    if v.shape[-1] != w.shape[0]:
         raise ShapeMismatchError(
-            f"dense input width {v.shape[0]} != weight rows {w.shape[0]}")
-    return v @ w + b
+            f"dense input width {v.shape[-1]} != weight rows {w.shape[0]}")
+    return _rowwise_matmul(v, w) + b
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -70,27 +87,29 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 def lstm_forward(seq: np.ndarray, w_x: np.ndarray, w_h: np.ndarray,
                  b: np.ndarray) -> np.ndarray:
-    """Standard peephole-free LSTM; returns the full hidden sequence.
+    """Standard peephole-free LSTM over the time axis (-2) of a (..., T, D)
+    input; returns the full (..., T, H) hidden sequence.
 
     Gates are packed along the last axis in (input, forget, candidate,
     output) order. h_0 = c_0 = 0.
     """
     hidden = w_h.shape[0]
-    if seq.shape[1] != w_x.shape[0]:
+    if seq.shape[-1] != w_x.shape[0]:
         raise ShapeMismatchError(
-            f"lstm input width {seq.shape[1]} != weight rows {w_x.shape[0]}")
-    h = np.zeros(hidden)
-    c = np.zeros(hidden)
-    out = np.empty((seq.shape[0], hidden))
-    for t in range(seq.shape[0]):
-        gates = seq[t] @ w_x + h @ w_h + b
-        i = sigmoid(gates[:hidden])
-        f = sigmoid(gates[hidden:2 * hidden])
-        g = np.tanh(gates[2 * hidden:3 * hidden])
-        o = sigmoid(gates[3 * hidden:])
+            f"lstm input width {seq.shape[-1]} != weight rows {w_x.shape[0]}")
+    h = np.zeros(seq.shape[:-2] + (hidden,))
+    c = np.zeros(seq.shape[:-2] + (hidden,))
+    out = np.empty(seq.shape[:-1] + (hidden,))
+    for t in range(seq.shape[-2]):
+        gates = (_rowwise_matmul(seq[..., t, :], w_x)
+                 + _rowwise_matmul(h, w_h) + b)
+        i = sigmoid(gates[..., :hidden])
+        f = sigmoid(gates[..., hidden:2 * hidden])
+        g = np.tanh(gates[..., 2 * hidden:3 * hidden])
+        o = sigmoid(gates[..., 3 * hidden:])
         c = f * c + i * g
         h = o * np.tanh(c)
-        out[t] = h
+        out[..., t, :] = h
     return out
 
 
@@ -112,9 +131,9 @@ def _apply_layer(spec, layer_params, value):
     if kind == LayerKind.AVGPOOL1D:
         return avg_pool1d(value, spec.pool)
     if kind == LayerKind.FLATTEN:
-        return value.reshape(-1)
+        return value.reshape(len(value), -1)
     if kind == LayerKind.DENSE:
-        v = value[-1] if value.ndim == 2 else value
+        v = value[:, -1] if value.ndim == 3 else value
         return dense_forward(v, layer_params["w"], layer_params["b"])
     if kind == LayerKind.LSTM:
         return lstm_forward(value, layer_params["w_x"], layer_params["w_h"],
@@ -124,29 +143,21 @@ def _apply_layer(spec, layer_params, value):
     raise ShapeMismatchError(f"unknown layer kind {kind}")
 
 
-def forward(graph: ModelGraph, window: np.ndarray) -> np.ndarray:
-    """Full inference on one window; returns the class probability vector.
-    NaN or infinite input raises ``NonFiniteInputError``."""
-    if tuple(window.shape) != graph.input_shape:
-        raise ShapeMismatchError(
-            f"window shape {window.shape} != model input {graph.input_shape}")
-    check_finite(window)
-    value = window
+def _activations(graph: ModelGraph, x: np.ndarray) -> list[np.ndarray]:
+    batch, single = window_batch(x, graph.input_shape)
+    acts = [batch]
     for spec, layer_params in zip(graph.layers, graph.params):
-        value = _apply_layer(spec, layer_params, value)
-    return value
+        acts.append(_apply_layer(spec, layer_params, acts[-1]))
+    return [a[0] for a in acts] if single else acts
 
 
-def forward_collect(graph: ModelGraph, window: np.ndarray) -> list[np.ndarray]:
+def forward(graph: ModelGraph, x: np.ndarray) -> np.ndarray:
+    """Class probabilities of one (T, C) window, or (N, K) of an (N, T, C)
+    batch. Bad input raises the errors of ``model_ir.window_batch``."""
+    return _activations(graph, x)[-1]
+
+
+def forward_collect(graph: ModelGraph, x: np.ndarray) -> list[np.ndarray]:
     """Like :func:`forward`, but returns [input, out_0, out_1, ...] for
     activation-range calibration."""
-    if tuple(window.shape) != graph.input_shape:
-        raise ShapeMismatchError(
-            f"window shape {window.shape} != model input {graph.input_shape}")
-    check_finite(window)
-    acts = [window]
-    value = window
-    for spec, layer_params in zip(graph.layers, graph.params):
-        value = _apply_layer(spec, layer_params, value)
-        acts.append(value)
-    return acts
+    return _activations(graph, x)

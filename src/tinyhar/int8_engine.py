@@ -19,12 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import float_engine
-from .model_ir import LayerKind, ShapeMismatchError, check_finite
+from .model_ir import (BLOCK_WINDOWS, LayerKind, ShapeMismatchError,
+                       window_batch)
 from .quantizer import (FixedPointMultiplier, QuantParams, QuantizedModel,
                         dequantize, quantize_tensor)
-
-# windows quantized and run together by run_quantized; bounds its memory
-BLOCK_WINDOWS = 256
 
 
 @dataclass
@@ -124,31 +122,20 @@ def relu_int8(q_in: np.ndarray, in_qp: QuantParams,
 def avg_pool1d_int8(q_in: np.ndarray, pool: int) -> np.ndarray:
     """Pools the time axis (-2) of a (..., T, C) input: integer sum then
     rounded division; quantization params unchanged."""
-    if q_in.ndim < 2:
-        raise ShapeMismatchError(
-            f"avg_pool1d needs a (..., T, C) input, got {q_in.shape}")
-    steps, channels = q_in.shape[-2:]
-    out_steps = steps // pool
-    if out_steps < 1:
-        raise ShapeMismatchError(
-            f"pool {pool} exhausts {steps} time steps")
-    sums = q_in[..., :out_steps * pool, :].astype(np.int64).reshape(
-        q_in.shape[:-2] + (out_steps, pool, channels)).sum(axis=-2)
+    sums = float_engine.pool_groups(q_in, pool).astype(np.int64).sum(axis=-2)
     return _round_half_away_div(sums, pool).astype(np.int8)
 
 
 def lstm_hybrid(q_in: np.ndarray, in_qp: QuantParams, weights: dict,
                 weight_qps: dict, bias: np.ndarray, bias_scale: float,
                 out_qp: QuantParams) -> np.ndarray:
-    """Dequantize, run the float LSTM cell over each (T, D) sequence of
-    ``q_in``, requantize to the calibrated output range."""
-    x = dequantize(q_in, in_qp)
+    """Dequantize, run the float LSTM cell over the (..., T, D) sequences
+    of ``q_in``, requantize to the calibrated output range."""
     w_x = dequantize(weights["w_x"], weight_qps["w_x"])
     w_h = dequantize(weights["w_h"], weight_qps["w_h"])
     b = bias.astype(np.float64) * bias_scale
-    h = np.stack([float_engine.lstm_forward(seq, w_x, w_h, b)
-                  for seq in x.reshape((-1,) + x.shape[-2:])])
-    return quantize_tensor(h.reshape(x.shape[:-1] + (-1,)), out_qp)
+    h = float_engine.lstm_forward(dequantize(q_in, in_qp), w_x, w_h, b)
+    return quantize_tensor(h, out_qp)
 
 
 def softmax_int8(q_logits: np.ndarray, in_qp: QuantParams,
@@ -199,12 +186,7 @@ def run_quantized(model: QuantizedModel, x: np.ndarray,
     Argmax ties break toward the lowest class index. Non-finite input
     raises ``NonFiniteInputError``.
     """
-    single = x.ndim == 2
-    batch = x[None] if single else x
-    if batch.ndim != 3 or tuple(batch.shape[1:]) != model.input_shape:
-        raise ShapeMismatchError(f"input shape {x.shape} is neither "
-                                 f"{model.input_shape} nor a batch of it")
-    check_finite(batch)
+    batch, single = window_batch(x, model.input_shape)
     out_qp = model.layers[-1].out_qp
     blocks = [np.empty((0, model.num_classes))]
     for start in range(0, len(batch), BLOCK_WINDOWS):

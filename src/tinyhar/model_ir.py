@@ -1,5 +1,5 @@
 """Layer-graph model representation: layer specs, the two network builders,
-and parameter accounting.
+the input check that both executors share, and parameter accounting.
 
 A model is a plain ordered list of layers. There is no general computation
 graph: the only supported topologies are the conv->pool->dense classifier
@@ -35,10 +35,23 @@ class NonFiniteInputError(ValueError):
     """A model input holds NaN or infinity."""
 
 
-def check_finite(x: np.ndarray) -> None:
-    """Raise NonFiniteInputError unless every value of ``x`` is finite."""
-    if not np.isfinite(x).all():
+# windows the executors run together; bounds the memory of one call
+BLOCK_WINDOWS = 256
+
+
+def window_batch(x: np.ndarray,
+                 input_shape: tuple[int, int]) -> tuple[np.ndarray, bool]:
+    """Checks that ``x`` is one ``input_shape`` window or a batch of them
+    (else ShapeMismatchError) and finite (else NonFiniteInputError);
+    returns it as a batch and whether it was one window."""
+    single = x.ndim == 2
+    batch = x[None] if single else x
+    if batch.ndim != 3 or batch.shape[1:] != tuple(input_shape):
+        raise ShapeMismatchError(f"input shape {x.shape} is neither "
+                                 f"{tuple(input_shape)} nor a batch of it")
+    if not np.isfinite(batch).all():
         raise NonFiniteInputError("input holds NaN or infinity")
+    return batch, single
 
 
 class LayerKind(Enum):

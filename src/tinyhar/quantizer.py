@@ -1,11 +1,12 @@
 """Full-integer 8-bit post-training quantization.
 
 Activation ranges are calibrated by running the float executor over a
-representative dataset and recording exact per-tensor (min, max), widened to
-include zero so that real 0 is always exactly representable. Weights are
-quantized symmetrically per tensor (zero point 0), activations asymmetrically.
-Biases become int32 at scale s_in * s_w. Each requantizing layer carries a
-fixed-point multiplier decomposition of its real rescale factor.
+representative dataset, a block of windows per call, and recording exact
+per-tensor (min, max), widened to include zero so that real 0 is always
+exactly representable. Weights are quantized symmetrically per tensor (zero
+point 0), activations asymmetrically. Biases become int32 at scale
+s_in * s_w (``w``, or an LSTM's ``w_x``) and must fit. Each requantizing
+layer carries a fixed-point multiplier decomposition of its rescale factor.
 """
 from __future__ import annotations
 
@@ -15,7 +16,8 @@ from math import frexp
 import numpy as np
 
 from . import float_engine
-from .model_ir import LayerKind, ModelGraph, Precision
+from .model_ir import (BLOCK_WINDOWS, LayerKind, ModelGraph,
+                       ShapeMismatchError, param_shapes)
 
 # fixed output coding for the final softmax: probabilities in [0, 1)
 SOFTMAX_SCALE = 1.0 / 256.0
@@ -30,6 +32,10 @@ class EmptyDatasetError(ValueError):
 
 class NonPositiveMultiplierError(ValueError):
     """Requantization multiplier must be > 0."""
+
+
+class BiasOverflowError(ValueError):
+    """A quantized bias does not fit in int32."""
 
 
 @dataclass(frozen=True)
@@ -102,21 +108,26 @@ def calibrate(graph: ModelGraph, representative_set) -> list[tuple[float, float]
     """Per-activation (min, max) over the representative set.
 
     Index 0 is the model input; index i+1 is layer i's output. Every range
-    is widened to include 0.
+    is widened to include 0. The ranges equal those of one
+    ``forward_collect`` call per window, down to the sign of zero.
     """
-    ranges: list[tuple[float, float]] | None = None
-    count = 0
-    for window in representative_set:
-        acts = float_engine.forward_collect(graph, np.asarray(window))
-        if ranges is None:
-            ranges = [(float(a.min()), float(a.max())) for a in acts]
-        else:
-            ranges = [(min(lo, float(a.min())), max(hi, float(a.max())))
-                      for (lo, hi), a in zip(ranges, acts)]
-        count += 1
-    if count == 0:
+    windows = list(representative_set)
+    if not windows:
         raise EmptyDatasetError("representative dataset is empty")
-    return [(min(lo, 0.0), max(hi, 0.0)) for lo, hi in ranges]
+    # stacking a ragged set would raise an untyped ValueError
+    if any(np.shape(w) != tuple(graph.input_shape) for w in windows):
+        raise ShapeMismatchError(
+            f"a representative window is not {tuple(graph.input_shape)}")
+    lows, highs = [], []  # per block: an (activations, windows) array
+    for start in range(0, len(windows), BLOCK_WINDOWS):
+        acts = [a.reshape(len(a), -1) for a in float_engine.forward_collect(
+            graph, np.stack(windows[start:start + BLOCK_WINDOWS]))]
+        lows.append(np.array([a.min(axis=1) for a in acts]))
+        highs.append(np.array([a.max(axis=1) for a in acts]))
+    # Python's min and max scan the windows in order and keep the first of
+    # equal values, so even the sign of a zero bound is the per-window one
+    return [(min(min(lo), 0.0), max(max(hi), 0.0)) for lo, hi in
+            zip(np.hstack(lows).tolist(), np.hstack(highs).tolist())]
 
 
 @dataclass
@@ -167,28 +178,24 @@ def quantize_model(graph: ModelGraph, representative_set) -> QuantizedModel:
     for i, (spec, layer_params) in enumerate(zip(graph.layers, graph.params)):
         in_qp, out_qp = act_qps[i], act_qps[i + 1]
         ql = QLayer(spec=spec, in_qp=in_qp, out_qp=out_qp)
-        if spec.kind in (LayerKind.CONV1D, LayerKind.DENSE):
-            w = layer_params["w"]
-            w_qp = symmetric_params(float(w.min()), float(w.max()))
-            ql.weights = {"w": quantize_tensor(w, w_qp)}
-            ql.weight_qps = {"w": w_qp}
-            bias_scale = in_qp.scale * w_qp.scale
-            ql.bias = np.round(
-                layer_params["b"].astype(np.float64) / bias_scale
-            ).astype(np.int32)
-            ql.multiplier = decompose_multiplier(bias_scale / out_qp.scale)
-        elif spec.kind == LayerKind.LSTM:
-            # hybrid execution: int8 storage, float cell math
+        if spec.kind in (LayerKind.CONV1D, LayerKind.DENSE, LayerKind.LSTM):
+            # an LSTM runs hybrid: int8 storage, float cell math
+            names = [name for name in param_shapes(spec) if name != "b"]
             ql.weights, ql.weight_qps = {}, {}
-            for name in ("w_x", "w_h"):
+            for name in names:
                 w = layer_params[name]
-                w_qp = symmetric_params(float(w.min()), float(w.max()))
-                ql.weights[name] = quantize_tensor(w, w_qp)
-                ql.weight_qps[name] = w_qp
-            bias_scale = in_qp.scale * ql.weight_qps["w_x"].scale
-            ql.bias = np.round(
-                layer_params["b"].astype(np.float64) / bias_scale
-            ).astype(np.int32)
+                ql.weight_qps[name] = symmetric_params(float(w.min()),
+                                                       float(w.max()))
+                ql.weights[name] = quantize_tensor(w, ql.weight_qps[name])
+            # the input-side weights (w, or w_x) set the bias scale
+            bias_scale = in_qp.scale * ql.weight_qps[names[0]].scale
+            bias = np.round(layer_params["b"].astype(np.float64) / bias_scale)
+            if not np.all((bias >= -2**31) & (bias < 2**31)):
+                raise BiasOverflowError(
+                    f"layer {i} ({spec.kind.name}): bias up to "
+                    f"{np.abs(bias).max():.3g} does not fit in int32 at "
+                    f"scale {bias_scale:.3g}")
+            ql.bias = bias.astype(np.int32)
             ql.multiplier = decompose_multiplier(bias_scale / out_qp.scale)
         elif spec.kind == LayerKind.RELU:
             ql.multiplier = decompose_multiplier(in_qp.scale / out_qp.scale)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model_ir import LayerKind, ModelGraph, check_finite
+from .model_ir import LayerKind, ModelGraph, window_batch
 
 
 class UnsupportedLayerError(ValueError):
@@ -232,20 +232,19 @@ class _Sgd:
 
 def _predict_logits(graph: ModelGraph, x: np.ndarray) -> np.ndarray:
     _check_trainable(graph)
-    x = np.asarray(x, dtype=np.float64)
-    check_finite(x)
+    x, _ = window_batch(np.asarray(x, dtype=np.float64), graph.input_shape)
     params = [{k: v.astype(np.float64) for k, v in p.items()}
               for p in graph.params]
     return _forward_batch(graph, params, x)
 
 
 def predict_proba(graph: ModelGraph, x: np.ndarray) -> np.ndarray:
-    """Batched class probabilities (inference mode, float64)."""
+    """Class probabilities of an (N, T, C) batch (inference mode, float64)."""
     return np.exp(_log_softmax(_predict_logits(graph, x)))
 
 
 def predict_batch(graph: ModelGraph, x: np.ndarray) -> np.ndarray:
-    """Batched argmax predictions (inference mode, float64)."""
+    """Argmax classes of an (N, T, C) batch (inference mode, float64)."""
     return _predict_logits(graph, x).argmax(axis=1)
 
 

@@ -61,6 +61,16 @@ class TestTrain:
         assert run("train", "--data", str(tmp_path / "nope"),
                    "--out", str(tmp_path / "out")) == 1
 
+    def test_no_training_windows_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "one_session"
+        assert run("synth", "--subjects", "1", "--sessions", "1",
+                   "--duration-s", "20", "--out", str(data)) == 0
+        assert run("train", "--data", str(data), "--group", "17",
+                   "--window-len", "12", "--held-out-session", "1",
+                   "--out", str(tmp_path / "out")) == 1
+        assert ("no training windows left after holding out session 1"
+                in capsys.readouterr().err)
+
 
 class TestQuantize:
     def test_produces_int8_model(self, dataset, trained, tmp_path):

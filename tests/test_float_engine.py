@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tinyhar import float_engine as fe
-from tinyhar.model_ir import ShapeMismatchError, build_mc_cnn, dense
+from tinyhar.model_ir import (ShapeMismatchError, build_deep_conv_lstm,
+                              build_mc_cnn, dense)
 from tinyhar import training
 
 
@@ -135,3 +136,57 @@ class TestForward:
         batched = training.predict_proba(graph, x)
         for i in range(7):
             assert np.allclose(batched[i], fe.forward(graph, x[i]), atol=1e-10)
+
+
+@pytest.fixture(scope="module")
+def small_graphs():
+    return {"mc_cnn": build_mc_cnn(5, 16, 8, dense_width=6, num_classes=4,
+                                   seed=2),
+            "lstm": build_deep_conv_lstm(6, 24, 4, hidden=5, seed=13)}
+
+
+class TestBatch:
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(1, 9), arch=st.sampled_from(["mc_cnn", "lstm"]),
+           seed=st.integers(0, 2**16))
+    def test_batch_equals_single_window_calls(self, small_graphs, n, arch,
+                                              seed):
+        graph = small_graphs[arch]
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n,) + graph.input_shape) \
+            * rng.choice([1e-3, 1.0, 30.0], size=(n, 1, 1))
+        singles = [fe.forward_collect(graph, w) for w in x]
+        batched = fe.forward_collect(graph, x)
+        assert len(batched) == len(singles[0]) == len(graph.layers) + 1
+        for layer, act in enumerate(batched):
+            stacked = np.stack([acts[layer] for acts in singles])
+            assert act.shape == stacked.shape
+            assert act.tobytes() == stacked.tobytes()
+        assert fe.forward(graph, x).tobytes() == batched[-1].tobytes()
+
+    def test_kernels_with_leading_axis_equal_per_window(self):
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(3, 10, 4))
+        conv_w, conv_b = rng.normal(size=(4, 3, 5)), rng.normal(size=5)
+        dense_w, dense_b = rng.normal(size=(4, 6)), rng.normal(size=6)
+        w_x, w_h = rng.normal(size=(4, 8)), rng.normal(size=(2, 8))
+        lstm_b = rng.normal(size=8)
+        kernels = [
+            lambda v: fe.conv1d_forward(v, conv_w, conv_b),
+            lambda v: fe.dense_forward(v, dense_w, dense_b),
+            fe.relu,
+            lambda v: fe.avg_pool1d(v, 3),
+            lambda v: fe.lstm_forward(v, w_x, w_h, lstm_b),
+            fe.softmax,
+        ]
+        for kernel in kernels:
+            batched = kernel(x)
+            for i in range(len(x)):
+                assert batched[i].tobytes() == kernel(x[i]).tobytes()
+
+    @pytest.mark.parametrize("shape", [(3, 16, 6), (2, 3, 16, 5), (5,),
+                                       (3, 15, 5)])
+    def test_wrong_input_shape_raises(self, small_graphs, shape):
+        for run in (fe.forward, fe.forward_collect):
+            with pytest.raises(ShapeMismatchError):
+                run(small_graphs["mc_cnn"], np.zeros(shape))

@@ -1,11 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tinyhar import float_engine as fe
-from tinyhar import modelfile
-from tinyhar.model_ir import LayerKind, NonFiniteInputError, build_mc_cnn
-from tinyhar.quantizer import (DEGENERATE_SCALE, EmptyDatasetError,
+from tinyhar import modelfile, quantizer
+from tinyhar.model_ir import (LayerKind, NonFiniteInputError,
+                              ShapeMismatchError, build_deep_conv_lstm,
+                              build_mc_cnn)
+from tinyhar.quantizer import (DEGENERATE_SCALE, BiasOverflowError,
+                               EmptyDatasetError,
                                FixedPointMultiplier,
                                NonPositiveMultiplierError, QuantParams,
                                affine_params, calibrate, decompose_multiplier,
@@ -117,6 +122,50 @@ class TestCalibrate:
                 assert lo == max(0.0, min(oracle_min, 0.0)) == 0.0
 
 
+def per_window_ranges(graph, windows):
+    """The calibration fold, one forward_collect call per window."""
+    ranges = None
+    for window in windows:
+        acts = fe.forward_collect(graph, window)
+        if ranges is None:
+            ranges = [(float(a.min()), float(a.max())) for a in acts]
+        else:
+            ranges = [(min(lo, float(a.min())), max(hi, float(a.max())))
+                      for (lo, hi), a in zip(ranges, acts)]
+    return [(min(lo, 0.0), max(hi, 0.0)) for lo, hi in ranges]
+
+
+class TestCalibrateBlocks:
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        return [build_mc_cnn(4, 16, 8, dense_width=6, num_classes=3, seed=5),
+                build_deep_conv_lstm(6, 24, 4, hidden=5, seed=13)]
+
+    @pytest.mark.parametrize("block", [2, 3])
+    def test_blocks_equal_per_window_fold(self, graphs, block):
+        rng = np.random.default_rng(21)
+        for graph in graphs:
+            x = rng.normal(size=(7,) + graph.input_shape)
+            x[1] = 0.0
+            x[4] = -0.0  # all-zero windows, both signs of zero
+            x[5, ::2] = -0.0
+            # zero-only sets, where the sign of a bound is the first
+            # window's: a min or max over a whole block may pick either
+            zeros = np.zeros((2, 7) + graph.input_shape)
+            zeros[0, ::2] = zeros[1, 1::2] = -0.0
+            for windows in (x, *zeros):
+                expected = per_window_ranges(graph, windows)
+                with mock.patch.object(quantizer, "BLOCK_WINDOWS", block):
+                    got = calibrate(graph, list(windows))
+                assert (np.array(got).tobytes()
+                        == np.array(expected).tobytes())
+
+    def test_wrongly_shaped_window_raises(self, small_graph):
+        rep = [np.zeros((16, 4)), np.zeros((16, 5)), np.zeros((16, 4))]
+        with pytest.raises(ShapeMismatchError):
+            calibrate(small_graph, rep)
+
+
 class TestQuantizeModel:
     @pytest.fixture
     def rep(self):
@@ -163,6 +212,15 @@ class TestQuantizeModel:
         rep[2][5, 1] = bad
         with pytest.raises(NonFiniteInputError):
             quantize_model(small_graph, rep)
+
+    def test_bias_beyond_int32_raises(self, small_graph):
+        # an all-zero representative window gives the input a degenerate
+        # scale, so the first conv's bias of 0.5 needs far more than int32
+        params = [dict(p) for p in small_graph.params]
+        params[0]["b"] = np.full_like(params[0]["b"], 0.5)
+        graph = small_graph.with_params(tuple(params))
+        with pytest.raises(BiasOverflowError, match="layer 0 .CONV1D."):
+            quantize_model(graph, [np.zeros((16, 4))])
 
     def test_int8_model_weights_are_int8(self, small_graph, rep):
         qm = quantize_model(small_graph, rep)
