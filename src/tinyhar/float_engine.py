@@ -76,13 +76,13 @@ def dense_forward(v: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # piecewise form avoids exp overflow for large negative inputs
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # branchless form of the piecewise 1 / (1 + exp(-x)) for x >= 0 and
+    # exp(x) / (1 + exp(x)) below: exp(-|x|) is the same exp in both, so
+    # each element gets the same expression, and exp never overflows
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def lstm_forward(seq: np.ndarray, w_x: np.ndarray, w_h: np.ndarray,
@@ -91,24 +91,26 @@ def lstm_forward(seq: np.ndarray, w_x: np.ndarray, w_h: np.ndarray,
     input; returns the full (..., T, H) hidden sequence.
 
     Gates are packed along the last axis in (input, forget, candidate,
-    output) order. h_0 = c_0 = 0.
+    output) order. h_0 = c_0 = 0. The input projection of all T steps is
+    one stacked GEMV call, and each step makes one ``sigmoid`` call on the
+    whole gate vector; both are bit-identical to per-step, per-gate calls,
+    since a GEMV row and an elementwise function do not depend on their
+    neighbours.
     """
     hidden = w_h.shape[0]
     if seq.shape[-1] != w_x.shape[0]:
         raise ShapeMismatchError(
             f"lstm input width {seq.shape[-1]} != weight rows {w_x.shape[0]}")
+    x_proj = _rowwise_matmul(seq, w_x)
     h = np.zeros(seq.shape[:-2] + (hidden,))
     c = np.zeros(seq.shape[:-2] + (hidden,))
     out = np.empty(seq.shape[:-1] + (hidden,))
     for t in range(seq.shape[-2]):
-        gates = (_rowwise_matmul(seq[..., t, :], w_x)
-                 + _rowwise_matmul(h, w_h) + b)
-        i = sigmoid(gates[..., :hidden])
-        f = sigmoid(gates[..., hidden:2 * hidden])
+        gates = x_proj[..., t, :] + _rowwise_matmul(h, w_h) + b
+        act = sigmoid(gates)
         g = np.tanh(gates[..., 2 * hidden:3 * hidden])
-        o = sigmoid(gates[..., 3 * hidden:])
-        c = f * c + i * g
-        h = o * np.tanh(c)
+        c = act[..., hidden:2 * hidden] * c + act[..., :hidden] * g
+        h = act[..., 3 * hidden:] * np.tanh(c)
         out[..., t, :] = h
     return out
 

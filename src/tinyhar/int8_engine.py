@@ -2,10 +2,19 @@
 
 Conv/dense layers accumulate int8 x int8 products into 32-bit integers,
 add int32 biases, and requantize through a fixed-point multiplier with
-round-half-away-from-zero rounding. The accumulation matmul is performed in
-float64, which is exact for these magnitudes (|acc| << 2**53) and keeps the
-path bit-reproducible across platforms. The LSTM executes hybrid: int8
+round-half-away-from-zero rounding. The LSTM executes hybrid: int8
 storage, float cell math, requantized output.
+
+The kernels take each layer's packed form (``QLayer.packed``), built once
+per model: float64 weights, a conv's in the im2col (K * C, F) layout, and
+an int64 bias with the input zero point folded in, b - zp_in * sum(w)
+(Jacob et al. 2018, eqs. 7-8). The im2col is then built straight from the
+int8 input, and ``q @ w + bias`` equals sum((q - zp_in) * w) + b. The
+product runs in float64 BLAS and is exact: every product and partial sum
+is an integer of magnitude at most K * C * 128 * 128, far below 2**53, so
+no summation order rounds, and the result is the integer the int32
+accumulator holds (``quantize_model`` proves sum|w| * 255 + |b| < 2**31).
+An LSTM's packed form is its dequantized float64 weights and bias.
 
 Kernels take leading batch axes, as TFLite's int8 kernels do, so one
 ``run_quantized`` call classifies a whole batch of windows, bit for bit
@@ -21,8 +30,9 @@ import numpy as np
 from . import float_engine
 from .model_ir import (BLOCK_WINDOWS, LayerKind, ShapeMismatchError,
                        window_batch)
-from .quantizer import (FixedPointMultiplier, QuantParams, QuantizedModel,
-                        dequantize, quantize_tensor)
+from .quantizer import (FixedPointMultiplier, PackedLinear, PackedLSTM,
+                        QuantParams, QuantizedModel, dequantize,
+                        quantize_tensor)
 
 
 @dataclass
@@ -47,38 +57,43 @@ def requantize(acc: np.ndarray, mult: FixedPointMultiplier) -> np.ndarray:
     that it keeps its sign and is at least 2**31 in magnitude, so it
     saturates to the correct int8 rail.
     """
-    prod = acc.astype(np.int64) * mult.mantissa
+    prod = np.asarray(acc, dtype=np.int64) * mult.mantissa
     shift = 31 - mult.exponent
     if shift <= 0:
         # mantissa >= 2**30, so any nonzero product is far outside int8:
         # clamp it before the left shift so int64 cannot wrap
         limit = 1 << 31
         return np.clip(prod, -limit, limit) << min(-shift, 31)
-    half = np.int64(1) << (shift - 1)
-    # round half away from zero: shift the magnitude, restore the sign
-    return np.sign(prod) * ((np.abs(prod) + half) >> shift)
+    # |prod| < 2**62 for an int32 accumulator, so any shift past 62
+    # gives 0; capping it keeps ``half`` and the sum below inside int64
+    shift = min(shift, 63)
+    # round half away from zero: (prod + half - 1) >> shift floors a
+    # negative product to the same integer as -((|prod| + half) >> shift)
+    prod += (1 << (shift - 1)) - (prod < 0)
+    prod >>= shift
+    return prod
 
 
 def _saturate(values: np.ndarray, audit: SaturationAudit | None) -> np.ndarray:
-    clipped = np.clip(values, -128, 127)
+    clipped = np.minimum(np.maximum(values, -128), 127)
     if audit is not None:
         audit.total += values.size
         audit.clamped += int((values != clipped).sum())
     return clipped.astype(np.int8)
 
 
-def _int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # exact integer matmul via float64 BLAS; inputs are small integers
-    return np.rint(a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+def _accumulate(cols: np.ndarray, packed: PackedLinear) -> np.ndarray:
+    # exact: see the module docstring
+    return np.rint(cols @ packed.w).astype(np.int64) + packed.bias
 
 
-def conv1d_int8(q_in: np.ndarray, in_qp: QuantParams, q_w: np.ndarray,
-                bias: np.ndarray, mult: FixedPointMultiplier,
-                out_qp: QuantParams,
+def conv1d_int8(q_in: np.ndarray, packed: PackedLinear,
+                mult: FixedPointMultiplier, out_qp: QuantParams,
                 audit: SaturationAudit | None = None) -> np.ndarray:
-    """q_in: (..., T, C) int8; q_w: (C, K, F) int8; bias: (F,) int32."""
+    """q_in: (..., T, C) int8; ``packed`` holds (K * C, F) weights."""
     steps, channels = q_in.shape[-2:]
-    in_channels, kernel, filters = q_w.shape
+    kernel = packed.kernel
+    in_channels = packed.w.shape[0] // kernel
     if channels != in_channels:
         raise ShapeMismatchError(
             f"input has {channels} channels, weights expect {in_channels}")
@@ -86,29 +101,24 @@ def conv1d_int8(q_in: np.ndarray, in_qp: QuantParams, q_w: np.ndarray,
         raise ShapeMismatchError(
             f"input has {steps} steps, kernel needs {kernel}")
     out_steps = steps - kernel + 1
-    centered = q_in.astype(np.int64) - in_qp.zero_point
-    w2 = np.ascontiguousarray(q_w.transpose(1, 0, 2)).reshape(
-        kernel * in_channels, filters)
-    cols = np.empty(q_in.shape[:-2] + (out_steps, kernel * in_channels),
-                    dtype=np.int64)
+    cols = np.empty(q_in.shape[:-2] + (out_steps, kernel * channels))
     for k in range(kernel):
-        cols[..., k * in_channels:(k + 1) * in_channels] = \
-            centered[..., k:k + out_steps, :]
-    acc = _int_matmul(cols, w2) + bias.astype(np.int64)
-    return _saturate(requantize(acc, mult) + out_qp.zero_point, audit)
+        cols[..., k * channels:(k + 1) * channels] = \
+            q_in[..., k:k + out_steps, :]
+    return _saturate(requantize(_accumulate(cols, packed), mult)
+                     + out_qp.zero_point, audit)
 
 
-def dense_int8(q_in: np.ndarray, in_qp: QuantParams, q_w: np.ndarray,
-               bias: np.ndarray, mult: FixedPointMultiplier,
-               out_qp: QuantParams,
+def dense_int8(q_in: np.ndarray, packed: PackedLinear,
+               mult: FixedPointMultiplier, out_qp: QuantParams,
                audit: SaturationAudit | None = None) -> np.ndarray:
-    """q_in: (..., D) int8; q_w: (D, O) int8; bias: (O,) int32."""
-    if q_in.shape[-1] != q_w.shape[0]:
+    """q_in: (..., D) int8; ``packed`` holds (D, O) weights."""
+    if q_in.shape[-1] != packed.w.shape[0]:
         raise ShapeMismatchError(
-            f"dense input width {q_in.shape[-1]} != weight rows {q_w.shape[0]}")
-    centered = q_in.astype(np.int64) - in_qp.zero_point
-    acc = _int_matmul(centered, q_w) + bias.astype(np.int64)
-    return _saturate(requantize(acc, mult) + out_qp.zero_point, audit)
+            f"dense input width {q_in.shape[-1]} != weight rows "
+            f"{packed.w.shape[0]}")
+    return _saturate(requantize(_accumulate(q_in.astype(np.float64), packed),
+                                mult) + out_qp.zero_point, audit)
 
 
 def relu_int8(q_in: np.ndarray, in_qp: QuantParams,
@@ -126,15 +136,12 @@ def avg_pool1d_int8(q_in: np.ndarray, pool: int) -> np.ndarray:
     return _round_half_away_div(sums, pool).astype(np.int8)
 
 
-def lstm_hybrid(q_in: np.ndarray, in_qp: QuantParams, weights: dict,
-                weight_qps: dict, bias: np.ndarray, bias_scale: float,
+def lstm_hybrid(q_in: np.ndarray, in_qp: QuantParams, packed: PackedLSTM,
                 out_qp: QuantParams) -> np.ndarray:
     """Dequantize, run the float LSTM cell over the (..., T, D) sequences
     of ``q_in``, requantize to the calibrated output range."""
-    w_x = dequantize(weights["w_x"], weight_qps["w_x"])
-    w_h = dequantize(weights["w_h"], weight_qps["w_h"])
-    b = bias.astype(np.float64) * bias_scale
-    h = float_engine.lstm_forward(dequantize(q_in, in_qp), w_x, w_h, b)
+    h = float_engine.lstm_forward(dequantize(q_in, in_qp), packed.w_x,
+                                  packed.w_h, packed.b)
     return quantize_tensor(h, out_qp)
 
 
@@ -152,8 +159,8 @@ def run_layers(model: QuantizedModel, q_value: np.ndarray,
     for ql in model.layers:
         kind = ql.spec.kind
         if kind == LayerKind.CONV1D:
-            q_value = conv1d_int8(q_value, ql.in_qp, ql.weights["w"],
-                                  ql.bias, ql.multiplier, ql.out_qp, audit)
+            q_value = conv1d_int8(q_value, ql.packed, ql.multiplier,
+                                  ql.out_qp, audit)
         elif kind == LayerKind.RELU:
             q_value = relu_int8(q_value, ql.in_qp, ql.multiplier,
                                 ql.out_qp, audit)
@@ -165,13 +172,10 @@ def run_layers(model: QuantizedModel, q_value: np.ndarray,
             q_value = q_value.reshape(len(q_value), -1)
         elif kind == LayerKind.DENSE:
             vec = q_value[:, -1] if q_value.ndim == 3 else q_value
-            q_value = dense_int8(vec, ql.in_qp, ql.weights["w"], ql.bias,
-                                 ql.multiplier, ql.out_qp, audit)
+            q_value = dense_int8(vec, ql.packed, ql.multiplier, ql.out_qp,
+                                 audit)
         elif kind == LayerKind.LSTM:
-            bias_scale = ql.in_qp.scale * ql.weight_qps["w_x"].scale
-            q_value = lstm_hybrid(q_value, ql.in_qp, ql.weights,
-                                  ql.weight_qps, ql.bias, bias_scale,
-                                  ql.out_qp)
+            q_value = lstm_hybrid(q_value, ql.in_qp, ql.packed, ql.out_qp)
         elif kind == LayerKind.SOFTMAX:
             q_value = softmax_int8(q_value, ql.in_qp, ql.out_qp)
     return q_value

@@ -5,13 +5,19 @@ representative dataset, a block of windows per call, and recording exact
 per-tensor (min, max), widened to include zero so that real 0 is always
 exactly representable. Weights are quantized symmetrically per tensor (zero
 point 0), activations asymmetrically. Biases become int32 at scale
-s_in * s_w (``w``, or an LSTM's ``w_x``) and must fit. Each requantizing
-layer carries a fixed-point multiplier decomposition of its rescale factor.
+s_in * s_w (``w``, or an LSTM's ``w_x``) and must fit, and so must every
+conv or dense accumulator: its static bound sum|w| * 255 + |b| per output
+channel stays below 2**31. Each requantizing layer carries a fixed-point
+multiplier decomposition of its rescale factor.
+
+Each ``QLayer`` also has a packed form for the int8 engine, built on first
+use and never serialized (see :attr:`QLayer.packed`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import frexp
+from functools import cached_property
+from math import frexp, isfinite
 
 import numpy as np
 
@@ -31,11 +37,19 @@ class EmptyDatasetError(ValueError):
 
 
 class NonPositiveMultiplierError(ValueError):
-    """Requantization multiplier must be > 0."""
+    """Requantization multiplier must be > 0, and finite."""
+
+
+class RangeOverflowError(ValueError):
+    """A calibrated activation range is wider than float64 can hold."""
 
 
 class BiasOverflowError(ValueError):
     """A quantized bias does not fit in int32."""
+
+
+class AccumulatorOverflowError(ValueError):
+    """A layer's int32 accumulator can overflow on some int8 input."""
 
 
 @dataclass(frozen=True)
@@ -94,8 +108,9 @@ def dequantize(q: np.ndarray, qp: QuantParams) -> np.ndarray:
 
 
 def decompose_multiplier(m: float) -> FixedPointMultiplier:
-    if not m > 0:
-        raise NonPositiveMultiplierError(f"multiplier must be > 0, got {m}")
+    if not (m > 0 and isfinite(m)):
+        raise NonPositiveMultiplierError(
+            f"multiplier must be finite and > 0, got {m}")
     frac, exp = frexp(m)  # m = frac * 2**exp, frac in [0.5, 1)
     mantissa = int(round(frac * (1 << 31)))
     if mantissa == 1 << 31:  # rounding carried over; renormalize
@@ -109,7 +124,8 @@ def calibrate(graph: ModelGraph, representative_set) -> list[tuple[float, float]
 
     Index 0 is the model input; index i+1 is layer i's output. Every range
     is widened to include 0. The ranges equal those of one
-    ``forward_collect`` call per window, down to the sign of zero.
+    ``forward_collect`` call per window, down to the sign of zero. A range
+    whose width is not a finite float raises ``RangeOverflowError``.
     """
     windows = list(representative_set)
     if not windows:
@@ -126,8 +142,63 @@ def calibrate(graph: ModelGraph, representative_set) -> list[tuple[float, float]
         highs.append(np.array([a.max(axis=1) for a in acts]))
     # Python's min and max scan the windows in order and keep the first of
     # equal values, so even the sign of a zero bound is the per-window one
-    return [(min(min(lo), 0.0), max(max(hi), 0.0)) for lo, hi in
-            zip(np.hstack(lows).tolist(), np.hstack(highs).tolist())]
+    ranges = [(min(min(lo), 0.0), max(max(hi), 0.0)) for lo, hi in
+              zip(np.hstack(lows).tolist(), np.hstack(highs).tolist())]
+    for index, (lo, hi) in enumerate(ranges):
+        # an overflowed activation, or a width that overflows, has no scale
+        if not isfinite(hi - lo):
+            where = f"layer {index - 1} output" if index else "the input"
+            raise RangeOverflowError(
+                f"{where} ranges over [{lo:.3g}, {hi:.3g}], which float64 "
+                f"cannot code in int8")
+    return ranges
+
+
+@dataclass(frozen=True)
+class PackedLinear:
+    """A conv or dense layer's weights in the form the int8 kernels use.
+
+    ``w`` is float64 (K * C, F): a conv's (C, K, F) weights in im2col row
+    order, or a dense layer's (D, O) weights with K = 1. ``bias`` is the
+    int64 bias with the input zero-point term folded in, b - zp_in * sum(w)
+    per column, so sum((q - zp_in) * w) + b == q @ w + bias.
+    """
+
+    w: np.ndarray
+    bias: np.ndarray
+    kernel: int
+
+
+@dataclass(frozen=True)
+class PackedLSTM:
+    """An LSTM layer's dequantized float64 weights and bias."""
+
+    w_x: np.ndarray
+    w_h: np.ndarray
+    b: np.ndarray
+
+
+def pack_linear(q_w: np.ndarray, bias: np.ndarray,
+                in_zero_point: int) -> PackedLinear:
+    """Packs int8 conv (C, K, F) or dense (D, O) weights and their int32
+    bias for an input coded with ``in_zero_point``."""
+    kernel = 1
+    if q_w.ndim == 3:  # conv: im2col rows in (kernel, channel) order
+        kernel = q_w.shape[1]
+        q_w = q_w.transpose(1, 0, 2).reshape(-1, q_w.shape[2])
+    w = q_w.astype(np.float64)
+    column_sums = w.sum(axis=0).astype(np.int64)  # exact: integers < 2**53
+    return PackedLinear(w, bias.astype(np.int64) - in_zero_point * column_sums,
+                        kernel)
+
+
+def pack_lstm(weights: dict, weight_qps: dict, bias: np.ndarray,
+              bias_scale: float) -> PackedLSTM:
+    """Dequantizes an LSTM's int8 weights, and its int32 bias at
+    ``bias_scale``."""
+    return PackedLSTM(dequantize(weights["w_x"], weight_qps["w_x"]),
+                      dequantize(weights["w_h"], weight_qps["w_h"]),
+                      bias.astype(np.float64) * bias_scale)
 
 
 @dataclass
@@ -141,6 +212,19 @@ class QLayer:
     weight_qps: dict | None = None    # name -> QuantParams
     bias: np.ndarray | None = None    # int32
     multiplier: FixedPointMultiplier | None = None
+
+    @cached_property
+    def packed(self) -> PackedLinear | PackedLSTM | None:
+        """The weights as the int8 kernels use them: built once, on first
+        use after the integer parameters are set, and never serialized."""
+        kind = self.spec.kind
+        if kind in (LayerKind.CONV1D, LayerKind.DENSE):
+            return pack_linear(self.weights["w"], self.bias,
+                               self.in_qp.zero_point)
+        if kind == LayerKind.LSTM:
+            return pack_lstm(self.weights, self.weight_qps, self.bias,
+                             self.in_qp.scale * self.weight_qps["w_x"].scale)
+        return None
 
 
 @dataclass
@@ -170,6 +254,18 @@ def _activation_qps(graph: ModelGraph,
     return qps
 
 
+def _check_accumulator(index: int, ql: QLayer) -> None:
+    """Raises unless every int32 accumulator of the conv or dense layer
+    ``ql`` fits on any input: |q_in - zp_in| <= 255 bounds an output
+    channel's sum by sum|w| * 255 + |b|."""
+    bound = (np.abs(ql.packed.w).sum(axis=0) * 255
+             + np.abs(ql.bias.astype(np.int64)))
+    if not np.all(bound < 2**31):
+        raise AccumulatorOverflowError(
+            f"layer {index} ({ql.spec.kind.name}): accumulator bound up to "
+            f"{bound.max():.3g} does not fit in int32")
+
+
 def quantize_model(graph: ModelGraph, representative_set) -> QuantizedModel:
     """Convert a trained float graph to a fully int8 model."""
     ranges = calibrate(graph, representative_set)
@@ -196,6 +292,8 @@ def quantize_model(graph: ModelGraph, representative_set) -> QuantizedModel:
                     f"{np.abs(bias).max():.3g} does not fit in int32 at "
                     f"scale {bias_scale:.3g}")
             ql.bias = bias.astype(np.int32)
+            if spec.kind != LayerKind.LSTM:
+                _check_accumulator(i, ql)
             ql.multiplier = decompose_multiplier(bias_scale / out_qp.scale)
         elif spec.kind == LayerKind.RELU:
             ql.multiplier = decompose_multiplier(in_qp.scale / out_qp.scale)

@@ -14,8 +14,8 @@ from tinyhar import (benchlab, datapipe as dp, float_engine as fe,
                      int8_engine as ie, mcu, metrics, modelfile, training)
 from tinyhar.model_ir import (Precision, build_deep_conv_lstm, build_mc_cnn)
 from tinyhar.quantizer import (affine_params, decompose_multiplier,
-                               dequantize, quantize_model, quantize_tensor,
-                               symmetric_params)
+                               dequantize, pack_linear, quantize_model,
+                               quantize_tensor, symmetric_params)
 from tinyhar.synth import synth_generate
 
 GROUPS = (dp.ChannelGroup.G17, dp.ChannelGroup.G23, dp.ChannelGroup.G768,
@@ -262,8 +262,9 @@ def test_criterion_7_numeric_kernel_oracles():
         conv_qp = affine_params(min(0.0, float(pre.min())),
                                 max(0.0, float(pre.max())))
         mult = decompose_multiplier(in_qp.scale * w_qp.scale / conv_qp.scale)
-        q_conv = ie.conv1d_int8(q_x, in_qp, quantize_tensor(w, w_qp),
-                                bias, mult, conv_qp)
+        q_conv = ie.conv1d_int8(
+            q_x, pack_linear(quantize_tensor(w, w_qp), bias, in_qp.zero_point),
+            mult, conv_qp)
         err = np.abs(dequantize(q_conv, conv_qp) - pre).max()
         kernel_ok = kernel_ok and err <= 3 * conv_qp.scale
 
@@ -293,8 +294,10 @@ def test_criterion_7_numeric_kernel_oracles():
                                  max(0.0, float(dense_float.max())))
         mult = decompose_multiplier(in_qp.scale * wd_qp.scale / dense_qp.scale)
         q_dense = ie.dense_int8(
-            q_x[0], in_qp, quantize_tensor(w_d, wd_qp),
-            np.round(b / (in_qp.scale * wd_qp.scale)).astype(np.int32),
+            q_x[0], pack_linear(
+                quantize_tensor(w_d, wd_qp),
+                np.round(b / (in_qp.scale * wd_qp.scale)).astype(np.int32),
+                in_qp.zero_point),
             mult, dense_qp)
         err = np.abs(dequantize(q_dense, dense_qp) - dense_float).max()
         kernel_ok = kernel_ok and err <= 3 * dense_qp.scale

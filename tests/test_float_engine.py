@@ -86,6 +86,80 @@ class TestLstm:
         assert out[0, 0] == pytest.approx(expected, rel=1e-12)
 
 
+def piecewise_sigmoid(x):
+    """Oracle: the masked piecewise sigmoid."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def per_step_lstm(seq, w_x, w_h, b):
+    """Oracle: two GEMV calls and three per-gate sigmoid calls per step."""
+    hidden = w_h.shape[0]
+    h = np.zeros(seq.shape[:-2] + (hidden,))
+    c = np.zeros(seq.shape[:-2] + (hidden,))
+    out = np.empty(seq.shape[:-1] + (hidden,))
+    for t in range(seq.shape[-2]):
+        gates = (fe._rowwise_matmul(seq[..., t, :], w_x)
+                 + fe._rowwise_matmul(h, w_h) + b)
+        i = piecewise_sigmoid(gates[..., :hidden])
+        f = piecewise_sigmoid(gates[..., hidden:2 * hidden])
+        g = np.tanh(gates[..., 2 * hidden:3 * hidden])
+        o = piecewise_sigmoid(gates[..., 3 * hidden:])
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        out[..., t, :] = h
+    return out
+
+
+def mixed_magnitude(rng, shape, dtype=np.float64):
+    return (rng.normal(size=shape)
+            * 10.0 ** rng.uniform(-3, 3, size=shape)).astype(dtype)
+
+
+class TestSigmoid:
+    EXTREMES = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1.0, -1.0,
+                36.7, -36.7, 709.8, -709.8, 745.0, -745.0, 1e308, -1e308,
+                np.inf, -np.inf]
+
+    def test_equals_piecewise_form(self):
+        rng = np.random.default_rng(23)
+        x = np.concatenate([mixed_magnitude(rng, 10_000), self.EXTREMES])
+        # the byte comparison includes the sign bit
+        assert fe.sigmoid(x).tobytes() == piecewise_sigmoid(x).tobytes()
+        grid = x[:9_996].reshape(3, 4, -1)
+        assert fe.sigmoid(grid).tobytes() == \
+            piecewise_sigmoid(grid).tobytes()
+
+    def test_no_overflow_at_the_rails(self):
+        with np.errstate(over="raise", invalid="raise"):
+            out = fe.sigmoid(np.array([-1e308, -745.0, 745.0, 1e308]))
+        assert out[0] == 0.0 and out[-1] == 1.0
+
+
+class TestLstmOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(lead=st.sampled_from([(), (1,), (3,), (2, 3)]),
+           steps=st.integers(1, 6), width=st.integers(1, 9),
+           hidden=st.integers(1, 7),
+           weight_dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2**16))
+    def test_equals_per_step_oracle(self, lead, steps, width, hidden,
+                                    weight_dtype, seed):
+        rng = np.random.default_rng(seed)
+        seq = mixed_magnitude(rng, (*lead, steps, width))
+        w_x = mixed_magnitude(rng, (width, 4 * hidden), weight_dtype)
+        w_h = mixed_magnitude(rng, (hidden, 4 * hidden), weight_dtype)
+        b = mixed_magnitude(rng, 4 * hidden, weight_dtype)
+        out = fe.lstm_forward(seq, w_x, w_h, b)
+        expected = per_step_lstm(seq, w_x, w_h, b)
+        assert out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+
+
 class TestSoftmax:
     def test_uniform(self):
         assert np.allclose(fe.softmax(np.zeros(3)), 1 / 3)

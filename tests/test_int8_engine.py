@@ -11,8 +11,8 @@ from tinyhar.model_ir import (NonFiniteInputError, ShapeMismatchError,
                               build_deep_conv_lstm, build_mc_cnn)
 from tinyhar.quantizer import (FixedPointMultiplier, QuantParams,
                                affine_params, decompose_multiplier, dequantize,
-                               quantize_model, quantize_tensor,
-                               symmetric_params)
+                               pack_linear, pack_lstm, quantize_model,
+                               quantize_tensor, symmetric_params)
 
 
 def make_quantized_conv(rng, channels=3, kernel=2, filters=4, steps=8):
@@ -37,9 +37,10 @@ class TestConv1dInt8:
         in_qp = affine_params(-1.0, 1.0)
         out_qp = affine_params(-2.0, 2.0)
         mult = decompose_multiplier(0.3)
-        out = ie.conv1d_int8(np.full((6, 2), 5, dtype=np.int8), in_qp,
-                             np.zeros((2, 3, 4), dtype=np.int8),
-                             np.zeros(4, dtype=np.int32), mult, out_qp)
+        out = ie.conv1d_int8(np.full((6, 2), 5, dtype=np.int8),
+                             pack_linear(np.zeros((2, 3, 4), dtype=np.int8),
+                                         np.zeros(4, dtype=np.int32),
+                                         in_qp.zero_point), mult, out_qp)
         assert np.all(out == out_qp.zero_point)
 
     def test_hand_requantization_scalar(self):
@@ -51,7 +52,8 @@ class TestConv1dInt8:
         q_in = np.array([[4]], dtype=np.int8)
         q_w = np.array([[[2]]], dtype=np.int8)
         bias = np.array([3], dtype=np.int32)
-        out = ie.conv1d_int8(q_in, in_qp, q_w, bias, mult, out_qp)
+        out = ie.conv1d_int8(q_in, pack_linear(q_w, bias, in_qp.zero_point),
+                             mult, out_qp)
         # acc = 4*2 + 3 = 11; multiplier 1.0; + zp_out 10 -> 21
         assert out[0, 0] == 21
 
@@ -60,7 +62,8 @@ class TestConv1dInt8:
         for _ in range(20):
             (x, w, b, q_x, q_w, q_b,
              in_qp, w_qp, out_qp, mult) = make_quantized_conv(rng)
-            q_out = ie.conv1d_int8(q_x, in_qp, q_w, q_b, mult, out_qp)
+            q_out = ie.conv1d_int8(
+                q_x, pack_linear(q_w, q_b, in_qp.zero_point), mult, out_qp)
             y = fe.conv1d_forward(x, w, b)
             err = np.abs(dequantize(q_out, out_qp) - y)
             assert err.max() <= 3 * out_qp.scale
@@ -75,8 +78,9 @@ class TestDenseInt8:
         q_w = (np.eye(n) * 127).astype(np.int8)
         mult = decompose_multiplier(qp.scale * w_scale / qp.scale)
         q_in = np.array([10, -20, 30, 0, 127], dtype=np.int8)
-        out = ie.dense_int8(q_in, qp, q_w, np.zeros(n, dtype=np.int32),
-                            mult, qp)
+        out = ie.dense_int8(
+            q_in, pack_linear(q_w, np.zeros(n, dtype=np.int32), qp.zero_point),
+            mult, qp)
         assert np.abs(out.astype(int) - q_in.astype(int)).max() <= 1
 
     def test_saturates_without_wraparound(self):
@@ -85,8 +89,9 @@ class TestDenseInt8:
         mult = decompose_multiplier(0.9999)
         q_in = np.full(4, 127, dtype=np.int8)
         audit = ie.SaturationAudit()
-        out = ie.dense_int8(q_in, qp, q_w, np.zeros(2, dtype=np.int32),
-                            mult, qp, audit)
+        out = ie.dense_int8(
+            q_in, pack_linear(q_w, np.zeros(2, dtype=np.int32), qp.zero_point),
+            mult, qp, audit)
         assert np.all(out == 127)
         assert audit.clamped == 2
 
@@ -98,8 +103,97 @@ class TestDenseInt8:
         q_in = np.full(3, 7, dtype=np.int8)  # exactly zp_in
         q_w = np.array([[5], [6], [7]], dtype=np.int8)
         bias = np.array([9], dtype=np.int32)
-        out = ie.dense_int8(q_in, in_qp, q_w, bias, mult, out_qp)
+        out = ie.dense_int8(q_in, pack_linear(q_w, bias, in_qp.zero_point),
+                            mult, out_qp)
         assert out[0] == 9 * 1 + out_qp.zero_point  # requantized bias + zp
+
+
+def centered_conv_acc(q_in, zero_point, q_w, bias):
+    """Oracle: the unpacked conv accumulator, from an int64 centered copy
+    of the input and an int64 im2col."""
+    steps, channels = q_in.shape[-2:]
+    _, kernel, filters = q_w.shape
+    out_steps = steps - kernel + 1
+    centered = q_in.astype(np.int64) - zero_point
+    w2 = np.ascontiguousarray(q_w.transpose(1, 0, 2)).reshape(
+        kernel * channels, filters)
+    cols = np.empty(q_in.shape[:-2] + (out_steps, kernel * channels),
+                    dtype=np.int64)
+    for k in range(kernel):
+        cols[..., k * channels:(k + 1) * channels] = \
+            centered[..., k:k + out_steps, :]
+    return centered_dense_acc(cols, 0, w2, bias)
+
+
+def centered_dense_acc(q_in, zero_point, q_w, bias):
+    """Oracle: the unpacked dense accumulator."""
+    centered = q_in.astype(np.int64) - zero_point
+    return (np.rint(centered.astype(np.float64) @ q_w.astype(np.float64))
+            .astype(np.int64) + bias.astype(np.int64))
+
+
+def int8_array(rng, shape):
+    return rng.integers(-128, 128, size=shape).astype(np.int8)
+
+
+class TestPackedKernels:
+    """The packed kernels against the unpacked formulation, bit for bit:
+    the accumulator ``requantize`` receives, the output and the audit."""
+
+    @staticmethod
+    def check(kernel, q_in, packed, oracle_acc, mult, out_qp):
+        audit, oracle_audit = ie.SaturationAudit(), ie.SaturationAudit()
+        with mock.patch.object(ie, "requantize",
+                               wraps=ie.requantize) as spy:
+            out = kernel(q_in, packed, mult, out_qp, audit)
+        acc = spy.call_args.args[0]
+        assert acc.dtype == np.int64
+        assert acc.tobytes() == oracle_acc.tobytes()
+        expected = ie._saturate(ie.requantize(oracle_acc, mult)
+                                + out_qp.zero_point, oracle_audit)
+        assert out.dtype == np.int8
+        assert out.tobytes() == expected.tobytes()
+        assert audit == oracle_audit
+
+    mults = st.builds(FixedPointMultiplier,
+                      st.integers(1 << 30, (1 << 31) - 1), st.integers(-40, 34))
+
+    @settings(max_examples=40, deadline=None)
+    @given(zero_point=st.integers(-128, 127),
+           lead=st.lists(st.integers(1, 3), max_size=2),
+           channels=st.integers(1, 791), kernel=st.integers(1, 3),
+           extra_steps=st.integers(0, 4), filters=st.integers(1, 6),
+           mult=mults, seed=st.integers(0, 2**16))
+    @example(zero_point=-128, lead=[], channels=791, kernel=3,
+             extra_steps=0, filters=2,
+             mult=FixedPointMultiplier(1 << 30, -20), seed=0)
+    def test_conv_equals_centered_oracle(self, zero_point, lead, channels,
+                                         kernel, extra_steps, filters, mult,
+                                         seed):
+        rng = np.random.default_rng(seed)
+        q_in = int8_array(rng, (*lead, kernel + extra_steps, channels))
+        q_w = int8_array(rng, (channels, kernel, filters))
+        if seed % 4 == 0:  # the largest products: every operand at -128
+            q_in[:], q_w[:] = -128, -128
+        bias = rng.integers(-2**31, 2**31, size=filters).astype(np.int32)
+        self.check(ie.conv1d_int8, q_in, pack_linear(q_w, bias, zero_point),
+                   centered_conv_acc(q_in, zero_point, q_w, bias), mult,
+                   QuantParams(0.1, int(rng.integers(-128, 128))))
+
+    @settings(max_examples=40, deadline=None)
+    @given(zero_point=st.integers(-128, 127),
+           lead=st.lists(st.integers(1, 3), max_size=2),
+           width=st.integers(1, 2373), outputs=st.integers(1, 6),
+           mult=mults, seed=st.integers(0, 2**16))
+    def test_dense_equals_centered_oracle(self, zero_point, lead, width,
+                                          outputs, mult, seed):
+        rng = np.random.default_rng(seed)
+        q_in = int8_array(rng, (*lead, width))
+        q_w = int8_array(rng, (width, outputs))
+        bias = rng.integers(-2**31, 2**31, size=outputs).astype(np.int32)
+        self.check(ie.dense_int8, q_in, pack_linear(q_w, bias, zero_point),
+                   centered_dense_acc(q_in, zero_point, q_w, bias), mult,
+                   QuantParams(0.1, int(rng.integers(-128, 128))))
 
 
 class TestAvgPoolInt8:
@@ -147,6 +241,22 @@ class TestRequantize:
                 assert (got > 0) == (exact > 0) and abs(got) >= 1 << 31
             assert min(max(got, -128), 127) == min(max(exact, -128), 127)
 
+    @given(accs=st.lists(st.integers(-(1 << 31), (1 << 31) - 1),
+                         min_size=1, max_size=6),
+           mantissa=st.integers(1 << 30, (1 << 31) - 1),
+           exponent=st.integers(-70, 30))
+    @example(accs=[1, -1, (1 << 31) - 1, -(1 << 31)],
+             mantissa=(1 << 31) - 1, exponent=-33)
+    def test_right_shift_against_exact_integers(self, accs, mantissa,
+                                                exponent):
+        out = ie.requantize(np.array(accs, dtype=np.int64),
+                            FixedPointMultiplier(mantissa, exponent))
+        den = 1 << (31 - exponent)
+        for acc, got in zip(accs, out.tolist()):
+            # round half away from zero: round the magnitude half up
+            magnitude = (abs(acc) * mantissa + den // 2) // den
+            assert got == (magnitude if acc >= 0 else -magnitude)
+
     def test_left_shift_saturates_near_int32_limits(self):
         mult = decompose_multiplier(2.0 ** 33)
         assert mult.exponent == 34
@@ -163,8 +273,10 @@ class TestLstmHybrid:
                    "w_h": np.zeros((2, 8), dtype=np.int8)}
         w_qps = {"w_x": QuantParams(0.01, 0), "w_h": QuantParams(0.01, 0)}
         q_in = np.full((5, 3), 17, dtype=np.int8)
-        out = ie.lstm_hybrid(q_in, in_qp, weights, w_qps,
-                             np.zeros(8, dtype=np.int32), 0.001, out_qp)
+        out = ie.lstm_hybrid(q_in, in_qp,
+                             pack_lstm(weights, w_qps,
+                                       np.zeros(8, dtype=np.int32), 0.001),
+                             out_qp)
         assert np.all(out == out_qp.zero_point)
 
     def test_agreement_with_float_lstm(self):
@@ -182,8 +294,9 @@ class TestLstmHybrid:
                    "w_h": quantize_tensor(w_h, w_qps["w_h"])}
         bias_scale = in_qp.scale * w_qps["w_x"].scale
         bias = np.round(b / bias_scale).astype(np.int32)
-        q_out = ie.lstm_hybrid(quantize_tensor(x, in_qp), in_qp, weights,
-                               w_qps, bias, bias_scale, out_qp)
+        q_out = ie.lstm_hybrid(quantize_tensor(x, in_qp), in_qp,
+                               pack_lstm(weights, w_qps, bias, bias_scale),
+                               out_qp)
         assert np.abs(dequantize(q_out, out_qp) - h).max() <= 3 * out_qp.scale
 
 
@@ -304,12 +417,14 @@ class TestBatch:
         lstm_qps = {"w_x": QuantParams(0.01, 0), "w_h": QuantParams(0.02, 0)}
         lstm_bias = rng.integers(-50, 50, size=8).astype(np.int32)
         kernels = [
-            lambda v: ie.conv1d_int8(v, qp, q_w, bias, mult, out_qp),
-            lambda v: ie.dense_int8(v, qp, d_w, d_bias, mult, out_qp),
+            lambda v: ie.conv1d_int8(v, pack_linear(q_w, bias, qp.zero_point),
+                                     mult, out_qp),
+            lambda v: ie.dense_int8(
+                v, pack_linear(d_w, d_bias, qp.zero_point), mult, out_qp),
             lambda v: ie.relu_int8(v, qp, mult, out_qp),
             lambda v: ie.avg_pool1d_int8(v, 3),
-            lambda v: ie.lstm_hybrid(v, qp, lstm_w, lstm_qps, lstm_bias,
-                                     0.0005, out_qp),
+            lambda v: ie.lstm_hybrid(
+                v, qp, pack_lstm(lstm_w, lstm_qps, lstm_bias, 0.0005), out_qp),
             lambda v: ie.softmax_int8(v, qp, out_qp),
         ]
         for kernel in kernels:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tinyhar import int8_engine as ie
 from tinyhar import modelfile
 from tinyhar.model_ir import build_deep_conv_lstm, build_mc_cnn
 from tinyhar.modelfile import (CorruptHeaderError, TruncatedPayloadError,
@@ -51,6 +53,32 @@ def test_quantized_round_trip_bit_exact(quant_model):
         else:
             assert np.array_equal(orig.bias, back.bias)
             assert back.bias.dtype == np.dtype("<i4")
+
+
+@pytest.fixture(scope="module")
+def lstm_quant_model():
+    rng = np.random.default_rng(1)
+    graph = build_deep_conv_lstm(23, 24, 8, hidden=6, seed=1)
+    return quantize_model(graph, [rng.normal(size=(24, 23)) for _ in range(4)])
+
+
+@settings(max_examples=15, deadline=None)
+@given(arch=st.sampled_from(["mc_cnn", "lstm"]), n=st.integers(1, 6),
+       seed=st.integers(0, 2**16))
+def test_deserialized_model_classifies_like_in_memory(quant_model,
+                                                     lstm_quant_model, arch,
+                                                     n, seed):
+    # the file model packs its weights from the parsed arrays, the
+    # in-memory one from those quantize_model made
+    model = quant_model if arch == "mc_cnn" else lstm_quant_model
+    restored = deserialize(serialize(model))
+    x = np.random.default_rng(seed).normal(size=(n, 24, 23)) * 3
+    results = []
+    for m in (model, restored):
+        audit = ie.SaturationAudit()
+        probs, classes = ie.run_quantized(m, x, audit)
+        results.append((probs.tobytes(), classes.tolist(), audit))
+    assert results[0] == results[1]
 
 
 def test_serialize_is_deterministic(quant_model):

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tinyhar import float_engine as fe
-from tinyhar import modelfile, quantizer
+from tinyhar import int8_engine, modelfile, quantizer
 from tinyhar.model_ir import (LayerKind, NonFiniteInputError,
                               ShapeMismatchError, build_deep_conv_lstm,
                               build_mc_cnn)
-from tinyhar.quantizer import (DEGENERATE_SCALE, BiasOverflowError,
-                               EmptyDatasetError,
+from tinyhar.quantizer import (DEGENERATE_SCALE, AccumulatorOverflowError,
+                               BiasOverflowError, EmptyDatasetError,
                                FixedPointMultiplier,
                                NonPositiveMultiplierError, QuantParams,
+                               RangeOverflowError,
                                affine_params, calibrate, decompose_multiplier,
                                dequantize, quantize_model, quantize_tensor,
                                symmetric_params)
@@ -75,6 +76,11 @@ class TestDecomposeMultiplier:
     def test_nonpositive_rejected(self):
         with pytest.raises(NonPositiveMultiplierError):
             decompose_multiplier(0.0)
+
+    @pytest.mark.parametrize("m", [np.inf, np.nan])
+    def test_non_finite_rejected(self, m):
+        with pytest.raises(NonPositiveMultiplierError):
+            decompose_multiplier(m)
 
     def test_brute_force_reconstruction(self):
         rng = np.random.default_rng(1)
@@ -221,6 +227,59 @@ class TestQuantizeModel:
         graph = small_graph.with_params(tuple(params))
         with pytest.raises(BiasOverflowError, match="layer 0 .CONV1D."):
             quantize_model(graph, [np.zeros((16, 4))])
+
+    def test_accumulator_beyond_int32_raises(self, small_graph, rep):
+        # a bias just inside int32 passes the bias check, but the int8
+        # products can add up to 255 * sum|w| more, past the int32 limit
+        first = quantize_model(small_graph, rep).layers[0]
+        bias_scale = first.in_qp.scale * first.weight_qps["w"].scale
+        params = [dict(p) for p in small_graph.params]
+        params[0]["b"] = np.full_like(params[0]["b"],
+                                      (2**31 - 1000) * bias_scale)
+        bias = np.round(params[0]["b"].astype(np.float64) / bias_scale)
+        assert np.abs(bias).max() < 2**31
+        graph = small_graph.with_params(tuple(params))
+        with pytest.raises(AccumulatorOverflowError, match="layer 0 .CONV1D."):
+            quantize_model(graph, rep)
+
+    def test_overflowing_input_range_raises(self, small_graph):
+        window = np.full((16, 4), 1e308)
+        with np.errstate(all="ignore"), \
+                pytest.raises(RangeOverflowError, match="the input"):
+            quantize_model(small_graph, [window, -window])
+
+    @settings(max_examples=60, deadline=None)
+    @given(arch=st.sampled_from(["mc_cnn", "lstm"]),
+           input_exp=st.none() | st.integers(-330, 307),
+           bias_exp=st.integers(-330, 307),
+           weight_exp=st.integers(-40, 40),
+           seed=st.integers(0, 2**16))
+    def test_degenerate_and_extreme_ranges(self, arch, input_exp, bias_exp,
+                                           weight_exp, seed):
+        """Quantizing either succeeds, giving a model whose outputs are
+        probabilities, or raises a typed error. Tiny and huge input,
+        weight and bias magnitudes reach every rail of float64; an input
+        exponent of None is an all-zero, degenerate input range."""
+        graph = (build_mc_cnn(4, 16, 8, dense_width=6, num_classes=5, seed=1)
+                 if arch == "mc_cnn" else
+                 build_deep_conv_lstm(4, 16, 4, hidden=3, num_classes=5,
+                                      seed=1))
+        rng = np.random.default_rng(seed)
+        params = [{name: rng.uniform(-1, 1, size=p.shape)
+                   * 10.0 ** (bias_exp if name == "b" else weight_exp)
+                   for name, p in layer.items()} for layer in graph.params]
+        graph = graph.with_params(tuple(params))
+        scale = 0.0 if input_exp is None else 10.0 ** input_exp
+        rep = rng.uniform(-1, 1, size=(3, 16, 4)) * scale
+        with np.errstate(all="ignore"):  # float64 overflow is expected
+            try:
+                qm = quantize_model(graph, list(rep))
+            except (BiasOverflowError, AccumulatorOverflowError,
+                    RangeOverflowError, NonPositiveMultiplierError):
+                return
+            probs, classes = int8_engine.run_quantized(qm, rep)
+        assert np.all((probs >= 0) & (probs <= 1))
+        assert np.all((classes >= 0) & (classes < 5))
 
     def test_int8_model_weights_are_int8(self, small_graph, rep):
         qm = quantize_model(small_graph, rep)
