@@ -14,8 +14,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np
 
 from tinyhar import datapipe as dp
-from tinyhar import mcu, metrics, modelfile, training
-from tinyhar.benchlab import classify, prepared_windows
+from tinyhar import metrics, modelfile, training
+from tinyhar.benchlab import classify, mcu_results_for, prepared_windows
 from tinyhar.model_ir import Precision, build_mc_cnn
 from tinyhar.quantizer import quantize_model
 from tinyhar.synth import synth_generate
@@ -76,15 +76,12 @@ def main() -> int:
     print(f"  int8/float top-1 agreement {agreement:.4f}")
 
     print("microcontroller feasibility (int8 model):")
-    arena = mcu.estimate_arena(qmodel)
-    for name in sorted(mcu.BUILTIN_PROFILES):
-        profile = mcu.BUILTIN_PROFILES[name]
-        verdict = mcu.fits_on(int8_size, arena, profile)
-        latency = mcu.estimate_latency(qmodel, profile)
-        energy = mcu.estimate_energy(latency, profile, Precision.INT8_FULL)
-        status = "feasible" if verdict.feasible else "INFEASIBLE"
-        print(f"  {name:12s} {status:10s} latency {latency:8.2f} ms, "
-              f"energy {energy:6.2f} mJ")
+    results = mcu_results_for(qmodel, Precision.INT8_FULL, int8_size)
+    for name, result in sorted(results.items()):
+        status = "feasible" if result.verdict.feasible else "INFEASIBLE"
+        print(f"  {name:12s} {status:10s} "
+              f"latency {result.latency_ms:8.2f} ms, "
+              f"energy {result.energy_mj:6.2f} mJ")
     print(f"artifacts in {outdir}")
     return 0
 

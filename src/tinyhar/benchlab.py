@@ -75,9 +75,13 @@ class EvalReport:
     error: str | None = None
 
     @property
+    def precision_label(self) -> str:
+        return "int8" if self.precision == Precision.INT8_FULL else "float"
+
+    @property
     def config_id(self) -> str:
-        precision = "int8" if self.precision == Precision.INT8_FULL else "float"
-        return f"{self.arch}-{self.group.width}ch-{self.level}-{precision}"
+        return (f"{self.arch}-{self.group.width}ch-{self.level}-"
+                f"{self.precision_label}")
 
 
 def build_for(arch: str, group: ChannelGroup, level: str, window_len: int,
@@ -126,16 +130,30 @@ def prepared_windows(sessions, group: ChannelGroup, window_len: int,
     return normalize(train, stats), normalize(test, stats)
 
 
-def run_config(sessions, arch: str, group: ChannelGroup, level: str,
-               cfg: SweepConfig, precisions=(Precision.FLOAT32,
-                                             Precision.INT8_FULL),
-               prepared=None) -> list[EvalReport]:
-    """Train (MC-CNN only), quantize, and evaluate one configuration,
-    producing one report per requested precision."""
-    train_set, test_set = (prepared if prepared is not None
-                           else prepared_windows(sessions, group,
-                                                 cfg.window_len, cfg.stride,
-                                                 cfg.held_out_session))
+def evaluate(model, arch: str, group: ChannelGroup, level: str, filters: int,
+             samples: Windows | None = None) -> EvalReport:
+    """The report of a float ModelGraph or a QuantizedModel: serialized
+    size and MCU estimates, plus accuracy, macro F1 and confusion on
+    ``samples`` when given."""
+    precision = (Precision.INT8_FULL if isinstance(model, QuantizedModel)
+                 else Precision.FLOAT32)
+    size = len(modelfile.serialize(model))
+    report = EvalReport(arch=arch, group=group, level=level, filters=filters,
+                        precision=precision, model_size_bytes=size,
+                        mcu_results=mcu_results_for(model, precision, size))
+    if samples is not None:
+        preds, labels = classify(model, samples)
+        report.accuracy = metrics.accuracy(preds, labels)
+        report.macro_f1 = metrics.macro_f1(preds, labels)
+        report.confusion = metrics.confusion(preds, labels)
+    return report
+
+
+def run_config(split, arch: str, group: ChannelGroup, level: str,
+               cfg: SweepConfig) -> list[EvalReport]:
+    """Train (MC-CNN only), quantize, and evaluate one configuration on its
+    prepared (train, test) windows: the float report, then the int8 one."""
+    train_set, test_set = split
     seed = cfg.seed + 1000 * LEVELS.index(level) + group.width
     graph = build_for(arch, group, level, cfg.window_len, seed)
     trainable = arch == "mc_cnn"
@@ -146,19 +164,11 @@ def run_config(sessions, arch: str, group: ChannelGroup, level: str,
         graph, _ = training.train(graph, stack_windows(train_set), None, tc)
     rep = [s.window for s in train_set[:cfg.rep_windows]]
     qmodel = quantize_model(graph, rep)
+    samples = test_set[:cfg.max_eval_windows] if trainable else None
     reports = []
-    for precision in precisions:
-        model = qmodel if precision == Precision.INT8_FULL else graph
-        size = len(modelfile.serialize(model))
-        report = EvalReport(arch=arch, group=group, level=level,
-                            filters=filters_for(arch, level),
-                            precision=precision, model_size_bytes=size,
-                            mcu_results=mcu_results_for(model, precision, size))
-        if trainable:
-            preds, labels = classify(model, test_set[:cfg.max_eval_windows])
-            report.accuracy = metrics.accuracy(preds, labels)
-            report.macro_f1 = metrics.macro_f1(preds, labels)
-            report.confusion = metrics.confusion(preds, labels)
+    for model in (graph, qmodel):
+        report = evaluate(model, arch, group, level, filters_for(arch, level),
+                          samples)
         if cfg.measure_host_latency:
             report.host_latency = int8_engine.timed_inference(
                 model, test_set[0].window, cfg.latency_reps)
@@ -170,8 +180,7 @@ def sweep(sessions, cfg: SweepConfig,
           architectures=ARCHITECTURES,
           groups=(ChannelGroup.G17, ChannelGroup.G23, ChannelGroup.G768,
                   ChannelGroup.G791),
-          levels=LEVELS,
-          precisions=(Precision.FLOAT32, Precision.INT8_FULL)) -> list[EvalReport]:
+          levels=LEVELS) -> list[EvalReport]:
     """One report per configuration; failures are recorded, not raised."""
     prepared = {}
     for group in groups:
@@ -189,13 +198,12 @@ def sweep(sessions, cfg: SweepConfig,
         try:
             if isinstance(prepared[group], Exception):
                 raise prepared[group]
-            return run_config(sessions, arch, group, level, cfg,
-                              precisions, prepared=prepared[group])
+            return run_config(prepared[group], arch, group, level, cfg)
         except Exception as exc:  # aggregation continues past failures
             return [EvalReport(arch=arch, group=group, level=level,
                                filters=filters_for(arch, level),
                                precision=precision, error=str(exc))
-                    for precision in precisions]
+                    for precision in Precision]
 
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
@@ -224,13 +232,12 @@ def _fmt(value, decimals=6) -> str:
 
 
 def report_row(report: EvalReport) -> dict[str, str]:
-    precision = "int8" if report.precision == Precision.INT8_FULL else "float"
     row = {
         "arch": report.arch,
         "channels": str(report.group.width),
         "level": report.level,
         "filters": str(report.filters),
-        "precision": precision,
+        "precision": report.precision_label,
         "accuracy": _fmt(report.accuracy),
         "macro_f1": _fmt(report.macro_f1),
         "model_size_bytes": str(report.model_size_bytes),

@@ -14,11 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import benchlab, int8_engine, mcu, metrics, modelfile, synth, training
+from . import benchlab, int8_engine, mcu, modelfile, synth, training
 from .benchlab import SweepConfig
 from .datapipe import (ChannelGroup, DatapipeError, SessionRecording,
                        ingest_csv, stack_windows, write_csv)
-from .model_ir import GraphError, LayerKind, ModelGraph, Precision, build_mc_cnn
+from .model_ir import GraphError, LayerKind, ModelGraph, build_mc_cnn
 from .modelfile import ModelFileError
 from .quantizer import QuantizedModel, quantize_model
 
@@ -68,7 +68,6 @@ def _load_model(path: str):
 
 def cmd_synth(args) -> int:
     outdir = Path(args.out)
-    _write_config_echo(outdir, args)
     sessions = synth.synth_generate(args.seed, subjects=args.subjects,
                                     sessions_per_subject=args.sessions,
                                     duration_s=args.duration_s)
@@ -86,7 +85,6 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     outdir = Path(args.out)
-    _write_config_echo(outdir, args)
     sessions = _load_dataset(args.data)
     group = ChannelGroup.from_width(args.group)
     train_set, test_set = benchlab.prepared_windows(
@@ -110,7 +108,6 @@ def cmd_train(args) -> int:
 
 def cmd_quantize(args) -> int:
     outdir = Path(args.out)
-    _write_config_echo(outdir, args)
     model = _load_model(args.model)
     if not isinstance(model, ModelGraph):
         raise CliError(f"{args.model} is already quantized")
@@ -136,11 +133,9 @@ def _arch_of(layers) -> str:
 
 def cmd_eval(args) -> int:
     outdir = Path(args.out)
-    _write_config_echo(outdir, args)
     model = _load_model(args.model)
-    quantized = isinstance(model, QuantizedModel)
-    layers = (tuple(ql.spec for ql in model.layers) if quantized
-              else model.layers)
+    layers = (tuple(ql.spec for ql in model.layers)
+              if isinstance(model, QuantizedModel) else model.layers)
     arch = _arch_of(layers)
     if arch != "mc_cnn":
         raise CliError("eval supports trained MC-CNN models only")
@@ -153,27 +148,17 @@ def cmd_eval(args) -> int:
     if not test_set:
         raise CliError(f"held-out session {args.held_out_session} "
                        f"produced no windows")
-    preds, labels = benchlab.classify(model, test_set)
-    precision = Precision.INT8_FULL if quantized else Precision.FLOAT32
-    size = len(modelfile.serialize(model))
     first_conv = next(s for s in layers if s.kind == LayerKind.CONV1D)
-    report = benchlab.EvalReport(
-        arch=arch, group=group, level="custom",
-        filters=first_conv.out_filters, precision=precision,
-        accuracy=metrics.accuracy(preds, labels),
-        macro_f1=metrics.macro_f1(preds, labels),
-        confusion=metrics.confusion(preds, labels),
-        model_size_bytes=size,
-        mcu_results=benchlab.mcu_results_for(model, precision, size))
+    report = benchlab.evaluate(model, arch, group, "custom",
+                               first_conv.out_filters, test_set)
     benchlab.render_report([report], outdir)
     print(f"accuracy {report.accuracy:.4f}, macro F1 {report.macro_f1:.4f}, "
-          f"size {size} bytes; report in {outdir}")
+          f"size {report.model_size_bytes} bytes; report in {outdir}")
     return 0
 
 
 def cmd_bench(args) -> int:
     outdir = Path(args.out)
-    _write_config_echo(outdir, args)
     model = _load_model(args.model)
     rng = np.random.default_rng(args.seed)
     window = rng.normal(size=model.input_shape)
@@ -188,7 +173,6 @@ def cmd_bench(args) -> int:
 
 def cmd_sweep(args) -> int:
     outdir = Path(args.out)
-    _write_config_echo(outdir, args)
     sessions = _load_dataset(args.data)
     cfg = SweepConfig(window_len=args.window_len, stride=args.stride,
                       held_out_session=args.held_out_session, seed=args.seed,
@@ -208,7 +192,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_mcu_check(args) -> int:
     outdir = Path(args.out)
-    _write_config_echo(outdir, args)
     model = _load_model(args.model)
     profiles = (mcu.load_profiles(args.profiles) if args.profiles
                 else mcu.BUILTIN_PROFILES)
@@ -338,6 +321,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _apply_config_file(args, argv)
+        _write_config_echo(Path(args.out), args)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -322,14 +322,7 @@ def build_deep_conv_lstm(channels: int, window_len: int, filters: int = 32,
 
 
 def layer_param_count(spec: LayerSpec) -> int:
-    if spec.kind == LayerKind.CONV1D:
-        return spec.in_channels * spec.kernel * spec.out_filters + spec.out_filters
-    if spec.kind == LayerKind.DENSE:
-        return spec.in_dim * spec.out_dim + spec.out_dim
-    if spec.kind == LayerKind.LSTM:
-        return 4 * (spec.in_dim * spec.hidden + spec.hidden * spec.hidden
-                    + spec.hidden)
-    return 0
+    return sum(math.prod(shape) for shape in param_shapes(spec).values())
 
 
 def param_count(graph: ModelGraph) -> tuple[list[int], int]:

@@ -258,7 +258,8 @@ def _check_accumulator(index: int, ql: QLayer) -> None:
     """Raises unless every int32 accumulator of the conv or dense layer
     ``ql`` fits on any input: |q_in - zp_in| <= 255 bounds an output
     channel's sum by sum|w| * 255 + |b|."""
-    bound = (np.abs(ql.packed.w).sum(axis=0) * 255
+    q_w = ql.weights["w"].astype(np.int64)
+    bound = (np.abs(q_w).sum(axis=tuple(range(q_w.ndim - 1))) * 255
              + np.abs(ql.bias.astype(np.int64)))
     if not np.all(bound < 2**31):
         raise AccumulatorOverflowError(

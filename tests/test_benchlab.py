@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from tinyhar import benchlab
+from tinyhar import benchlab, metrics, modelfile
 from tinyhar.datapipe import ChannelGroup
 from tinyhar.model_ir import Precision
+from tinyhar.quantizer import quantize_model
 from tinyhar.synth import synth_generate
 
 
@@ -20,6 +21,13 @@ def tiny_cfg():
     return benchlab.SweepConfig(window_len=12, stride=12, held_out_session=2,
                                 seed=3, train_epochs=1, rep_windows=8,
                                 max_eval_windows=10)
+
+
+@pytest.fixture(scope="module")
+def tiny_split(tiny_sessions, tiny_cfg):
+    return benchlab.prepared_windows(tiny_sessions, ChannelGroup.G17,
+                                     tiny_cfg.window_len, tiny_cfg.stride,
+                                     tiny_cfg.held_out_session)
 
 
 @pytest.fixture(scope="module")
@@ -46,8 +54,8 @@ class TestFilterTables:
 
 
 class TestRunConfig:
-    def test_one_report_per_precision(self, tiny_sessions, tiny_cfg):
-        reports = benchlab.run_config(tiny_sessions, "mc_cnn",
+    def test_one_report_per_precision(self, tiny_split, tiny_cfg):
+        reports = benchlab.run_config(tiny_split, "mc_cnn",
                                       ChannelGroup.G17, "N1", tiny_cfg)
         assert [r.precision for r in reports] == [Precision.FLOAT32,
                                                   Precision.INT8_FULL]
@@ -58,24 +66,57 @@ class TestRunConfig:
                                           "stm32l4s5", "stm32f767"}
             assert r.error is None
 
-    def test_int8_report_is_smaller(self, tiny_sessions, tiny_cfg):
-        flt, q = benchlab.run_config(tiny_sessions, "mc_cnn",
+    def test_int8_report_is_smaller(self, tiny_split, tiny_cfg):
+        flt, q = benchlab.run_config(tiny_split, "mc_cnn",
                                      ChannelGroup.G17, "N1", tiny_cfg)
         assert q.model_size_bytes < flt.model_size_bytes
 
-    def test_lstm_arch_skips_accuracy(self, tiny_sessions, tiny_cfg):
-        reports = benchlab.run_config(tiny_sessions, "deep_conv_lstm",
+    def test_lstm_arch_skips_accuracy(self, tiny_split, tiny_cfg):
+        reports = benchlab.run_config(tiny_split, "deep_conv_lstm",
                                       ChannelGroup.G17, "N1", tiny_cfg)
         for r in reports:
             assert math.isnan(r.accuracy)
             assert r.confusion is None
             assert r.model_size_bytes > 0
 
-    def test_config_id(self, tiny_sessions, tiny_cfg):
-        flt, q = benchlab.run_config(tiny_sessions, "mc_cnn",
+    def test_config_id(self, tiny_split, tiny_cfg):
+        flt, q = benchlab.run_config(tiny_split, "mc_cnn",
                                      ChannelGroup.G17, "N1", tiny_cfg)
         assert flt.config_id == "mc_cnn-17ch-N1-float"
         assert q.config_id == "mc_cnn-17ch-N1-int8"
+
+
+class TestEvaluate:
+    @pytest.fixture(scope="class")
+    def models(self, tiny_split, tiny_cfg):
+        graph = benchlab.build_for("mc_cnn", ChannelGroup.G17, "N1",
+                                   tiny_cfg.window_len, seed=3)
+        rep = [s.window for s in tiny_split[0][:tiny_cfg.rep_windows]]
+        return graph, quantize_model(graph, rep)
+
+    def test_without_samples(self, models):
+        for model, precision in zip(models, Precision):
+            r = benchlab.evaluate(model, "mc_cnn", ChannelGroup.G17, "N1", 128)
+            assert r.precision == precision
+            assert math.isnan(r.accuracy) and math.isnan(r.macro_f1)
+            assert r.confusion is None
+            assert r.model_size_bytes == len(modelfile.serialize(model))
+
+    def test_with_samples(self, models, tiny_split):
+        samples = tiny_split[1][:10]
+        for model, precision in zip(models, Precision):
+            r = benchlab.evaluate(model, "mc_cnn", ChannelGroup.G17, "N1", 128,
+                                  samples)
+            preds, labels = benchlab.classify(model, samples)
+            size = len(modelfile.serialize(model))
+            assert r.precision == precision
+            assert r.accuracy == metrics.accuracy(preds, labels)
+            assert r.macro_f1 == metrics.macro_f1(preds, labels)
+            assert np.array_equal(r.confusion,
+                                  metrics.confusion(preds, labels))
+            assert r.model_size_bytes == size
+            assert r.mcu_results == benchlab.mcu_results_for(model, precision,
+                                                             size)
 
 
 class TestSweep:

@@ -289,3 +289,12 @@ class TestQuantizeModel:
                     assert arr.dtype == np.int8
             if ql.bias is not None:
                 assert ql.bias.dtype == np.int32
+
+    def test_quantizing_packs_nothing(self, small_graph, rep):
+        # packing is the engine's cost, paid on the first inference
+        qm = quantize_model(small_graph, rep)
+        weighted = [ql for ql in qm.layers if ql.weights]
+        assert weighted
+        assert all("packed" not in vars(ql) for ql in qm.layers)
+        int8_engine.run_quantized(qm, np.stack(rep))
+        assert all("packed" in vars(ql) for ql in weighted)
