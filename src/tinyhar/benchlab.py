@@ -29,6 +29,7 @@ MC_CNN_FILTERS = {"N1": 128, "N2": 256, "N3": 400}
 DEEP_CONV_LSTM_FILTERS = {"N1": 32, "N2": 64, "N3": 100}
 ARCHITECTURES = ("mc_cnn", "deep_conv_lstm")
 LEVELS = ("N1", "N2", "N3")
+LATENCY_REPS = 5  # timed calls per model when measuring host latency
 
 
 def filters_for(arch: str, level: str) -> int:
@@ -48,7 +49,6 @@ class SweepConfig:
     rep_windows: int = 32          # calibration subset size
     max_eval_windows: int = 300    # evaluation windows per config and precision
     measure_host_latency: bool = False  # keeps sweep output deterministic
-    latency_reps: int = 5
     jobs: int = 1
 
 
@@ -171,7 +171,7 @@ def run_config(split, arch: str, group: ChannelGroup, level: str,
                           samples)
         if cfg.measure_host_latency:
             report.host_latency = int8_engine.timed_inference(
-                model, test_set[0].window, cfg.latency_reps)
+                model, test_set[0].window, LATENCY_REPS)
         reports.append(report)
     return reports
 

@@ -19,6 +19,38 @@ def _rowwise_matmul(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (v[..., None, :] @ w)[..., 0, :]
 
 
+def im2col(x: np.ndarray, kernel: int) -> np.ndarray:
+    """The (..., T - kernel + 1, kernel * C) float64 rows of a valid conv
+    over a (..., T, C) input, row t holding steps t..t + kernel - 1 in
+    (kernel, channel) order: a contiguous run, so one view copied once."""
+    x = np.ascontiguousarray(x)
+    steps, channels = x.shape[-2:]
+    shape = x.shape[:-2] + (steps - kernel + 1, kernel * channels)
+    rows = np.ndarray(shape, x.dtype, buffer=x, strides=x.strides)
+    return rows.astype(np.float64, order="C")
+
+
+def col2im(cols: np.ndarray, steps: int) -> np.ndarray:
+    """The adjoint of :func:`im2col`: sums each row entry back onto the
+    (..., steps, C) input step it was read from."""
+    out_steps = cols.shape[-2]
+    taps = cols.reshape(cols.shape[:-1] + (steps - out_steps + 1, -1))
+    x = np.zeros(cols.shape[:-2] + (steps, taps.shape[-1]))
+    for k in range(taps.shape[-2]):
+        x[..., k:k + out_steps, :] += taps[..., k, :]
+    return x
+
+
+def conv_matrix(w: np.ndarray) -> np.ndarray:
+    """(C, K, F) conv weights as a (K * C, F) matrix in im2col row order."""
+    return w.transpose(1, 0, 2).reshape(-1, w.shape[2])
+
+
+def conv_weights(matrix: np.ndarray, channels: int) -> np.ndarray:
+    """The inverse of :func:`conv_matrix`: (K * C, F) back to (C, K, F)."""
+    return matrix.reshape(-1, channels, matrix.shape[1]).transpose(1, 0, 2)
+
+
 def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Valid (unpadded) 1D convolution.
 
@@ -35,10 +67,11 @@ def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"input has {steps} steps, kernel needs {kernel}")
     lead = x.shape[:-2]
     out_steps = steps - kernel + 1
-    # weights flattened in (kernel, channel) order to match the window rows
-    w2 = np.ascontiguousarray(w.transpose(1, 0, 2)).reshape(
-        kernel * in_channels, -1)
+    w2 = conv_matrix(w)
     out = np.empty(lead + (out_steps, w.shape[2]), dtype=np.result_type(x, w))
+    # The one conv loop left: one product over im2col(x, kernel) runs about
+    # as fast as the int8 engine on one window, and acceptance criterion 4
+    # needs int8 faster on the host (ROADMAP item 4).
     for t in range(out_steps):
         out[..., t, :] = _rowwise_matmul(
             x[..., t:t + kernel, :].reshape(lead + (-1,)), w2)

@@ -6,14 +6,15 @@ round-half-away-from-zero rounding. The LSTM executes hybrid: int8
 storage, float cell math, requantized output.
 
 The kernels take each layer's packed form (``QLayer.packed``), built once
-per model: float64 weights, a conv's in the im2col (K * C, F) layout, and
+per model: float64 weights, a conv's as ``float_engine.conv_matrix``, and
 an int64 bias with the input zero point folded in, b - zp_in * sum(w)
-(Jacob et al. 2018, eqs. 7-8). The im2col is then built straight from the
-int8 input, and ``q @ w + bias`` equals sum((q - zp_in) * w) + b. The
-product runs in float64 BLAS and is exact: every product and partial sum
-is an integer of magnitude at most K * C * 128 * 128, far below 2**53, so
-no summation order rounds, and the result is the integer the int32
-accumulator holds (``quantize_model`` proves sum|w| * 255 + |b| < 2**31).
+(Jacob et al. 2018, eqs. 7-8). A conv's rows are ``float_engine.im2col``
+of the int8 input itself, and ``q @ w + bias`` equals
+sum((q - zp_in) * w) + b. The product runs in float64 BLAS and is exact:
+every product and partial sum is an integer of magnitude at most
+K * C * 128 * 128, far below 2**53, so no summation order rounds, and the
+result is the integer the int32 accumulator holds (``quantize_model``
+proves sum|w| * 255 + |b| < 2**31).
 An LSTM's packed form is its dequantized float64 weights and bias.
 
 Kernels take leading batch axes, as TFLite's int8 kernels do, so one
@@ -100,13 +101,8 @@ def conv1d_int8(q_in: np.ndarray, packed: PackedLinear,
     if steps < kernel:
         raise ShapeMismatchError(
             f"input has {steps} steps, kernel needs {kernel}")
-    out_steps = steps - kernel + 1
-    cols = np.empty(q_in.shape[:-2] + (out_steps, kernel * channels))
-    for k in range(kernel):
-        cols[..., k * channels:(k + 1) * channels] = \
-            q_in[..., k:k + out_steps, :]
-    return _saturate(requantize(_accumulate(cols, packed), mult)
-                     + out_qp.zero_point, audit)
+    acc = _accumulate(float_engine.im2col(q_in, kernel), packed)
+    return _saturate(requantize(acc, mult) + out_qp.zero_point, audit)
 
 
 def dense_int8(q_in: np.ndarray, packed: PackedLinear,

@@ -261,9 +261,6 @@ class ModelGraph:
                         f"expected {shape}")
                 arr.flags.writeable = False
 
-    def layer_output_shapes(self) -> list[tuple[int, ...]]:
-        return output_shapes(self.layers, self.input_shape)
-
     def with_params(self, params: tuple[dict[str, np.ndarray], ...]) -> "ModelGraph":
         return ModelGraph(self.layers, params, self.input_shape, self.num_classes)
 

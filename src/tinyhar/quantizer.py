@@ -158,10 +158,10 @@ def calibrate(graph: ModelGraph, representative_set) -> list[tuple[float, float]
 class PackedLinear:
     """A conv or dense layer's weights in the form the int8 kernels use.
 
-    ``w`` is float64 (K * C, F): a conv's (C, K, F) weights in im2col row
-    order, or a dense layer's (D, O) weights with K = 1. ``bias`` is the
-    int64 bias with the input zero-point term folded in, b - zp_in * sum(w)
-    per column, so sum((q - zp_in) * w) + b == q @ w + bias.
+    ``w`` is float64 (K * C, F): a conv's ``float_engine.conv_matrix``, or
+    a dense layer's (D, O) weights with K = 1. ``bias`` is the int64 bias
+    with the input zero-point term folded in, b - zp_in * sum(w) per
+    column, so sum((q - zp_in) * w) + b == q @ w + bias.
     """
 
     w: np.ndarray
@@ -183,9 +183,9 @@ def pack_linear(q_w: np.ndarray, bias: np.ndarray,
     """Packs int8 conv (C, K, F) or dense (D, O) weights and their int32
     bias for an input coded with ``in_zero_point``."""
     kernel = 1
-    if q_w.ndim == 3:  # conv: im2col rows in (kernel, channel) order
+    if q_w.ndim == 3:  # conv
         kernel = q_w.shape[1]
-        q_w = q_w.transpose(1, 0, 2).reshape(-1, q_w.shape[2])
+        q_w = float_engine.conv_matrix(q_w)
     w = q_w.astype(np.float64)
     column_sums = w.sum(axis=0).astype(np.int64)  # exact: integers < 2**53
     return PackedLinear(w, bias.astype(np.int64) - in_zero_point * column_sums,

@@ -1,13 +1,14 @@
 """Backprop trainer for the conv/dense model family.
 
-Batched forward/backward kernels (float64), Adam and SGD optimizers,
+Batched forward/backward kernels (float64), the Adam optimizer,
 categorical cross-entropy loss, and a central finite-difference gradient
-checker. Convolutions run as im2col plus one GEMM in both directions: the
-conv weight gradient is ``cols.T @ dout`` over all windows and time steps.
-Backpropagation stops at the first layer's parameters; no gradient with
-respect to the input window is computed. A dense layer fed a sequence reads
-its last time step, as in the IR. LSTM graphs are out of scope: they are
-supported for inference, quantization and benchmarking only.
+checker. Convolutions are ``float_engine.im2col`` rows times ``conv_matrix``
+weights in both directions: the conv weight gradient is ``cols.T @ dout``
+over all windows and time steps. Backpropagation stops at the first layer's
+parameters; no gradient with respect to the input window is computed. A
+dense layer fed a sequence reads its last time step, as in the IR. LSTM
+graphs are out of scope: they are supported for inference, quantization and
+benchmarking only.
 """
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model_ir import LayerKind, ModelGraph, window_batch
+from . import float_engine
+from .model_ir import BLOCK_WINDOWS, LayerKind, ModelGraph, window_batch
 
 
 class UnsupportedLayerError(ValueError):
@@ -29,15 +31,12 @@ class TrainConfig:
     batch_size: int = 32
     learning_rate: float = 1e-3
     seed: int = 0
-    optimizer: str = "adam"  # "adam" | "sgd"
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if not 0.0 < self.learning_rate < 1.0:
             raise ValueError("learning_rate must be in (0, 1)")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 _TRAINABLE = (LayerKind.CONV1D, LayerKind.RELU, LayerKind.DROPOUT,
@@ -52,16 +51,6 @@ def _check_trainable(graph: ModelGraph) -> None:
                 f"trainer does not support {spec.kind.name} layers")
 
 
-def _im2col(x: np.ndarray, kernel: int) -> np.ndarray:
-    # (N, T, C) -> (N, T_out, kernel * C), window rows in (k, c) order. The
-    # window view copies nothing; the one copy makes the rows contiguous, so
-    # matmul over ``cols`` takes the BLAS path and its summation order.
-    n, steps, channels = x.shape
-    windows = np.lib.stride_tricks.sliding_window_view(x, kernel, axis=1)
-    return np.ascontiguousarray(windows.transpose(0, 1, 3, 2)).reshape(
-        n, steps - kernel + 1, kernel * channels)
-
-
 def _forward_batch(graph: ModelGraph, params, x: np.ndarray, *,
                    rng: np.random.Generator | None = None,
                    caches: list | None = None) -> np.ndarray:
@@ -73,12 +62,10 @@ def _forward_batch(graph: ModelGraph, params, x: np.ndarray, *,
     for spec, layer_params in zip(graph.layers, params):
         kind = spec.kind
         if kind == LayerKind.CONV1D:
-            w, b = layer_params["w"], layer_params["b"]
-            w2 = w.transpose(1, 0, 2).reshape(spec.kernel * spec.in_channels, -1)
-            cols = _im2col(value, spec.kernel)
-            out = cols @ w2 + b
+            w2 = float_engine.conv_matrix(layer_params["w"])
+            cols = float_engine.im2col(value, spec.kernel)
             keep_cache(("conv", cols, w2, value.shape))
-            value = out
+            value = cols @ w2 + layer_params["b"]
         elif kind == LayerKind.RELU:
             mask = value > 0
             keep_cache(("relu", mask))
@@ -92,12 +79,8 @@ def _forward_batch(graph: ModelGraph, params, x: np.ndarray, *,
             else:
                 keep_cache(("identity",))
         elif kind == LayerKind.AVGPOOL1D:
-            n, steps, ch = value.shape
-            out_steps = steps // spec.pool
-            kept = value[:, :out_steps * spec.pool].reshape(
-                n, out_steps, spec.pool, ch)
-            keep_cache(("pool", value.shape, spec.pool, out_steps))
-            value = kept.mean(axis=2)
+            keep_cache(("pool", value.shape, spec.pool))
+            value = float_engine.avg_pool1d(value, spec.pool)
         elif kind == LayerKind.FLATTEN:
             keep_cache(("flatten", value.shape))
             value = value.reshape(value.shape[0], -1)
@@ -146,8 +129,7 @@ def _backward_batch(graph: ModelGraph, params, caches, dlogits: np.ndarray):
             cols = cache[1]
             dout = dvalue.reshape(-1, dvalue.shape[2])
             dw2 = cols.reshape(-1, cols.shape[2]).T @ dout
-            grads[idx]["w"] = dw2.reshape(
-                spec.kernel, spec.in_channels, -1).transpose(1, 0, 2)
+            grads[idx]["w"] = float_engine.conv_weights(dw2, spec.in_channels)
             grads[idx]["b"] = dvalue.sum(axis=(0, 1))
         if idx == 0:
             break
@@ -159,20 +141,12 @@ def _backward_batch(graph: ModelGraph, params, caches, dlogits: np.ndarray):
                 dvalue = dseq
         elif tag == "conv":
             w2, in_shape = cache[2], cache[3]
-            dcols = (dvalue @ w2.T).reshape(
-                dvalue.shape[0], dvalue.shape[1], spec.kernel, spec.in_channels)
-            dx = np.zeros(in_shape)
-            out_steps = dvalue.shape[1]
-            for k in range(spec.kernel):
-                dx[:, k:k + out_steps, :] += dcols[:, :, k, :]
-            dvalue = dx
+            dvalue = float_engine.col2im(dvalue @ w2.T, in_shape[1])
         elif tag == "flatten":
             dvalue = dvalue.reshape(cache[1])
         elif tag == "pool":
-            in_shape, pool, out_steps = cache[1], cache[2], cache[3]
-            dx = np.zeros(in_shape)
-            spread = np.repeat(dvalue / pool, pool, axis=1)
-            dx[:, :out_steps * pool] = spread
+            dx, pool = np.zeros(cache[1]), cache[2]
+            float_engine.pool_groups(dx, pool)[...] = dvalue[:, :, None] / pool
             dvalue = dx
         elif tag == "dropout":
             keep, scale = cache[1], cache[2]
@@ -220,22 +194,22 @@ class _Adam:
                 params[idx][name] -= step
 
 
-class _Sgd:
-    def __init__(self, lr: float):
-        self.lr = lr
-
-    def step(self, params, grads):
-        for idx, layer_grads in enumerate(grads):
-            for name, g in layer_grads.items():
-                params[idx][name] -= self.lr * g
+def _inference_logits(graph: ModelGraph, params, x: np.ndarray) -> np.ndarray:
+    """Logits of an (N, T, C) batch, one float64 inference pass per
+    BLOCK_WINDOWS windows, so a call's memory does not grow with N."""
+    blocks = [np.empty((0, graph.num_classes))]
+    for start in range(0, len(x), BLOCK_WINDOWS):
+        block = np.asarray(x[start:start + BLOCK_WINDOWS], dtype=np.float64)
+        blocks.append(_forward_batch(graph, params, block))
+    return np.concatenate(blocks)
 
 
 def _predict_logits(graph: ModelGraph, x: np.ndarray) -> np.ndarray:
     _check_trainable(graph)
-    x, _ = window_batch(np.asarray(x, dtype=np.float64), graph.input_shape)
+    x, _ = window_batch(np.asarray(x), graph.input_shape)
     params = [{k: v.astype(np.float64) for k, v in p.items()}
               for p in graph.params]
-    return _forward_batch(graph, params, x)
+    return _inference_logits(graph, params, x)
 
 
 def predict_proba(graph: ModelGraph, x: np.ndarray) -> np.ndarray:
@@ -260,8 +234,7 @@ def train(graph: ModelGraph, train_set, val_set, cfg: TrainConfig):
     params = [{k: v.astype(np.float64) for k, v in p.items()}
               for p in graph.params]
     rng = np.random.default_rng(cfg.seed)
-    opt = _Adam(cfg.learning_rate) if cfg.optimizer == "adam" \
-        else _Sgd(cfg.learning_rate)
+    opt = _Adam(cfg.learning_rate)
     n = x_train.shape[0]
     history = []
     x_train = x_train.astype(np.float64)
@@ -277,10 +250,10 @@ def train(graph: ModelGraph, train_set, val_set, cfg: TrainConfig):
             grads = _backward_batch(graph, params, caches, dlogits)
             opt.step(params, grads)
             epoch_loss += loss * len(idx)
-        logits = _forward_batch(graph, params, x_train)
+        logits = _inference_logits(graph, params, x_train)
         train_acc = float((logits.argmax(axis=1) == y_train).mean())
         if x_val is not None and len(x_val):
-            vlogits = _forward_batch(graph, params, x_val.astype(np.float64))
+            vlogits = _inference_logits(graph, params, x_val)
             val_acc = float((vlogits.argmax(axis=1) == y_val).mean())
         else:
             val_acc = float("nan")

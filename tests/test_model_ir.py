@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from tinyhar import model_ir, modelfile
 from tinyhar.model_ir import (DivisibilityError, LayerKind,
                               ShapeUnderflowError, build_deep_conv_lstm,
-                              build_mc_cnn, param_count)
+                              build_mc_cnn, output_shapes, param_count)
 from tinyhar.quantizer import quantize_model
 
 ALL_GROUPS = (17, 23, 768, 791)
@@ -100,7 +100,7 @@ class TestAllPaperConfigs:
             g = build_mc_cnn(channels, 24, MC_CNN_LEVELS[level])
         else:
             g = build_deep_conv_lstm(channels, 24, DCL_LEVELS[level])
-        assert g.layer_output_shapes()[-1] == (15,)
+        assert output_shapes(g.layers, g.input_shape)[-1] == (15,)
 
 
 def serialized_sizes(graph):

@@ -1,12 +1,15 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tinyhar import float_engine, training
-from tinyhar.model_ir import (LayerKind, ModelGraph, build_deep_conv_lstm,
-                              build_mc_cnn, conv1d, dense, flatten,
-                              init_params, relu, softmax)
+from tinyhar.model_ir import (BLOCK_WINDOWS, LayerKind, ModelGraph,
+                              build_deep_conv_lstm, build_mc_cnn, conv1d,
+                              dense, flatten, init_params, relu, softmax)
 from tinyhar.training import TrainConfig, UnsupportedLayerError, grad_check, train
 
 
@@ -41,14 +44,6 @@ class TestTrain:
         _, h2 = train(g, (x, y), (x, y), cfg)
         assert h1 == h2
 
-    def test_sgd_also_converges(self):
-        x, y = separable_toy_set()
-        g = build_mc_cnn(2, 8, 8, dense_width=8, num_classes=2, seed=0)
-        cfg = TrainConfig(epochs=50, batch_size=16, learning_rate=0.05,
-                          seed=0, optimizer="sgd")
-        _, history = train(g, (x, y), None, cfg)
-        assert history[-1]["train_acc"] >= 0.95
-
     def test_history_csv_shape(self):
         x, y = separable_toy_set(n=32)
         g = build_mc_cnn(2, 8, 4, dense_width=4, num_classes=2, seed=0)
@@ -81,6 +76,35 @@ class TestDenseAfterSequence:
                                  TrainConfig(epochs=2, batch_size=8))
         assert len(history) == 2 and np.isfinite(history[-1]["loss"])
         assert grad_check(trained, x[0], int(y[0]), seed=6) <= 1e-3
+
+
+class TestBlockedInference:
+    """Inference passes run BLOCK_WINDOWS windows at a time."""
+
+    @pytest.fixture
+    def graph(self):
+        return build_mc_cnn(6, 24, 16, dense_width=8, num_classes=4, seed=2)
+
+    def test_memory_peak_does_not_grow_with_batch(self, graph):
+        x = np.random.default_rng(0).normal(
+            size=(3 * BLOCK_WINDOWS,) + graph.input_shape)
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                training.predict_proba(graph, x[:n])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(3 * BLOCK_WINDOWS) < 1.5 * peak(BLOCK_WINDOWS)
+
+    def test_block_size_leaves_results_unchanged(self, graph):
+        x = np.random.default_rng(1).normal(size=(11,) + graph.input_shape)
+        whole = training.predict_proba(graph, x)
+        with mock.patch.object(training, "BLOCK_WINDOWS", 4):
+            blocked = training.predict_proba(graph, x)
+        assert blocked.tobytes() == whole.tobytes()
 
 
 class TestConfigValidation:
@@ -118,10 +142,11 @@ class TestGradCheck:
 
 
 def stacked_im2col(x, kernel):
-    """The im2col construction the trainer used before the window view."""
-    out_steps = x.shape[1] - kernel + 1
-    cols = np.stack([x[:, k:k + out_steps, :] for k in range(kernel)], axis=2)
-    return cols.reshape(x.shape[0], out_steps, kernel * x.shape[2])
+    """im2col of a (..., T, C) input as one stacked slice per kernel tap."""
+    out_steps = x.shape[-2] - kernel + 1
+    cols = np.stack([x[..., k:k + out_steps, :] for k in range(kernel)],
+                    axis=-2)
+    return cols.reshape(x.shape[:-2] + (out_steps, kernel * x.shape[-1]))
 
 
 def full_backward(graph, params, caches, dlogits):
@@ -139,7 +164,7 @@ def full_backward(graph, params, caches, dlogits):
         elif tag == "flatten":
             dvalue = dvalue.reshape(cache[1])
         elif tag == "pool":
-            in_shape, pool, out_steps = cache[1], cache[2], cache[3]
+            in_shape, pool, out_steps = cache[1], cache[2], dvalue.shape[1]
             dx = np.zeros(in_shape)
             dx[:, :out_steps * pool] = np.repeat(dvalue / pool, pool, axis=1)
             dvalue = dx
@@ -196,17 +221,46 @@ def batch_gradients(graph, x):
 
 class TestKernelOracles:
     @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(1, 4), steps=st.integers(1, 12),
-           channels=st.integers(1, 6), data=st.data())
-    def test_im2col_equals_stacked_slices(self, n, steps, channels, data):
+    @given(lead=st.lists(st.integers(1, 3), max_size=2),
+           steps=st.integers(1, 12), channels=st.integers(1, 6),
+           int8=st.booleans(), data=st.data())
+    def test_im2col_equals_stacked_slices(self, lead, steps, channels, int8,
+                                          data):
         kernel = data.draw(st.integers(1, steps))
-        x = np.random.default_rng(n * 100 + steps).normal(
-            size=(n, steps, channels))
-        cols = training._im2col(x, kernel)
-        ref = stacked_im2col(x, kernel)
+        rng = np.random.default_rng(len(lead) * 100 + steps)
+        shape = tuple(lead) + (steps, channels)
+        if int8:
+            x = rng.integers(-128, 128, size=shape).astype(np.int8)
+        else:
+            x = rng.normal(size=shape)
+        cols = float_engine.im2col(x, kernel)
+        ref = stacked_im2col(x, kernel).astype(np.float64)
+        assert cols.dtype == np.float64
         assert cols.shape == ref.shape
         assert cols.flags.c_contiguous
         assert cols.tobytes() == ref.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(lead=st.lists(st.integers(1, 3), max_size=2),
+           steps=st.integers(1, 12), channels=st.integers(1, 6),
+           data=st.data())
+    def test_col2im_is_the_adjoint_of_im2col(self, lead, steps, channels,
+                                             data):
+        # integer values make both inner products exact
+        kernel = data.draw(st.integers(1, steps))
+        rng = np.random.default_rng(len(lead) * 100 + steps)
+        x = rng.integers(-50, 50, size=tuple(lead) + (steps, channels))
+        y = rng.integers(-50, 50, size=tuple(lead) + (
+            steps - kernel + 1, kernel * channels)).astype(np.float64)
+        assert np.sum(float_engine.im2col(x, kernel) * y) == \
+            np.sum(x * float_engine.col2im(y, steps))
+
+    def test_conv_weights_inverts_conv_matrix(self):
+        w = np.random.default_rng(0).normal(size=(5, 3, 7))
+        m = float_engine.conv_matrix(w)
+        assert m.shape == (15, 7) and m.flags.c_contiguous
+        assert np.array_equal(m[1 * 5 + 2], w[2, 1])  # row k * C + c
+        assert np.array_equal(float_engine.conv_weights(m, 5), w)
 
     def test_conv_weight_gradient_matches_einsum(self):
         g, x = conv_first_case()
