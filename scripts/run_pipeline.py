@@ -50,14 +50,14 @@ def main() -> int:
     cfg = training.TrainConfig(epochs=args.epochs, batch_size=32,
                                learning_rate=1e-3, seed=args.seed)
     graph, history = training.train(graph, dp.stack_windows(train),
-                                    dp.stack_windows(test), cfg)
+                                    (test, test.y), cfg)
     for row in history:
         print(f"  epoch {row['epoch']}: loss {row['loss']:.4f} "
               f"train {row['train_acc']:.4f} val {row['val_acc']:.4f}")
     modelfile.save(graph, outdir / "model_float.thar")
 
     print("quantizing (full integer, 64 representative windows) ...")
-    qmodel = quantize_model(graph, [s.window for s in train[:64]])
+    qmodel = quantize_model(graph, train[:64])
     modelfile.save(qmodel, outdir / "model_int8.thar")
     float_size = (outdir / "model_float.thar").stat().st_size
     int8_size = (outdir / "model_int8.thar").stat().st_size

@@ -30,6 +30,7 @@ DEEP_CONV_LSTM_FILTERS = {"N1": 32, "N2": 64, "N3": 100}
 ARCHITECTURES = ("mc_cnn", "deep_conv_lstm")
 LEVELS = ("N1", "N2", "N3")
 LATENCY_REPS = 5  # timed calls per model when measuring host latency
+HEATMAP_CELL = 24  # side of one confusion heatmap cell, in pixels
 
 
 def filters_for(arch: str, level: str) -> int:
@@ -109,13 +110,13 @@ def mcu_results_for(model, precision: Precision,
 
 def classify(model, samples: Windows):
     """(predicted classes, true labels) of ``samples`` under a float
-    ModelGraph or a QuantizedModel, in one batched call."""
-    x, labels = stack_windows(samples)
+    ModelGraph or a QuantizedModel, in one call that stacks one block of
+    windows at a time."""
     if isinstance(model, QuantizedModel):
-        _, preds = int8_engine.run_quantized(model, x)
+        _, preds = int8_engine.run_quantized(model, samples)
     else:
-        preds = training.predict_batch(model, x)
-    return preds, labels
+        preds = training.predict_batch(model, samples)
+    return preds, samples.y
 
 
 def prepared_windows(sessions, group: ChannelGroup, window_len: int,
@@ -162,8 +163,7 @@ def run_config(split, arch: str, group: ChannelGroup, level: str,
                                   batch_size=cfg.batch_size,
                                   learning_rate=cfg.learning_rate, seed=seed)
         graph, _ = training.train(graph, stack_windows(train_set), None, tc)
-    rep = [s.window for s in train_set[:cfg.rep_windows]]
-    qmodel = quantize_model(graph, rep)
+    qmodel = quantize_model(graph, train_set[:cfg.rep_windows])
     samples = test_set[:cfg.max_eval_windows] if trainable else None
     reports = []
     for model in (graph, qmodel):
@@ -278,8 +278,9 @@ def reports_to_markdown(reports: list[EvalReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def confusion_heatmap_svg(matrix: np.ndarray, cell: int = 24) -> str:
+def confusion_heatmap_svg(matrix: np.ndarray) -> str:
     """Hand-rolled SVG heatmap (deterministic output, no plotting deps)."""
+    cell = HEATMAP_CELL
     n = matrix.shape[0]
     peak = max(1, int(matrix.max()))
     size = n * cell

@@ -16,10 +16,9 @@ import numpy as np
 
 from . import benchlab, int8_engine, mcu, modelfile, synth, training
 from .benchlab import SweepConfig
-from .datapipe import (ChannelGroup, DatapipeError, SessionRecording,
-                       ingest_csv, stack_windows, write_csv)
-from .model_ir import GraphError, LayerKind, ModelGraph, build_mc_cnn
-from .modelfile import ModelFileError
+from .datapipe import (ChannelGroup, SessionRecording, ingest_csv,
+                       stack_windows, write_csv)
+from .model_ir import LayerKind, ModelGraph, build_mc_cnn
 from .quantizer import QuantizedModel, quantize_model
 
 
@@ -95,7 +94,7 @@ def cmd_train(args) -> int:
                                learning_rate=args.learning_rate,
                                seed=args.seed)
     graph, history = training.train(graph, stack_windows(train_set),
-                                    stack_windows(test_set), cfg)
+                                    (test_set, test_set.y), cfg)
     model_path = outdir / "model_float.thar"
     modelfile.save(graph, model_path)
     (outdir / "history.csv").write_text(training.history_to_csv(history))
@@ -116,8 +115,7 @@ def cmd_quantize(args) -> int:
     train_set, _ = benchlab.prepared_windows(
         sessions, group, model.input_shape[0], args.stride,
         args.held_out_session)
-    rep = [s.window for s in train_set[:args.rep_windows]]
-    qmodel = quantize_model(model, rep)
+    qmodel = quantize_model(model, train_set[:args.rep_windows])
     out_path = outdir / "model_int8.thar"
     size = modelfile.save(qmodel, out_path)
     float_size = len(modelfile.serialize(model))
@@ -323,10 +321,7 @@ def main(argv=None) -> int:
         _apply_config_file(args, argv)
         _write_config_echo(Path(args.out), args)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ModelFileError, DatapipeError, GraphError, ValueError) as exc:
+    except (CliError, ValueError) as exc:  # typed input errors subclass it
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

@@ -275,8 +275,8 @@ class Windows:
     never spans two sessions. It is a sequence: ``len``, iteration and an
     integer index give :class:`WindowedSample` items whose ``window`` is a
     read-only view; a slice, boolean mask or integer array gives the
-    selected windows as ``Windows``. ``x`` stacks them as (N, T, C).
-    """
+    selected windows as ``Windows``. ``x`` and ``np.asarray`` stack them
+    as (N, T, C), so a slice stacks only its own windows."""
 
     frames: np.ndarray  # (rows, C), read-only
     start: np.ndarray   # (N,) first frame row of each window
@@ -309,6 +309,9 @@ class Windows:
     @property
     def x(self) -> np.ndarray:
         return self.frames[self.rows()]
+
+    def __array__(self, dtype=None, copy=None):
+        return self.x if dtype is None else self.x.astype(dtype, copy=False)
 
 
 def make_windows(sessions: list[SessionRecording], window_len: int,

@@ -29,11 +29,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import float_engine
-from .model_ir import (BLOCK_WINDOWS, LayerKind, ShapeMismatchError,
-                       window_batch)
+from .model_ir import LayerKind, ShapeMismatchError, map_blocks
 from .quantizer import (FixedPointMultiplier, PackedLinear, PackedLSTM,
                         QuantParams, QuantizedModel, dequantize,
                         quantize_tensor)
+
+WARMUP_CALLS = 3  # untimed calls before timed_inference's timed ones
 
 
 @dataclass
@@ -165,7 +166,7 @@ def run_layers(model: QuantizedModel, q_value: np.ndarray,
         elif kind == LayerKind.AVGPOOL1D:
             q_value = avg_pool1d_int8(q_value, ql.spec.pool)
         elif kind == LayerKind.FLATTEN:
-            q_value = q_value.reshape(len(q_value), -1)
+            q_value = q_value.reshape(len(q_value), np.prod(q_value.shape[1:]))
         elif kind == LayerKind.DENSE:
             vec = q_value[:, -1] if q_value.ndim == 3 else q_value
             q_value = dense_int8(vec, ql.packed, ql.multiplier, ql.out_qp,
@@ -177,23 +178,20 @@ def run_layers(model: QuantizedModel, q_value: np.ndarray,
     return q_value
 
 
-def run_quantized(model: QuantizedModel, x: np.ndarray,
+def run_quantized(model: QuantizedModel, x,
                   audit: SaturationAudit | None = None):
-    """Integer inference on one real-valued (T, C) window, returning
-    (probability vector, class), or on an (N, T, C) batch, returning
-    ((N, K) probabilities, (N,) classes), run BLOCK_WINDOWS at a time.
+    """Integer inference on one real-valued (T, C) window array, returning
+    (probability vector, class), or on N windows, returning ((N, K)
+    probabilities, (N,) classes): an (N, T, C) array, a sequence of (T, C)
+    windows or a ``datapipe.Windows``, run by ``model_ir.map_blocks``.
 
     Argmax ties break toward the lowest class index. Non-finite input
     raises ``NonFiniteInputError``.
     """
-    batch, single = window_batch(x, model.input_shape)
-    out_qp = model.layers[-1].out_qp
-    blocks = [np.empty((0, model.num_classes))]
-    for start in range(0, len(batch), BLOCK_WINDOWS):
-        q_value = quantize_tensor(batch[start:start + BLOCK_WINDOWS],
-                                  model.input_qp)
-        blocks.append(dequantize(run_layers(model, q_value, audit), out_qp))
-    probs = np.concatenate(blocks)
+    single = isinstance(x, np.ndarray) and x.ndim == 2
+    probs = map_blocks(lambda block: dequantize(run_layers(
+        model, quantize_tensor(block, model.input_qp), audit),
+        model.layers[-1].out_qp), x, model.input_shape)
     classes = probs.argmax(axis=1)
     if single:
         return probs[0], int(classes[0])
@@ -208,12 +206,12 @@ class LatencyStats:
     samples: tuple[float, ...] = field(repr=False, default=())
 
 
-def timed_inference(model, window: np.ndarray, repetitions: int,
-                    warmup: int = 3) -> LatencyStats:
+def timed_inference(model, window: np.ndarray,
+                    repetitions: int) -> LatencyStats:
     """Wall-clock latency of the inference call only (input prep excluded).
 
     ``model`` may be a QuantizedModel, timed as a batch of one window, or a
-    float ModelGraph; warm-up runs are discarded.
+    float ModelGraph; WARMUP_CALLS warm-up runs are discarded.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
@@ -226,7 +224,7 @@ def timed_inference(model, window: np.ndarray, repetitions: int,
         def call():
             float_engine.forward(model, window)
 
-    for _ in range(warmup):
+    for _ in range(WARMUP_CALLS):
         call()
     samples = []
     for _ in range(repetitions):

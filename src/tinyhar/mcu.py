@@ -10,6 +10,7 @@ the raw clock ratio and a cycle penalty for float math.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .model_ir import LayerKind, ModelGraph, Precision, output_shapes
@@ -82,11 +83,10 @@ class FeasibilityVerdict:
         return self.flash_ok and self.sram_ok
 
 
-def fits_on(model_size: int, arena_estimate: int, profile: McuProfile,
-            flash_overhead: int = DEFAULT_FLASH_OVERHEAD,
-            ram_overhead: int = DEFAULT_RAM_OVERHEAD) -> FeasibilityVerdict:
-    flash_needed = model_size + flash_overhead
-    arena_needed = arena_estimate + ram_overhead
+def fits_on(model_size: int, arena_estimate: int,
+            profile: McuProfile) -> FeasibilityVerdict:
+    flash_needed = model_size + DEFAULT_FLASH_OVERHEAD
+    arena_needed = arena_estimate + DEFAULT_RAM_OVERHEAD
     return FeasibilityVerdict(
         flash_ok=flash_needed <= profile.flash_bytes,
         sram_ok=arena_needed <= profile.sram_bytes,
@@ -105,12 +105,7 @@ def _activation_elements(model) -> list[tuple[int, int]]:
     """Per-layer (input elements, output elements)."""
     layers, input_shape = _graph_of(model)
     shapes = output_shapes(layers, input_shape)
-    sizes = [input_shape[0] * input_shape[1]]
-    for shape in shapes:
-        n = 1
-        for dim in shape:
-            n *= dim
-        sizes.append(n)
+    sizes = [math.prod(shape) for shape in [input_shape, *shapes]]
     return [(sizes[i], sizes[i + 1]) for i in range(len(layers))]
 
 

@@ -1,5 +1,5 @@
 """Layer-graph model representation: layer specs, the two network builders,
-the input check that both executors share, and parameter accounting.
+the input check and block loop the executors share, and parameter accounting.
 
 A model is a plain ordered list of layers. There is no general computation
 graph: the only supported topologies are the conv->pool->dense classifier
@@ -37,6 +37,9 @@ class NonFiniteInputError(ValueError):
 
 # windows the executors run together; bounds the memory of one call
 BLOCK_WINDOWS = 256
+CONV_KERNEL = 3  # time steps each conv of both builders spans
+MC_CNN_DROPOUT = 0.2
+MC_CNN_POOL = 2
 
 
 def window_batch(x: np.ndarray,
@@ -52,6 +55,26 @@ def window_batch(x: np.ndarray,
     if not np.isfinite(batch).all():
         raise NonFiniteInputError("input holds NaN or infinity")
     return batch, single
+
+
+def map_blocks(fn, x, input_shape: tuple[int, int]) -> np.ndarray:
+    """``fn`` of each block of at most BLOCK_WINDOWS windows of ``x``,
+    concatenated. ``x`` is an (N, T, C) array, a sequence of (T, C) windows
+    or a ``datapipe.Windows`` (one (T, C) array is one window). Each block
+    is stacked to float64 and checked by :func:`window_batch` in its turn,
+    so memory does not grow with N; an empty input makes one empty block."""
+    if isinstance(x, np.ndarray) and x.ndim == 2:
+        x = x[None]
+    results = []
+    for start in range(0, max(len(x), 1), BLOCK_WINDOWS):
+        try:
+            block = np.asarray(x[start:start + BLOCK_WINDOWS], np.float64)
+        except ValueError:  # windows of different shapes do not stack
+            raise ShapeMismatchError(
+                f"the windows are not all {tuple(input_shape)}") from None
+        results.append(fn(window_batch(block, input_shape)[0]))
+        del block  # freed before the next block is stacked
+    return np.concatenate(results)
 
 
 class LayerKind(Enum):
@@ -157,10 +180,7 @@ def layer_output_shape(spec: LayerSpec, shape: tuple[int, ...]) -> tuple[int, ..
     if kind == LayerKind.FLATTEN:
         return (int(np.prod(shape)),)
     if kind == LayerKind.DENSE:
-        if len(shape) == 1:
-            in_dim = shape[0]
-        else:
-            in_dim = shape[1]  # sequence input: dense sees the last time step
+        in_dim = shape[-1]  # a sequence input: dense sees the last time step
         if in_dim != spec.in_dim:
             raise ShapeMismatchError(
                 f"dense expects {spec.in_dim} inputs, got {in_dim}")
@@ -211,14 +231,8 @@ def init_params(layers: tuple[LayerSpec, ...], seed: int) -> tuple[dict, ...]:
         for name, shape in shapes.items():
             if name.startswith("b"):
                 layer_params[name] = np.zeros(shape, dtype=np.float32)
-            else:
-                if spec.kind == LayerKind.CONV1D:
-                    fan_in = spec.in_channels * spec.kernel
-                elif spec.kind == LayerKind.DENSE:
-                    fan_in = spec.in_dim
-                else:  # LSTM
-                    fan_in = shape[0]
-                limit = math.sqrt(6.0 / fan_in)
+            else:  # fan-in: every weight axis but the output one
+                limit = math.sqrt(6.0 / math.prod(shape[:-1]))
                 layer_params[name] = rng.uniform(
                     -limit, limit, size=shape).astype(np.float32)
         params.append(layer_params)
@@ -266,20 +280,19 @@ class ModelGraph:
 
 
 def build_mc_cnn(channels: int, window_len: int, first_filters: int = 128,
-                 kernel: int = 3, dense_width: int = 128, num_classes: int = 15,
-                 dropout_rate: float = 0.2, pool: int = 2,
+                 dense_width: int = 128, num_classes: int = 15,
                  seed: int = 0) -> ModelGraph:
     """Two-conv classifier with a 4:1 filter ratio between the conv layers."""
     if first_filters % 4 != 0:
         raise DivisibilityError(
             f"first conv filter count must be divisible by 4, got {first_filters}")
     layers = [
-        conv1d(channels, first_filters, kernel),
+        conv1d(channels, first_filters, CONV_KERNEL),
         relu(),
-        conv1d(first_filters, first_filters // 4, kernel),
+        conv1d(first_filters, first_filters // 4, CONV_KERNEL),
         relu(),
-        dropout(dropout_rate),
-        avg_pool1d(pool),
+        dropout(MC_CNN_DROPOUT),
+        avg_pool1d(MC_CNN_POOL),
         flatten(),
     ]
     shapes = output_shapes(tuple(layers), (window_len, channels))
@@ -296,13 +309,13 @@ def build_mc_cnn(channels: int, window_len: int, first_filters: int = 128,
 
 
 def build_deep_conv_lstm(channels: int, window_len: int, filters: int = 32,
-                         hidden: int = 128, kernel: int = 3,
-                         num_classes: int = 15, seed: int = 0) -> ModelGraph:
+                         hidden: int = 128, num_classes: int = 15,
+                         seed: int = 0) -> ModelGraph:
     """Four uniform conv layers followed by two stacked LSTM layers."""
     layers: list[LayerSpec] = []
     in_ch = channels
     for _ in range(4):
-        layers.append(conv1d(in_ch, filters, kernel))
+        layers.append(conv1d(in_ch, filters, CONV_KERNEL))
         layers.append(relu())
         in_ch = filters
     layers += [

@@ -1,14 +1,14 @@
 """Full-integer 8-bit post-training quantization.
 
 Activation ranges are calibrated by running the float executor over a
-representative dataset, a block of windows per call, and recording exact
-per-tensor (min, max), widened to include zero so that real 0 is always
-exactly representable. Weights are quantized symmetrically per tensor (zero
-point 0), activations asymmetrically. Biases become int32 at scale
-s_in * s_w (``w``, or an LSTM's ``w_x``) and must fit, and so must every
-conv or dense accumulator: its static bound sum|w| * 255 + |b| per output
-channel stays below 2**31. Each requantizing layer carries a fixed-point
-multiplier decomposition of its rescale factor.
+representative dataset, one ``model_ir.map_blocks`` block per call, and
+recording exact per-tensor (min, max), widened to include zero so that
+real 0 is always exactly representable. Weights are quantized
+symmetrically per tensor (zero point 0), activations asymmetrically. Biases
+become int32 at scale s_in * s_w (``w``, or an LSTM's ``w_x``) and must
+fit, and so must every conv or dense accumulator: its static bound
+sum|w| * 255 + |b| per output channel stays below 2**31. Each requantizing
+layer carries a fixed-point multiplier decomposition of its rescale factor.
 
 Each ``QLayer`` also has a packed form for the int8 engine, built on first
 use and never serialized (see :attr:`QLayer.packed`).
@@ -22,8 +22,7 @@ from math import frexp, isfinite
 import numpy as np
 
 from . import float_engine
-from .model_ir import (BLOCK_WINDOWS, LayerKind, ModelGraph,
-                       ShapeMismatchError, param_shapes)
+from .model_ir import LayerKind, ModelGraph, map_blocks, param_shapes
 
 # fixed output coding for the final softmax: probabilities in [0, 1)
 SOFTMAX_SCALE = 1.0 / 256.0
@@ -120,30 +119,25 @@ def decompose_multiplier(m: float) -> FixedPointMultiplier:
 
 
 def calibrate(graph: ModelGraph, representative_set) -> list[tuple[float, float]]:
-    """Per-activation (min, max) over the representative set.
+    """Per-activation (min, max) over the representative set: an (N, T, C)
+    array, a sequence of (T, C) windows or a ``datapipe.Windows``.
 
     Index 0 is the model input; index i+1 is layer i's output. Every range
     is widened to include 0. The ranges equal those of one
-    ``forward_collect`` call per window, down to the sign of zero. A range
-    whose width is not a finite float raises ``RangeOverflowError``.
+    ``forward_collect`` call per float64 window, down to the sign of zero.
+    A range whose width is not a finite float raises ``RangeOverflowError``.
     """
-    windows = list(representative_set)
-    if not windows:
+    if len(representative_set) == 0:
         raise EmptyDatasetError("representative dataset is empty")
-    # stacking a ragged set would raise an untyped ValueError
-    if any(np.shape(w) != tuple(graph.input_shape) for w in windows):
-        raise ShapeMismatchError(
-            f"a representative window is not {tuple(graph.input_shape)}")
-    lows, highs = [], []  # per block: an (activations, windows) array
-    for start in range(0, len(windows), BLOCK_WINDOWS):
-        acts = [a.reshape(len(a), -1) for a in float_engine.forward_collect(
-            graph, np.stack(windows[start:start + BLOCK_WINDOWS]))]
-        lows.append(np.array([a.min(axis=1) for a in acts]))
-        highs.append(np.array([a.max(axis=1) for a in acts]))
+    def bounds(block):  # (windows, 2, activations): each min and max
+        acts = [a.reshape(len(a), -1)
+                for a in float_engine.forward_collect(graph, block)]
+        return np.array([(a.min(axis=1), a.max(axis=1)) for a in acts]).T
+
     # Python's min and max scan the windows in order and keep the first of
     # equal values, so even the sign of a zero bound is the per-window one
-    ranges = [(min(min(lo), 0.0), max(max(hi), 0.0)) for lo, hi in
-              zip(np.hstack(lows).tolist(), np.hstack(highs).tolist())]
+    ranges = [(min(min(lo), 0.0), max(max(hi), 0.0)) for lo, hi in map_blocks(
+        bounds, representative_set, graph.input_shape).T.tolist()]
     for index, (lo, hi) in enumerate(ranges):
         # an overflowed activation, or a width that overflows, has no scale
         if not isfinite(hi - lo):
@@ -268,7 +262,8 @@ def _check_accumulator(index: int, ql: QLayer) -> None:
 
 
 def quantize_model(graph: ModelGraph, representative_set) -> QuantizedModel:
-    """Convert a trained float graph to a fully int8 model."""
+    """Convert a trained float graph to a fully int8 model, calibrated on
+    ``representative_set`` (any input :func:`calibrate` takes)."""
     ranges = calibrate(graph, representative_set)
     act_qps = _activation_qps(graph, ranges)
     qlayers: list[QLayer] = []

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import float_engine
-from .model_ir import BLOCK_WINDOWS, LayerKind, ModelGraph, window_batch
+from .model_ir import LayerKind, ModelGraph, map_blocks
 
 
 class UnsupportedLayerError(ValueError):
@@ -83,7 +84,7 @@ def _forward_batch(graph: ModelGraph, params, x: np.ndarray, *,
             value = float_engine.avg_pool1d(value, spec.pool)
         elif kind == LayerKind.FLATTEN:
             keep_cache(("flatten", value.shape))
-            value = value.reshape(value.shape[0], -1)
+            value = value.reshape(len(value), np.prod(value.shape[1:]))
         elif kind == LayerKind.DENSE:
             w, b = layer_params["w"], layer_params["b"]
             in_shape = value.shape
@@ -194,43 +195,36 @@ class _Adam:
                 params[idx][name] -= step
 
 
-def _inference_logits(graph: ModelGraph, params, x: np.ndarray) -> np.ndarray:
-    """Logits of an (N, T, C) batch, one float64 inference pass per
-    BLOCK_WINDOWS windows, so a call's memory does not grow with N."""
-    blocks = [np.empty((0, graph.num_classes))]
-    for start in range(0, len(x), BLOCK_WINDOWS):
-        block = np.asarray(x[start:start + BLOCK_WINDOWS], dtype=np.float64)
-        blocks.append(_forward_batch(graph, params, block))
-    return np.concatenate(blocks)
-
-
-def _predict_logits(graph: ModelGraph, x: np.ndarray) -> np.ndarray:
+def _inference_logits(graph: ModelGraph, params, x) -> np.ndarray:
+    """Logits of the windows ``x``, one float64 inference pass per
+    ``model_ir.map_blocks`` block; float32 ``params`` promote to float64
+    exactly inside each product."""
     _check_trainable(graph)
-    x, _ = window_batch(np.asarray(x), graph.input_shape)
-    params = [{k: v.astype(np.float64) for k, v in p.items()}
-              for p in graph.params]
-    return _inference_logits(graph, params, x)
+    return map_blocks(partial(_forward_batch, graph, params), x,
+                      graph.input_shape)
 
 
-def predict_proba(graph: ModelGraph, x: np.ndarray) -> np.ndarray:
-    """Class probabilities of an (N, T, C) batch (inference mode, float64)."""
-    return np.exp(_log_softmax(_predict_logits(graph, x)))
+def predict_proba(graph: ModelGraph, x) -> np.ndarray:
+    """Class probabilities (inference mode, float64) of N windows: an
+    (N, T, C) array, a sequence of (T, C) windows or a ``datapipe.Windows``."""
+    return np.exp(_log_softmax(_inference_logits(graph, graph.params, x)))
 
 
-def predict_batch(graph: ModelGraph, x: np.ndarray) -> np.ndarray:
-    """Argmax classes of an (N, T, C) batch (inference mode, float64)."""
-    return _predict_logits(graph, x).argmax(axis=1)
+def predict_batch(graph: ModelGraph, x) -> np.ndarray:
+    """Argmax classes (inference mode, float64) of N windows: an (N, T, C)
+    array, a sequence of (T, C) windows or a ``datapipe.Windows``."""
+    return _inference_logits(graph, graph.params, x).argmax(axis=1)
 
 
 def train(graph: ModelGraph, train_set, val_set, cfg: TrainConfig):
     """Train on (X, y) arrays; returns (trained graph, per-epoch history).
 
-    History entries are dicts with epoch, loss, train_acc, val_acc.
+    History entries are dicts with epoch, loss, train_acc, val_acc; the
+    validation X may be any window set :func:`predict_batch` takes.
     Deterministic given cfg.seed.
     """
     _check_trainable(graph)
     x_train, y_train = train_set
-    x_val, y_val = (val_set if val_set is not None else (None, None))
     params = [{k: v.astype(np.float64) for k, v in p.items()}
               for p in graph.params]
     rng = np.random.default_rng(cfg.seed)
@@ -238,6 +232,13 @@ def train(graph: ModelGraph, train_set, val_set, cfg: TrainConfig):
     n = x_train.shape[0]
     history = []
     x_train = x_train.astype(np.float64)
+
+    def accuracy(split) -> float:  # NaN for a missing or empty split
+        if split is None or not len(split[0]):
+            return float("nan")
+        logits = _inference_logits(graph, params, split[0])
+        return float((logits.argmax(axis=1) == split[1]).mean())
+
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
         epoch_loss = 0.0
@@ -250,15 +251,9 @@ def train(graph: ModelGraph, train_set, val_set, cfg: TrainConfig):
             grads = _backward_batch(graph, params, caches, dlogits)
             opt.step(params, grads)
             epoch_loss += loss * len(idx)
-        logits = _inference_logits(graph, params, x_train)
-        train_acc = float((logits.argmax(axis=1) == y_train).mean())
-        if x_val is not None and len(x_val):
-            vlogits = _inference_logits(graph, params, x_val)
-            val_acc = float((vlogits.argmax(axis=1) == y_val).mean())
-        else:
-            val_acc = float("nan")
         history.append({"epoch": epoch, "loss": epoch_loss / n,
-                        "train_acc": train_acc, "val_acc": val_acc})
+                        "train_acc": accuracy((x_train, y_train)),
+                        "val_acc": accuracy(val_set)})
     trained = tuple({k: v.astype(np.float32) for k, v in p.items()}
                     for p in params)
     return graph.with_params(trained), history

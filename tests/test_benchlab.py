@@ -1,12 +1,16 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from tinyhar import benchlab, metrics, modelfile
-from tinyhar.datapipe import ChannelGroup
-from tinyhar.model_ir import Precision
-from tinyhar.quantizer import quantize_model
+from tinyhar import (benchlab, int8_engine, metrics, model_ir, modelfile,
+                     training)
+from tinyhar.datapipe import ChannelGroup, Windows
+from tinyhar.model_ir import (ModelGraph, Precision, build_mc_cnn, dense,
+                              flatten, init_params, softmax)
+from tinyhar.quantizer import calibrate, quantize_model
 from tinyhar.synth import synth_generate
 
 
@@ -117,6 +121,58 @@ class TestEvaluate:
             assert r.model_size_bytes == size
             assert r.mcu_results == benchlab.mcu_results_for(model, precision,
                                                              size)
+
+
+def overlapping_windows(n, input_shape, seed=0):
+    """``n`` stride-1 windows over one random recording."""
+    steps, channels = input_shape
+    rng = np.random.default_rng(seed)
+    frames = rng.normal(size=(n + steps - 1, channels))
+    frames.flags.writeable = False
+    zeros = np.zeros(n, dtype=np.int64)
+    return Windows(frames, np.arange(n), rng.integers(0, 3, n), zeros, zeros,
+                   steps)
+
+
+class TestBlockedWindows:
+    """Batch consumers take a ``Windows`` one model_ir block at a time."""
+
+    def test_classify_memory_peak_does_not_grow_with_windows(self):
+        # a dense-only graph runs light passes, so a peak that grows with
+        # the window count shows any whole-set stacking
+        layers = (flatten(), dense(24 * 6, 3), softmax())
+        graph = ModelGraph(layers, init_params(layers, 0), (24, 6), 3)
+        windows = overlapping_windows(3 * model_ir.BLOCK_WINDOWS, (24, 6))
+        qmodel = quantize_model(graph, windows[:16].x)
+
+        def peak(model, samples):
+            tracemalloc.start()
+            try:
+                benchlab.classify(model, samples)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        for model in (graph, qmodel):
+            assert (peak(model, windows)
+                    < 1.5 * peak(model, windows[:model_ir.BLOCK_WINDOWS]))
+
+    def test_windows_array_and_list_give_identical_results(self):
+        graph = build_mc_cnn(5, 16, 8, dense_width=6, num_classes=3, seed=4)
+        windows = overlapping_windows(11, graph.input_shape, seed=1)
+        qmodel = quantize_model(graph, windows.x)
+        forms = (windows, windows.x, [s.window for s in windows])
+        # blocks of 4 windows, so 11 windows cross two block boundaries
+        with mock.patch.object(model_ir, "BLOCK_WINDOWS", 4):
+            results = [(int8_engine.run_quantized(qmodel, x),
+                        training.predict_batch(graph, x),
+                        calibrate(graph, x)) for x in forms]
+        for (probs, classes), preds, ranges in results:
+            expected = results[0]
+            assert probs.tobytes() == expected[0][0].tobytes()
+            assert classes.tobytes() == expected[0][1].tobytes()
+            assert preds.tobytes() == expected[1].tobytes()
+            assert np.array(ranges).tobytes() == np.array(expected[2]).tobytes()
 
 
 class TestSweep:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tinyhar import float_engine as fe
 from tinyhar import int8_engine as ie
+from tinyhar import model_ir
 from tinyhar.model_ir import (NonFiniteInputError, ShapeMismatchError,
                               build_deep_conv_lstm, build_mc_cnn)
 from tinyhar.quantizer import (FixedPointMultiplier, QuantParams,
@@ -382,7 +383,7 @@ class TestBatch:
         single_audit, batch_audit = ie.SaturationAudit(), ie.SaturationAudit()
         singles = [ie.run_quantized(qm, w, single_audit) for w in x]
         # blocks of 4 windows, so n > 4 crosses a block boundary
-        with mock.patch.object(ie, "BLOCK_WINDOWS", 4):
+        with mock.patch.object(model_ir, "BLOCK_WINDOWS", 4):
             probs, classes = ie.run_quantized(qm, x, batch_audit)
         assert probs.tobytes() == np.stack([p for p, _ in singles]).tobytes()
         assert classes.tolist() == [c for _, c in singles]
@@ -391,7 +392,7 @@ class TestBatch:
     def test_full_block_boundary(self, quantized_mc_cnn):
         _, qm = quantized_mc_cnn
         x = np.random.default_rng(16).normal(
-            size=(ie.BLOCK_WINDOWS + 1,) + qm.input_shape)
+            size=(model_ir.BLOCK_WINDOWS + 1,) + qm.input_shape)
         probs, classes = ie.run_quantized(qm, x)
         last_probs, last_class = ie.run_quantized(qm, x[-1])
         assert probs.shape == (len(x), qm.num_classes)

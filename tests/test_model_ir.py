@@ -1,11 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from tinyhar import model_ir, modelfile
 from tinyhar.model_ir import (DivisibilityError, LayerKind,
-                              ShapeUnderflowError, build_deep_conv_lstm,
-                              build_mc_cnn, output_shapes, param_count)
+                              ShapeMismatchError, ShapeUnderflowError,
+                              build_deep_conv_lstm, build_mc_cnn,
+                              output_shapes, param_count)
 from tinyhar.quantizer import quantize_model
 
 ALL_GROUPS = (17, 23, 768, 791)
@@ -139,3 +142,34 @@ class TestGraphImmutability:
         g = build_mc_cnn(8, 16, 8)
         with pytest.raises(ValueError):
             g.params[0]["w"][0, 0, 0] = 1.0
+
+
+class TestMapBlocks:
+    def test_blocks_cover_the_windows_in_order(self):
+        x = np.random.default_rng(0).normal(size=(9, 4, 2)).astype(np.float32)
+        blocks = []
+
+        def record(block):
+            blocks.append(block)
+            return block
+
+        with mock.patch.object(model_ir, "BLOCK_WINDOWS", 4):
+            out = model_ir.map_blocks(record, x, (4, 2))
+        assert [len(b) for b in blocks] == [4, 4, 1]
+        assert all(b.dtype == np.float64 for b in blocks)
+        assert np.array_equal(out, x)
+
+    def test_one_window_and_no_window(self):
+        def shape_of(block):
+            return np.array([block.shape])
+
+        assert model_ir.map_blocks(shape_of, np.ones((4, 2)),
+                                   (4, 2)).tolist() == [[1, 4, 2]]
+        assert model_ir.map_blocks(shape_of, np.zeros((0, 4, 2)),
+                                   (4, 2)).tolist() == [[0, 4, 2]]
+
+    @pytest.mark.parametrize("x", [np.zeros((0, 4, 3)), np.zeros((2, 4)),
+                                   [np.zeros((4, 2)), np.zeros((3, 2))]])
+    def test_wrong_shapes_raise(self, x):
+        with pytest.raises(ShapeMismatchError):
+            model_ir.map_blocks(lambda block: block, x, (4, 2))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tinyhar import float_engine as fe
-from tinyhar import int8_engine, modelfile, quantizer
+from tinyhar import int8_engine, model_ir, modelfile
 from tinyhar.model_ir import (LayerKind, NonFiniteInputError,
                               ShapeMismatchError, build_deep_conv_lstm,
                               build_mc_cnn)
@@ -161,7 +161,7 @@ class TestCalibrateBlocks:
             zeros[0, ::2] = zeros[1, 1::2] = -0.0
             for windows in (x, *zeros):
                 expected = per_window_ranges(graph, windows)
-                with mock.patch.object(quantizer, "BLOCK_WINDOWS", block):
+                with mock.patch.object(model_ir, "BLOCK_WINDOWS", block):
                     got = calibrate(graph, list(windows))
                 assert (np.array(got).tobytes()
                         == np.array(expected).tobytes())

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tinyhar import float_engine, training
+from tinyhar import float_engine, model_ir, training
 from tinyhar.model_ir import (BLOCK_WINDOWS, LayerKind, ModelGraph,
                               build_deep_conv_lstm, build_mc_cnn, conv1d,
                               dense, flatten, init_params, relu, softmax)
@@ -99,10 +99,14 @@ class TestBlockedInference:
 
         assert peak(3 * BLOCK_WINDOWS) < 1.5 * peak(BLOCK_WINDOWS)
 
+    def test_no_windows_give_no_rows(self, graph):
+        x = np.zeros((0,) + graph.input_shape)
+        assert training.predict_proba(graph, x).shape == (0, 4)
+
     def test_block_size_leaves_results_unchanged(self, graph):
         x = np.random.default_rng(1).normal(size=(11,) + graph.input_shape)
         whole = training.predict_proba(graph, x)
-        with mock.patch.object(training, "BLOCK_WINDOWS", 4):
+        with mock.patch.object(model_ir, "BLOCK_WINDOWS", 4):
             blocked = training.predict_proba(graph, x)
         assert blocked.tobytes() == whole.tobytes()
 
