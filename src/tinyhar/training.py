@@ -4,11 +4,15 @@ Batched forward/backward kernels (float64), the Adam optimizer,
 categorical cross-entropy loss, and a central finite-difference gradient
 checker. Convolutions are ``float_engine.im2col`` rows times ``conv_matrix``
 weights in both directions: the conv weight gradient is ``cols.T @ dout``
-over all windows and time steps. Backpropagation stops at the first layer's
-parameters; no gradient with respect to the input window is computed. A
-dense layer fed a sequence reads its last time step, as in the IR. LSTM
-graphs are out of scope: they are supported for inference, quantization and
-benchmarking only.
+over all windows and time steps, and so is the input-gradient product. The
+first conv, which reads the sensor window, runs forward as one GEMM over the
+rows of all windows too; later convs run one GEMM per window, whose bits a
+single GEMM does not always reproduce. Backpropagation stops at the first
+layer's parameters; no gradient with respect to the input window is
+computed. A dense layer fed a sequence reads its last time step, as in the
+IR. The per-epoch accuracy history costs one inference pass per split and
+epoch, and ``train(..., history=False)`` skips it. LSTM graphs are out of
+scope: they are supported for inference, quantization and benchmarking only.
 """
 from __future__ import annotations
 
@@ -60,13 +64,20 @@ def _forward_batch(graph: ModelGraph, params, x: np.ndarray, *,
     ``caches`` list, so an inference pass frees each im2col after use."""
     keep_cache = caches.append if caches is not None else (lambda _: None)
     value = x
-    for spec, layer_params in zip(graph.layers, params):
+    for idx, (spec, layer_params) in enumerate(zip(graph.layers, params)):
         kind = spec.kind
         if kind == LayerKind.CONV1D:
             w2 = float_engine.conv_matrix(layer_params["w"])
             cols = float_engine.im2col(value, spec.kernel)
             keep_cache(("conv", cols, w2, value.shape))
-            value = cols @ w2 + layer_params["b"]
+            # One GEMM for all windows where its bits match one per window:
+            # not so for N2's conv 1, (20, 768) @ (768, 64), from N = 2.
+            if idx == 0:
+                value = (cols.reshape(-1, cols.shape[2]) @ w2).reshape(
+                    cols.shape[:2] + w2.shape[1:])
+            else:
+                value = cols @ w2
+            value = value + layer_params["b"]
         elif kind == LayerKind.RELU:
             mask = value > 0
             keep_cache(("relu", mask))
@@ -142,7 +153,9 @@ def _backward_batch(graph: ModelGraph, params, caches, dlogits: np.ndarray):
                 dvalue = dseq
         elif tag == "conv":
             w2, in_shape = cache[2], cache[3]
-            dvalue = float_engine.col2im(dvalue @ w2.T, in_shape[1])
+            dcols = dvalue.reshape(-1, dvalue.shape[2]) @ w2.T
+            dvalue = float_engine.col2im(
+                dcols.reshape(dvalue.shape[:2] + dcols.shape[1:]), in_shape[1])
         elif tag == "flatten":
             dvalue = dvalue.reshape(cache[1])
         elif tag == "pool":
@@ -216,11 +229,14 @@ def predict_batch(graph: ModelGraph, x) -> np.ndarray:
     return _inference_logits(graph, graph.params, x).argmax(axis=1)
 
 
-def train(graph: ModelGraph, train_set, val_set, cfg: TrainConfig):
+def train(graph: ModelGraph, train_set, val_set, cfg: TrainConfig, *,
+          history: bool = True):
     """Train on (X, y) arrays; returns (trained graph, per-epoch history).
 
     History entries are dicts with epoch, loss, train_acc, val_acc; the
-    validation X may be any window set :func:`predict_batch` takes.
+    validation X may be any window set :func:`predict_batch` takes. With
+    ``history=False`` no inference pass runs, ``val_set`` is not read and
+    both accuracies are NaN; the trained parameters are the same either way.
     Deterministic given cfg.seed.
     """
     _check_trainable(graph)
@@ -230,11 +246,11 @@ def train(graph: ModelGraph, train_set, val_set, cfg: TrainConfig):
     rng = np.random.default_rng(cfg.seed)
     opt = _Adam(cfg.learning_rate)
     n = x_train.shape[0]
-    history = []
+    entries = []
     x_train = x_train.astype(np.float64)
 
-    def accuracy(split) -> float:  # NaN for a missing or empty split
-        if split is None or not len(split[0]):
+    def accuracy(split) -> float:  # NaN without history or a non-empty split
+        if not history or split is None or not len(split[0]):
             return float("nan")
         logits = _inference_logits(graph, params, split[0])
         return float((logits.argmax(axis=1) == split[1]).mean())
@@ -251,12 +267,12 @@ def train(graph: ModelGraph, train_set, val_set, cfg: TrainConfig):
             grads = _backward_batch(graph, params, caches, dlogits)
             opt.step(params, grads)
             epoch_loss += loss * len(idx)
-        history.append({"epoch": epoch, "loss": epoch_loss / n,
+        entries.append({"epoch": epoch, "loss": epoch_loss / n,
                         "train_acc": accuracy((x_train, y_train)),
                         "val_acc": accuracy(val_set)})
     trained = tuple({k: v.astype(np.float32) for k, v in p.items()}
                     for p in params)
-    return graph.with_params(trained), history
+    return graph.with_params(trained), entries
 
 
 def history_to_csv(history) -> str:

@@ -79,7 +79,7 @@ def test_criterion_1_quantization_fidelity(long_sessions):
             cfg = training.TrainConfig(epochs=epochs, batch_size=32,
                                        learning_rate=1e-3, seed=seed)
             graph, _ = training.train(graph, dp.stack_windows(train),
-                                      None, cfg)
+                                      None, cfg, history=False)
             qmodel = quantize_model(graph, [s.window for s in train[:8]])
             float_probs = training.predict_proba(graph, x)
             probs, preds = ie.run_quantized(qmodel, x)

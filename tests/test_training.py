@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tinyhar import float_engine, model_ir, training
+from tinyhar.benchlab import MC_CNN_FILTERS
+from tinyhar.datapipe import ChannelGroup
 from tinyhar.model_ir import (BLOCK_WINDOWS, LayerKind, ModelGraph,
                               build_deep_conv_lstm, build_mc_cnn, conv1d,
                               dense, flatten, init_params, relu, softmax)
@@ -52,6 +54,92 @@ class TestTrain:
         lines = text.strip().split("\n")
         assert lines[0] == "epoch,loss,train_acc,val_acc"
         assert len(lines) == 4
+
+
+class Untouchable:
+    """A validation split that fails the test if anything reads it."""
+
+    def __getitem__(self, key):
+        raise AssertionError("val_set was read")
+
+    def __len__(self):
+        raise AssertionError("val_set was read")
+
+
+class TestHistoryFlag:
+    def test_same_parameters_and_losses_without_history(self):
+        x, y = separable_toy_set()
+        g = build_mc_cnn(2, 8, 8, dense_width=8, num_classes=2, seed=1)
+        cfg = TrainConfig(epochs=4, batch_size=16, seed=7)
+        with_history, h1 = train(g, (x, y), (x, y), cfg)
+        without, h2 = train(g, (x, y), (x, y), cfg, history=False)
+        for p1, p2 in zip(with_history.params, without.params):
+            assert sorted(p1) == sorted(p2)
+            for name in p1:
+                assert p2[name].dtype == np.float32
+                assert p1[name].tobytes() == p2[name].tobytes()
+        assert [(e["epoch"], e["loss"]) for e in h1] == \
+            [(e["epoch"], e["loss"]) for e in h2]
+
+    def test_no_inference_pass_and_nan_accuracies(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("inference pass ran")
+
+        monkeypatch.setattr(training, "_inference_logits", refuse)
+        x, y = separable_toy_set(n=32)
+        g = build_mc_cnn(2, 8, 4, dense_width=4, num_classes=2, seed=0)
+        cfg = TrainConfig(epochs=2, batch_size=16)
+        with pytest.raises(AssertionError, match="inference pass ran"):
+            train(g, (x, y), None, cfg)  # the patch bites with history on
+        _, history = train(g, (x, y), Untouchable(), cfg, history=False)
+        assert [e["epoch"] for e in history] == [1, 2]
+        assert all(np.isfinite(e["loss"]) for e in history)
+        assert all(np.isnan(e["train_acc"]) and np.isnan(e["val_acc"])
+                   for e in history)
+
+
+class TestConvGemmBits:
+    """The trainer runs conv 0 forward, and every conv's input-gradient
+    product, as one GEMM over the rows of all windows, on the premise that
+    its bits equal one GEMM per window. Pinned at the sweep's shapes, so a
+    BLAS whose blocking breaks the premise fails here rather than silently
+    moving trained parameters and reports."""
+
+    @pytest.mark.parametrize("filters", sorted(MC_CNN_FILTERS.values()))
+    @pytest.mark.parametrize("channels", [g.value for g in ChannelGroup])
+    def test_one_gemm_equals_per_window_products(self, channels, filters):
+        layers = (conv1d(channels, filters, 3),
+                  conv1d(filters, filters // 4, 3), flatten(),
+                  dense(20 * (filters // 4), 15), softmax())
+        graph = ModelGraph(layers, init_params(layers, channels),
+                           (24, channels), 15)
+        x = np.random.default_rng(filters).normal(size=(32, 24, channels))
+        for dtype in (np.float32, np.float64):
+            params = [{k: v.astype(dtype) for k, v in p.items()}
+                      for p in graph.params]
+            w0 = float_engine.conv_matrix(params[0]["w"])
+            w1 = float_engine.conv_matrix(params[1]["w"])
+            for n in (1, 7, 32):
+                caches = []
+                logits = training._forward_batch(graph, params, x[:n],
+                                                 caches=caches)
+                cols0 = float_engine.im2col(x[:n], 3)
+                out0 = cols0 @ w0 + params[0]["b"]  # one GEMM per window
+                # conv 1's rows are conv 0's output, copied
+                assert caches[1][1].tobytes() == \
+                    float_engine.im2col(out0, 3).tobytes()
+                labels = np.arange(n) % 15
+                _, dlogits = training._loss_and_dlogits(logits, labels)
+                grads = training._backward_batch(graph, params, caches,
+                                                 dlogits)
+                dseq = (dlogits @ params[3]["w"].T).reshape(n, 20, -1)
+                dout0 = float_engine.col2im(dseq @ w1.T, 22)
+                dw0 = (cols0.reshape(-1, cols0.shape[2]).T
+                       @ dout0.reshape(-1, filters))
+                assert grads[0]["w"].tobytes() == \
+                    float_engine.conv_weights(dw0, channels).tobytes()
+                assert grads[0]["b"].tobytes() == \
+                    dout0.sum(axis=(0, 1)).tobytes()
 
 
 class TestDenseAfterSequence:
