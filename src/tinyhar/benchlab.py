@@ -162,8 +162,7 @@ def run_config(split, arch: str, group: ChannelGroup, level: str,
         tc = training.TrainConfig(epochs=cfg.train_epochs,
                                   batch_size=cfg.batch_size,
                                   learning_rate=cfg.learning_rate, seed=seed)
-        graph, _ = training.train(graph, stack_windows(train_set), None, tc,
-                                  history=False)
+        graph, _ = training.train(graph, stack_windows(train_set), None, tc)
     qmodel = quantize_model(graph, train_set[:cfg.rep_windows])
     samples = test_set[:cfg.max_eval_windows] if trainable else None
     reports = []

@@ -1,7 +1,8 @@
 """Float reference executor.
 
 Layer-by-layer evaluation of a ``ModelGraph``, the numeric oracle for the
-int8 engine. Like the int8 kernels, each kernel takes leading batch axes.
+int8 engine. Like the int8 kernels, each kernel takes leading batch axes
+and trusts the shapes the graph checked when it was built.
 Every matrix product runs one GEMV per row: a GEMM sums in another order
 and differs in the last bits, so only GEMV rows give each window the same
 result, bit for bit, in any batch. The trainer in :mod:`tinyhar.training`
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model_ir import LayerKind, ModelGraph, ShapeMismatchError, window_batch
+from .model_ir import LayerKind, ModelGraph, window_batch
 
 
 def _rowwise_matmul(v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -57,16 +58,9 @@ def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     x: (..., time_steps, in_channels); w: (in_channels, kernel, out_filters);
     b: (out_filters,). Output: (..., time_steps - kernel + 1, out_filters).
     """
-    steps, channels = x.shape[-2:]
-    in_channels, kernel, _ = w.shape
-    if channels != in_channels:
-        raise ShapeMismatchError(
-            f"input has {channels} channels, weights expect {in_channels}")
-    if steps < kernel:
-        raise ShapeMismatchError(
-            f"input has {steps} steps, kernel needs {kernel}")
+    kernel = w.shape[1]
     lead = x.shape[:-2]
-    out_steps = steps - kernel + 1
+    out_steps = x.shape[-2] - kernel + 1
     w2 = conv_matrix(w)
     out = np.empty(lead + (out_steps, w.shape[2]), dtype=np.result_type(x, w))
     # The one conv loop left: one product over im2col(x, kernel) runs about
@@ -85,14 +79,8 @@ def relu(x: np.ndarray) -> np.ndarray:
 def pool_groups(x: np.ndarray, pool: int) -> np.ndarray:
     """The (..., T // pool, pool, C) groups that non-overlapping pooling
     of a (..., T, C) input reduces along time; trailing remainder dropped."""
-    if x.ndim < 2:
-        raise ShapeMismatchError(
-            f"avg_pool1d needs a (..., T, C) input, got {x.shape}")
     steps, channels = x.shape[-2:]
     out_steps = steps // pool
-    if out_steps < 1:
-        raise ShapeMismatchError(
-            f"pool {pool} exhausts {steps} time steps")
     return x[..., :out_steps * pool, :].reshape(
         x.shape[:-2] + (out_steps, pool, channels))
 
@@ -102,9 +90,6 @@ def avg_pool1d(x: np.ndarray, pool: int) -> np.ndarray:
 
 
 def dense_forward(v: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if v.shape[-1] != w.shape[0]:
-        raise ShapeMismatchError(
-            f"dense input width {v.shape[-1]} != weight rows {w.shape[0]}")
     return _rowwise_matmul(v, w) + b
 
 
@@ -131,9 +116,6 @@ def lstm_forward(seq: np.ndarray, w_x: np.ndarray, w_h: np.ndarray,
     neighbours.
     """
     hidden = w_h.shape[0]
-    if seq.shape[-1] != w_x.shape[0]:
-        raise ShapeMismatchError(
-            f"lstm input width {seq.shape[-1]} != weight rows {w_x.shape[0]}")
     x_proj = _rowwise_matmul(seq, w_x)
     h = np.zeros(seq.shape[:-2] + (hidden,))
     c = np.zeros(seq.shape[:-2] + (hidden,))
@@ -173,9 +155,7 @@ def _apply_layer(spec, layer_params, value):
     if kind == LayerKind.LSTM:
         return lstm_forward(value, layer_params["w_x"], layer_params["w_h"],
                             layer_params["b"])
-    if kind == LayerKind.SOFTMAX:
-        return softmax(value)
-    raise ShapeMismatchError(f"unknown layer kind {kind}")
+    return softmax(value)  # LayerKind.SOFTMAX
 
 
 def _activations(graph: ModelGraph, x: np.ndarray) -> list[np.ndarray]:

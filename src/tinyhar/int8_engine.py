@@ -13,13 +13,14 @@ of the int8 input itself, and ``q @ w + bias`` equals
 sum((q - zp_in) * w) + b. The product runs in float64 BLAS and is exact:
 every product and partial sum is an integer of magnitude at most
 K * C * 128 * 128, far below 2**53, so no summation order rounds, and the
-result is the integer the int32 accumulator holds (``quantize_model``
-proves sum|w| * 255 + |b| < 2**31).
+result is the integer the int32 accumulator holds (``QuantizedModel``
+checks sum|w| * 255 + |b| < 2**31 when it is built).
 An LSTM's packed form is its dequantized float64 weights and bias.
 
 Kernels take leading batch axes, as TFLite's int8 kernels do, so one
 ``run_quantized`` call classifies a whole batch of windows, bit for bit
-as one call per window would.
+as one call per window would. As in TFLite Micro, they trust the shapes
+the model checked once, when it was built.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import float_engine
-from .model_ir import LayerKind, ShapeMismatchError, map_blocks
+from .model_ir import LayerKind, map_blocks
 from .quantizer import (FixedPointMultiplier, PackedLinear, PackedLSTM,
                         QuantParams, QuantizedModel, dequantize,
                         quantize_tensor)
@@ -93,16 +94,7 @@ def conv1d_int8(q_in: np.ndarray, packed: PackedLinear,
                 mult: FixedPointMultiplier, out_qp: QuantParams,
                 audit: SaturationAudit | None = None) -> np.ndarray:
     """q_in: (..., T, C) int8; ``packed`` holds (K * C, F) weights."""
-    steps, channels = q_in.shape[-2:]
-    kernel = packed.kernel
-    in_channels = packed.w.shape[0] // kernel
-    if channels != in_channels:
-        raise ShapeMismatchError(
-            f"input has {channels} channels, weights expect {in_channels}")
-    if steps < kernel:
-        raise ShapeMismatchError(
-            f"input has {steps} steps, kernel needs {kernel}")
-    acc = _accumulate(float_engine.im2col(q_in, kernel), packed)
+    acc = _accumulate(float_engine.im2col(q_in, packed.kernel), packed)
     return _saturate(requantize(acc, mult) + out_qp.zero_point, audit)
 
 
@@ -110,10 +102,6 @@ def dense_int8(q_in: np.ndarray, packed: PackedLinear,
                mult: FixedPointMultiplier, out_qp: QuantParams,
                audit: SaturationAudit | None = None) -> np.ndarray:
     """q_in: (..., D) int8; ``packed`` holds (D, O) weights."""
-    if q_in.shape[-1] != packed.w.shape[0]:
-        raise ShapeMismatchError(
-            f"dense input width {q_in.shape[-1]} != weight rows "
-            f"{packed.w.shape[0]}")
     return _saturate(requantize(_accumulate(q_in.astype(np.float64), packed),
                                 mult) + out_qp.zero_point, audit)
 

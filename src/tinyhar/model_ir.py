@@ -172,11 +172,10 @@ def layer_output_shape(spec: LayerSpec, shape: tuple[int, ...]) -> tuple[int, ..
     if kind == LayerKind.AVGPOOL1D:
         if len(shape) != 2:
             raise ShapeMismatchError(f"avg_pool1d needs a 2D input, got {shape}")
-        out_steps = shape[0] // spec.pool
-        if out_steps < 1:
+        if not 1 <= spec.pool <= shape[0]:
             raise ShapeUnderflowError(
-                f"pool {spec.pool} exhausts {shape[0]} time steps")
-        return (out_steps, shape[1])
+                f"pool {spec.pool} does not fit {shape[0]} time steps")
+        return (shape[0] // spec.pool, shape[1])
     if kind == LayerKind.FLATTEN:
         return (int(np.prod(shape)),)
     if kind == LayerKind.DENSE:
@@ -239,9 +238,35 @@ def init_params(layers: tuple[LayerSpec, ...], seed: int) -> tuple[dict, ...]:
     return tuple(params)
 
 
+def check_layers(layers: tuple[LayerSpec, ...], params,
+                 input_shape: tuple[int, int], num_classes: int) -> None:
+    """Raises unless ``layers`` fit ``input_shape`` and end in a softmax over
+    ``num_classes``, each with exactly the parameters of :func:`param_shapes`.
+    Both model types run it when built; the executors' kernels trust it."""
+    if len(layers) != len(params):
+        raise GraphError("one param dict per layer required")
+    shapes = output_shapes(layers, input_shape)
+    if not layers or layers[-1].kind != LayerKind.SOFTMAX:
+        raise GraphError("last layer must be softmax")
+    if shapes[-1] != (num_classes,):
+        raise GraphError(
+            f"softmax input width {shapes[-1]} != num_classes {num_classes}")
+    for spec, layer_params in zip(layers, params):
+        expected = param_shapes(spec)
+        if set(expected) != set(layer_params):
+            raise GraphError(
+                f"layer {spec.kind.name} expects params {sorted(expected)}, "
+                f"got {sorted(layer_params)}")
+        for name, shape in expected.items():
+            if tuple(layer_params[name].shape) != shape:
+                raise ShapeMismatchError(
+                    f"{spec.kind.name}.{name} has shape "
+                    f"{layer_params[name].shape}, expected {shape}")
+
+
 @dataclass(frozen=True)
 class ModelGraph:
-    """Immutable layer list plus float parameters.
+    """Immutable layer list plus float parameters, checked when built.
 
     Parameter arrays are frozen (non-writeable) so a graph can be shared
     read-only across concurrent executors.
@@ -253,26 +278,10 @@ class ModelGraph:
     num_classes: int
 
     def __post_init__(self):
-        if len(self.layers) != len(self.params):
-            raise GraphError("one param dict per layer required")
-        shapes = output_shapes(self.layers, self.input_shape)
-        if not self.layers or self.layers[-1].kind != LayerKind.SOFTMAX:
-            raise GraphError("last layer must be softmax")
-        if shapes[-1] != (self.num_classes,):
-            raise GraphError(
-                f"softmax input width {shapes[-1]} != num_classes {self.num_classes}")
-        for spec, layer_params in zip(self.layers, self.params):
-            expected = param_shapes(spec)
-            if set(expected) != set(layer_params):
-                raise GraphError(
-                    f"layer {spec.kind.name} expects params {sorted(expected)}, "
-                    f"got {sorted(layer_params)}")
-            for name, shape in expected.items():
-                arr = layer_params[name]
-                if tuple(arr.shape) != shape:
-                    raise ShapeMismatchError(
-                        f"{spec.kind.name}.{name} has shape {arr.shape}, "
-                        f"expected {shape}")
+        check_layers(self.layers, self.params, self.input_shape,
+                     self.num_classes)
+        for layer_params in self.params:
+            for arr in layer_params.values():
                 arr.flags.writeable = False
 
     def with_params(self, params: tuple[dict[str, np.ndarray], ...]) -> "ModelGraph":
@@ -325,8 +334,6 @@ def build_deep_conv_lstm(channels: int, window_len: int, filters: int = 32,
         softmax(),
     ]
     layers_t = tuple(layers)
-    # validates shape survival through the four convolutions
-    output_shapes(layers_t, (window_len, channels))
     return ModelGraph(layers_t, init_params(layers_t, seed),
                       (window_len, channels), num_classes)
 

@@ -176,7 +176,18 @@ def serialize(model) -> bytes:
 
 
 def deserialize(data: bytes):
-    """Parse bytes back into a ModelGraph or QuantizedModel."""
+    """Parse bytes back into a ModelGraph or QuantizedModel, which checks
+    itself as it is built; a malformed file raises a ModelFileError, any
+    other ValueError from parsing or checking as a CorruptHeaderError."""
+    try:
+        return _parse(data)
+    except ModelFileError:
+        raise
+    except ValueError as exc:
+        raise CorruptHeaderError(f"malformed model file: {exc}") from exc
+
+
+def _parse(data: bytes):
     r = _Reader(data)
     if r.take(4) != MAGIC:
         raise CorruptHeaderError("bad magic; not a THAR model file")
@@ -184,10 +195,7 @@ def deserialize(data: bytes):
     if version != VERSION:
         raise VersionMismatchError(
             f"file version {version}, supported version {VERSION}")
-    try:
-        precision = Precision(precision_code)
-    except ValueError:
-        raise CorruptHeaderError(f"unknown precision code {precision_code}")
+    precision = Precision(precision_code)
     layers, input_shape, num_classes = _read_specs(r)
     if precision == Precision.FLOAT32:
         params = []

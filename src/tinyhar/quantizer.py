@@ -22,7 +22,8 @@ from math import frexp, isfinite
 import numpy as np
 
 from . import float_engine
-from .model_ir import LayerKind, ModelGraph, map_blocks, param_shapes
+from .model_ir import (GraphError, LayerKind, ModelGraph, check_layers,
+                       map_blocks, param_shapes)
 
 # fixed output coding for the final softmax: probabilities in [0, 1)
 SOFTMAX_SCALE = 1.0 / 256.0
@@ -223,10 +224,29 @@ class QLayer:
 
 @dataclass
 class QuantizedModel:
+    """Quantized layers, checked when built, from a graph or a file: their
+    weights and bias ``b`` by ``model_ir.check_layers``, a multiplier on
+    each requantizing layer, and the bound of every accumulator."""
+
     layers: list[QLayer]
     input_shape: tuple[int, int]
     num_classes: int
     input_qp: QuantParams
+
+    def __post_init__(self):
+        check_layers(tuple(ql.spec for ql in self.layers),
+                     [{**(ql.weights or {}),
+                       **({} if ql.bias is None else {"b": ql.bias})}
+                      for ql in self.layers],
+                     self.input_shape, self.num_classes)
+        for index, ql in enumerate(self.layers):
+            kind = ql.spec.kind
+            linear = kind in (LayerKind.CONV1D, LayerKind.DENSE)
+            if ql.multiplier is None and (linear or kind == LayerKind.RELU):
+                raise GraphError(f"layer {index} ({kind.name}) has no "
+                                 f"multiplier")
+            if linear:
+                _check_accumulator(index, ql)
 
 
 def _activation_qps(graph: ModelGraph,
@@ -288,8 +308,6 @@ def quantize_model(graph: ModelGraph, representative_set) -> QuantizedModel:
                     f"{np.abs(bias).max():.3g} does not fit in int32 at "
                     f"scale {bias_scale:.3g}")
             ql.bias = bias.astype(np.int32)
-            if spec.kind != LayerKind.LSTM:
-                _check_accumulator(i, ql)
             ql.multiplier = decompose_multiplier(bias_scale / out_qp.scale)
         elif spec.kind == LayerKind.RELU:
             ql.multiplier = decompose_multiplier(in_qp.scale / out_qp.scale)

@@ -10,9 +10,10 @@ rows of all windows too; later convs run one GEMM per window, whose bits a
 single GEMM does not always reproduce. Backpropagation stops at the first
 layer's parameters; no gradient with respect to the input window is
 computed. A dense layer fed a sequence reads its last time step, as in the
-IR. The per-epoch accuracy history costs one inference pass per split and
-epoch, and ``train(..., history=False)`` skips it. LSTM graphs are out of
-scope: they are supported for inference, quantization and benchmarking only.
+IR. The per-epoch accuracies cost one inference pass per split and epoch,
+and ``train`` runs them only when it is given a validation split. LSTM
+graphs are out of scope: they are supported for inference, quantization
+and benchmarking only.
 """
 from __future__ import annotations
 
@@ -229,15 +230,14 @@ def predict_batch(graph: ModelGraph, x) -> np.ndarray:
     return _inference_logits(graph, graph.params, x).argmax(axis=1)
 
 
-def train(graph: ModelGraph, train_set, val_set, cfg: TrainConfig, *,
-          history: bool = True):
+def train(graph: ModelGraph, train_set, val_set, cfg: TrainConfig):
     """Train on (X, y) arrays; returns (trained graph, per-epoch history).
 
-    History entries are dicts with epoch, loss, train_acc, val_acc; the
-    validation X may be any window set :func:`predict_batch` takes. With
-    ``history=False`` no inference pass runs, ``val_set`` is not read and
-    both accuracies are NaN; the trained parameters are the same either way.
-    Deterministic given cfg.seed.
+    History entries are dicts with epoch, loss, train_acc, val_acc. The
+    accuracies, one inference pass per split and epoch, run exactly when
+    ``val_set`` is given (its X any window set :func:`predict_batch`
+    takes); with None both are NaN. The trained parameters are the same
+    either way, and deterministic given cfg.seed.
     """
     _check_trainable(graph)
     x_train, y_train = train_set
@@ -249,8 +249,8 @@ def train(graph: ModelGraph, train_set, val_set, cfg: TrainConfig, *,
     entries = []
     x_train = x_train.astype(np.float64)
 
-    def accuracy(split) -> float:  # NaN without history or a non-empty split
-        if not history or split is None or not len(split[0]):
+    def accuracy(split) -> float:  # NaN without validation, or if empty
+        if val_set is None or not len(split[0]):
             return float("nan")
         logits = _inference_logits(graph, params, split[0])
         return float((logits.argmax(axis=1) == split[1]).mean())

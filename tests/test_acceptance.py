@@ -79,7 +79,7 @@ def test_criterion_1_quantization_fidelity(long_sessions):
             cfg = training.TrainConfig(epochs=epochs, batch_size=32,
                                        learning_rate=1e-3, seed=seed)
             graph, _ = training.train(graph, dp.stack_windows(train),
-                                      None, cfg, history=False)
+                                      None, cfg)
             qmodel = quantize_model(graph, [s.window for s in train[:8]])
             float_probs = training.predict_proba(graph, x)
             probs, preds = ie.run_quantized(qmodel, x)
@@ -192,8 +192,7 @@ def test_criterion_5_training_sanity():
     graph = build_mc_cnn(23, 24, 128, seed=7)
     cfg = training.TrainConfig(epochs=5, batch_size=32, learning_rate=1e-3,
                                seed=7)
-    graph, _ = training.train(graph, dp.stack_windows(train),
-                              dp.stack_windows(test), cfg)
+    graph, _ = training.train(graph, dp.stack_windows(train), None, cfg)
     x, y = dp.stack_windows(test)
     preds = training.predict_batch(graph, x)
     acc = metrics.accuracy(preds, y)

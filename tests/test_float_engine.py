@@ -33,8 +33,12 @@ class TestConv1d:
         assert np.all(out == 7.0)
 
     def test_channel_mismatch(self):
+        # the graph checks its conv weights once; the kernel trusts them
+        graph = build_mc_cnn(4, 16, 8)
+        params = [dict(p) for p in graph.params]
+        params[0]["w"] = np.zeros((3, 3, 8), np.float32)
         with pytest.raises(ShapeMismatchError):
-            fe.conv1d_forward(np.zeros((5, 3)), np.zeros((4, 3, 2)), np.zeros(2))
+            graph.with_params(tuple(params))
 
 
 class TestSimpleOps:

@@ -1,13 +1,18 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tinyhar import float_engine as fe
 from tinyhar import int8_engine as ie
 from tinyhar import modelfile
-from tinyhar.model_ir import build_deep_conv_lstm, build_mc_cnn
-from tinyhar.modelfile import (CorruptHeaderError, TruncatedPayloadError,
-                               VersionMismatchError, deserialize, serialize)
-from tinyhar.quantizer import quantize_model
+from tinyhar.model_ir import (LayerKind, ShapeMismatchError,
+                              build_deep_conv_lstm, build_mc_cnn)
+from tinyhar.modelfile import (CorruptHeaderError, ModelFileError,
+                               TruncatedPayloadError, VersionMismatchError,
+                               deserialize, serialize)
+from tinyhar.quantizer import AccumulatorOverflowError, quantize_model
 
 
 @pytest.fixture(scope="module")
@@ -124,3 +129,75 @@ def test_save_load_round_trip(tmp_path, quant_model):
     assert path.stat().st_size == written
     restored = modelfile.load(path)
     assert restored.input_qp == quant_model.input_qp
+
+
+# magic, version, precision, three dims and the layer count
+HEADER_BYTES = struct.calcsize("<4sIB4I")
+LAYER_RECORD_BYTES = struct.calcsize("<B7Id")
+
+
+@pytest.mark.parametrize("kind", [LayerKind.AVGPOOL1D.value, 99])
+def test_bad_layer_kind_raises_corrupt_header(float_graph, quant_model, kind):
+    # layer 1 is a ReLU; as a pool its pool width reads 0
+    for model in (float_graph, quant_model):
+        data = bytearray(serialize(model))
+        data[HEADER_BYTES + LAYER_RECORD_BYTES] = kind
+        with pytest.raises(CorruptHeaderError):
+            deserialize(bytes(data))
+
+
+def test_accumulator_overflow_raises_on_load(quant_model):
+    # the first int32 bias record is conv 0's; set it just inside int32
+    filters = len(quant_model.layers[0].bias)
+    record = struct.pack("<H1sBBIQ", 1, b"b", 2, 1, filters, 4 * filters)
+    data = bytearray(serialize(quant_model))
+    start = data.index(record) + len(record)
+    data[start:start + 4 * filters] = np.full(filters, 2**31 - 1000,
+                                              "<i4").tobytes()
+    with pytest.raises(CorruptHeaderError) as info:
+        deserialize(bytes(data))
+    assert isinstance(info.value.__cause__, AccumulatorOverflowError)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files():
+    """Small models of each architecture and precision, serialized, and
+    the windows they were calibrated on."""
+    x = np.random.default_rng(0).normal(size=(4, 12, 6))
+    files = {}
+    for arch, graph in (("mc_cnn", build_mc_cnn(6, 12, 8, dense_width=6,
+                                                seed=0)),
+                        ("deep_conv_lstm", build_deep_conv_lstm(
+                            6, 12, 4, hidden=5, seed=0))):
+        files[arch, "float"] = serialize(graph)
+        files[arch, "int8"] = serialize(quantize_model(graph, x))
+    return x, files
+
+
+@pytest.mark.parametrize("arch", ["mc_cnn", "deep_conv_lstm"])
+@pytest.mark.parametrize("precision", ["float", "int8"])
+@settings(max_examples=100, deadline=None)
+@given(edits=st.lists(st.tuples(st.integers(0, 2**32), st.integers(0, 255)),
+                      min_size=1, max_size=2))
+def test_corrupt_file_raises_model_file_error_or_runs(fuzz_files, arch,
+                                                      precision, edits):
+    """A corrupted file either raises a ModelFileError on load, or loads a
+    model that classifies the original windows. A changed window length
+    that no parameter shape depends on loads, and the original windows
+    then raise ShapeMismatchError; input is never built from the file's
+    dims, which could ask for gigabytes."""
+    x, files = fuzz_files
+    data = bytearray(files[arch, precision])
+    for where, value in edits:
+        data[where % len(data)] = value
+    try:
+        model = deserialize(bytes(data))
+    except ModelFileError:
+        return
+    run = fe.forward if precision == "float" else ie.run_quantized
+    with np.errstate(all="ignore"):  # corrupt weights may overflow
+        if model.input_shape == x.shape[1:]:
+            run(model, x)
+        else:
+            with pytest.raises(ShapeMismatchError):
+                run(model, x)

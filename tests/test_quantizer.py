@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -6,14 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from tinyhar import float_engine as fe
 from tinyhar import int8_engine, model_ir, modelfile
-from tinyhar.model_ir import (LayerKind, NonFiniteInputError,
+from tinyhar.model_ir import (GraphError, LayerKind, NonFiniteInputError,
                               ShapeMismatchError, build_deep_conv_lstm,
                               build_mc_cnn)
 from tinyhar.quantizer import (DEGENERATE_SCALE, AccumulatorOverflowError,
                                BiasOverflowError, EmptyDatasetError,
                                FixedPointMultiplier,
-                               NonPositiveMultiplierError, QuantParams,
-                               RangeOverflowError,
+                               NonPositiveMultiplierError, QuantizedModel,
+                               QuantParams, RangeOverflowError,
                                affine_params, calibrate, decompose_multiplier,
                                dequantize, quantize_model, quantize_tensor,
                                symmetric_params)
@@ -298,3 +299,46 @@ class TestQuantizeModel:
         assert all("packed" not in vars(ql) for ql in qm.layers)
         int8_engine.run_quantized(qm, np.stack(rep))
         assert all("packed" in vars(ql) for ql in weighted)
+
+
+class TestQuantizedModelChecks:
+    """A QuantizedModel checks its layers when built, as a ModelGraph
+    does, so the int8 kernels need not check them on every call."""
+
+    @pytest.fixture(scope="class")
+    def qm(self, small_graph):
+        rng = np.random.default_rng(4)
+        return quantize_model(small_graph,
+                              [rng.normal(size=(16, 4)) for _ in range(3)])
+
+    @staticmethod
+    def rebuilt(qm, index, **changes):
+        layers = list(qm.layers)
+        layers[index] = dataclasses.replace(layers[index], **changes)
+        return QuantizedModel(layers, qm.input_shape, qm.num_classes,
+                              qm.input_qp)
+
+    @pytest.mark.parametrize("index, field, edit, error", [
+        pytest.param(0, "weights", lambda ql: {"w": ql.weights["w"][1:]},
+                     ShapeMismatchError, id="conv-weights-for-3-channels"),
+        pytest.param(7, "weights", lambda ql: {"w": ql.weights["w"][:, 1:]},
+                     ShapeMismatchError, id="dense-weights-too-narrow"),
+        pytest.param(0, "weights", lambda ql: None, GraphError,
+                     id="conv-without-weights"),
+        pytest.param(7, "bias", lambda ql: None, GraphError,
+                     id="dense-without-bias"),
+        pytest.param(0, "multiplier", lambda ql: None, GraphError,
+                     id="conv-without-multiplier"),
+        pytest.param(1, "multiplier", lambda ql: None, GraphError,
+                     id="relu-without-multiplier"),
+        pytest.param(9, "multiplier", lambda ql: None, GraphError,
+                     id="dense-without-multiplier"),
+    ])
+    def test_malformed_layer_rejected(self, qm, index, field, edit, error):
+        with pytest.raises(error):
+            self.rebuilt(qm, index, **{field: edit(qm.layers[index])})
+
+    def test_accumulator_bound_checked(self, qm):
+        bias = np.full_like(qm.layers[0].bias, 2**31 - 1000)
+        with pytest.raises(AccumulatorOverflowError, match="layer 0 .CONV1D."):
+            self.rebuilt(qm, 0, bias=bias)

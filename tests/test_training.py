@@ -29,7 +29,7 @@ class TestTrain:
         x, y = separable_toy_set()
         g = build_mc_cnn(2, 8, 8, dense_width=8, num_classes=2, seed=0)
         cfg = TrainConfig(epochs=50, batch_size=16, seed=0)
-        trained, history = train(g, (x, y), None, cfg)
+        trained, history = train(g, (x, y), (x, y), cfg)
         assert history[-1]["train_acc"] >= 0.99
 
     def test_lstm_graph_rejected(self):
@@ -56,23 +56,13 @@ class TestTrain:
         assert len(lines) == 4
 
 
-class Untouchable:
-    """A validation split that fails the test if anything reads it."""
-
-    def __getitem__(self, key):
-        raise AssertionError("val_set was read")
-
-    def __len__(self):
-        raise AssertionError("val_set was read")
-
-
-class TestHistoryFlag:
-    def test_same_parameters_and_losses_without_history(self):
+class TestHistoryNeedsValSet:
+    def test_same_parameters_and_losses_without_val_set(self):
         x, y = separable_toy_set()
         g = build_mc_cnn(2, 8, 8, dense_width=8, num_classes=2, seed=1)
         cfg = TrainConfig(epochs=4, batch_size=16, seed=7)
         with_history, h1 = train(g, (x, y), (x, y), cfg)
-        without, h2 = train(g, (x, y), (x, y), cfg, history=False)
+        without, h2 = train(g, (x, y), None, cfg)
         for p1, p2 in zip(with_history.params, without.params):
             assert sorted(p1) == sorted(p2)
             for name in p1:
@@ -90,8 +80,8 @@ class TestHistoryFlag:
         g = build_mc_cnn(2, 8, 4, dense_width=4, num_classes=2, seed=0)
         cfg = TrainConfig(epochs=2, batch_size=16)
         with pytest.raises(AssertionError, match="inference pass ran"):
-            train(g, (x, y), None, cfg)  # the patch bites with history on
-        _, history = train(g, (x, y), Untouchable(), cfg, history=False)
+            train(g, (x, y), (x, y), cfg)  # the patch bites with a val_set
+        _, history = train(g, (x, y), None, cfg)
         assert [e["epoch"] for e in history] == [1, 2]
         assert all(np.isfinite(e["loss"]) for e in history)
         assert all(np.isnan(e["train_acc"]) and np.isnan(e["val_acc"])
