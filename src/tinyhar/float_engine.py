@@ -5,8 +5,10 @@ int8 engine. Like the int8 kernels, each kernel takes leading batch axes
 and trusts the shapes the graph checked when it was built.
 Every matrix product runs one GEMV per row: a GEMM sums in another order
 and differs in the last bits, so only GEMV rows give each window the same
-result, bit for bit, in any batch. The trainer in :mod:`tinyhar.training`
-keeps its own GEMM kernels.
+result, bit for bit, in any batch. A conv is one such product of the
+read-only row view :func:`rows` of its input times :func:`conv_matrix`;
+the trainer in :mod:`tinyhar.training` and the int8 engine multiply the
+same rows, copied to float64 by :func:`im2col`, with their own kernels.
 """
 from __future__ import annotations
 
@@ -20,15 +22,21 @@ def _rowwise_matmul(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (v[..., None, :] @ w)[..., 0, :]
 
 
-def im2col(x: np.ndarray, kernel: int) -> np.ndarray:
-    """The (..., T - kernel + 1, kernel * C) float64 rows of a valid conv
-    over a (..., T, C) input, row t holding steps t..t + kernel - 1 in
-    (kernel, channel) order: a contiguous run, so one view copied once."""
+def rows(x: np.ndarray, kernel: int) -> np.ndarray:
+    """The (..., T - kernel + 1, kernel * C) rows of a valid conv over a
+    (..., T, C) input, row t holding steps t..t + kernel - 1 in (kernel,
+    channel) order: a contiguous run of the input, so the rows are a
+    read-only view in the input's dtype, and no row matrix is built."""
     x = np.ascontiguousarray(x)
     steps, channels = x.shape[-2:]
     shape = x.shape[:-2] + (steps - kernel + 1, kernel * channels)
-    rows = np.ndarray(shape, x.dtype, buffer=x, strides=x.strides)
-    return rows.astype(np.float64, order="C")
+    return np.lib.stride_tricks.as_strided(x, shape, x.strides,
+                                           writeable=False)
+
+
+def im2col(x: np.ndarray, kernel: int) -> np.ndarray:
+    """:func:`rows` copied once to a C-contiguous float64 array."""
+    return rows(x, kernel).astype(np.float64, order="C")
 
 
 def col2im(cols: np.ndarray, steps: int) -> np.ndarray:
@@ -58,18 +66,7 @@ def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     x: (..., time_steps, in_channels); w: (in_channels, kernel, out_filters);
     b: (out_filters,). Output: (..., time_steps - kernel + 1, out_filters).
     """
-    kernel = w.shape[1]
-    lead = x.shape[:-2]
-    out_steps = x.shape[-2] - kernel + 1
-    w2 = conv_matrix(w)
-    out = np.empty(lead + (out_steps, w.shape[2]), dtype=np.result_type(x, w))
-    # The one conv loop left: one product over im2col(x, kernel) runs about
-    # as fast as the int8 engine on one window, and acceptance criterion 4
-    # needs int8 faster on the host (ROADMAP item 4).
-    for t in range(out_steps):
-        out[..., t, :] = _rowwise_matmul(
-            x[..., t:t + kernel, :].reshape(lead + (-1,)), w2)
-    return out + b
+    return _rowwise_matmul(rows(x, w.shape[1]), conv_matrix(w)) + b
 
 
 def relu(x: np.ndarray) -> np.ndarray:

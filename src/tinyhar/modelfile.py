@@ -13,6 +13,8 @@ Layout (all little-endian):
 
     tensor record: u16 name length | name | u8 dtype | u8 ndim |
         ndim * u32 dims | u64 payload bytes | raw payload
+    dtype codes: 0 = float32, 1 = int8, 2 = int32; a record whose code is
+    not the one its place in the file holds is rejected.
 
 Round-trips are bit-exact on every parameter.
 """
@@ -28,9 +30,10 @@ from .quantizer import FixedPointMultiplier, QLayer, QuantParams, QuantizedModel
 MAGIC = b"THAR"
 VERSION = 1
 
-_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("i1"), 2: np.dtype("<i4"),
-           3: np.dtype("<f8")}
-_DTYPE_CODES = {v: k for k, v in _DTYPES.items()}
+# the dtypes ``serialize`` writes: float32 parameters, int8 weights and
+# int32 biases
+_FLOAT32, _INT8, _INT32 = np.dtype("<f4"), np.dtype("i1"), np.dtype("<i4")
+_DTYPE_CODES = {_FLOAT32: 0, _INT8: 1, _INT32: 2}
 
 
 class ModelFileError(ValueError):
@@ -98,15 +101,18 @@ class _Reader:
         values = struct.unpack(fmt, self.take(struct.calcsize(fmt)))
         return values if len(values) > 1 else values[0]
 
-    def tensor(self) -> tuple[str, np.ndarray]:
+    def tensor(self, dtype: np.dtype) -> tuple[str, np.ndarray]:
+        """One tensor record, which must hold ``dtype``."""
         name_len = self.unpack("H")
         name = self.take(name_len).decode()
         code, ndim = self.unpack("BB")
-        if code not in _DTYPES:
-            raise CorruptHeaderError(f"unknown tensor dtype code {code}")
+        if code != _DTYPE_CODES[dtype]:
+            raise CorruptHeaderError(
+                f"tensor {name!r} has dtype code {code}, "
+                f"expected {_DTYPE_CODES[dtype]}")
         shape = tuple(self.unpack("I") for _ in range(ndim))
         nbytes = self.unpack("Q")
-        arr = np.frombuffer(self.take(nbytes), dtype=_DTYPES[code])
+        arr = np.frombuffer(self.take(nbytes), dtype=dtype)
         return name, arr.reshape(shape).copy()
 
     def qp(self) -> QuantParams:
@@ -146,7 +152,7 @@ def serialize(model) -> bytes:
         for layer_params in model.params:
             w.pack("I", len(layer_params))
             for name in sorted(layer_params):
-                w.tensor(name, layer_params[name].astype("<f4"))
+                w.tensor(name, layer_params[name].astype(_FLOAT32))
         return w.bytes()
     if isinstance(model, QuantizedModel):
         w.pack("IB", VERSION, Precision.INT8_FULL.value)
@@ -170,7 +176,7 @@ def serialize(model) -> bytes:
                 w.pack("B", 0)
             else:
                 w.pack("B", 1)
-                w.tensor("b", ql.bias.astype("<i4"))
+                w.tensor("b", ql.bias.astype(_INT32))
         return w.bytes()
     raise TypeError(f"cannot serialize {type(model).__name__}")
 
@@ -203,7 +209,7 @@ def _parse(data: bytes):
             n_tensors = r.unpack("I")
             layer_params = {}
             for _ in range(n_tensors):
-                name, arr = r.tensor()
+                name, arr = r.tensor(_FLOAT32)
                 layer_params[name] = arr
             params.append(layer_params)
         return ModelGraph(layers, tuple(params), input_shape, num_classes)
@@ -220,12 +226,12 @@ def _parse(data: bytes):
         weights, weight_qps = {}, {}
         for _ in range(n_weights):
             w_qp = r.qp()
-            name, arr = r.tensor()
+            name, arr = r.tensor(_INT8)
             weights[name] = arr
             weight_qps[name] = w_qp
         bias = None
         if r.unpack("B"):
-            _, bias = r.tensor()
+            _, bias = r.tensor(_INT32)
         qlayers.append(QLayer(spec=spec, in_qp=in_qp, out_qp=out_qp,
                               weights=weights or None,
                               weight_qps=weight_qps or None,

@@ -58,8 +58,9 @@ class QuantParams:
     zero_point: int
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not (self.scale > 0 and isfinite(self.scale)):
+            raise ValueError(
+                f"scale must be finite and positive, got {self.scale}")
         if not -128 <= self.zero_point <= 127:
             raise ValueError(f"zero_point out of int8 range: {self.zero_point}")
 

@@ -41,6 +41,50 @@ class TestConv1d:
             graph.with_params(tuple(params))
 
 
+def per_step_conv(x, w, b):
+    """Oracle: one row product per output time step."""
+    kernel = w.shape[1]
+    lead = x.shape[:-2]
+    out_steps = x.shape[-2] - kernel + 1
+    w2 = fe.conv_matrix(w)
+    out = np.empty(lead + (out_steps, w.shape[2]), dtype=np.result_type(x, w))
+    for t in range(out_steps):
+        out[..., t, :] = fe._rowwise_matmul(
+            x[..., t:t + kernel, :].reshape(lead + (-1,)), w2)
+    return out + b
+
+
+class TestConv1dOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(lead=st.sampled_from([(), (1,), (3,), (2, 3)]),
+           kernel=st.integers(1, 4), extra_steps=st.integers(0, 6),
+           channels=st.integers(1, 9), filters=st.integers(1, 7),
+           x_dtype=st.sampled_from([np.float32, np.float64]),
+           weight_dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2**16))
+    def test_equals_per_step_oracle(self, lead, kernel, extra_steps,
+                                    channels, filters, x_dtype, weight_dtype,
+                                    seed):
+        rng = np.random.default_rng(seed)
+        x = mixed_magnitude(rng, (*lead, kernel + extra_steps, channels),
+                            x_dtype)
+        w = mixed_magnitude(rng, (channels, kernel, filters), weight_dtype)
+        b = mixed_magnitude(rng, filters, weight_dtype)
+        out = fe.conv1d_forward(x, w, b)
+        expected = per_step_conv(x, w, b)
+        assert out.dtype == expected.dtype == np.result_type(x_dtype,
+                                                             weight_dtype)
+        assert out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+
+    def test_rows_are_a_read_only_view(self):
+        x = np.arange(24, dtype=np.float32).reshape(2, 4, 3)
+        view = fe.rows(x, 2)
+        assert view.shape == (2, 3, 6) and view.dtype == np.float32
+        assert np.shares_memory(view, x) and not view.flags.writeable
+        assert view[1, 2].tolist() == x[1, 2:4].ravel().tolist()
+
+
 class TestSimpleOps:
     def test_relu(self):
         assert np.array_equal(fe.relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])

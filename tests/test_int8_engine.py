@@ -266,6 +266,45 @@ class TestRequantize:
         assert np.clip(out, -128, 127).tolist() == [127, -128, 127, -128, 0]
 
 
+def arithmetic_relu(q_in, in_qp, mult, out_qp, audit):
+    """Oracle: clip at the input zero point, requantize, saturate."""
+    clipped = np.maximum(q_in.astype(np.int64), in_qp.zero_point)
+    rescaled = ie.requantize(clipped - in_qp.zero_point, mult) \
+        + out_qp.zero_point
+    out = np.clip(rescaled, -128, 127)
+    audit.total += rescaled.size
+    audit.clamped += int((rescaled != out).sum())
+    return out.astype(np.int8)
+
+
+class TestReluInt8:
+    @settings(max_examples=200, deadline=None)
+    @given(in_zp=st.integers(-128, 127), out_zp=st.integers(-128, 127),
+           mantissa=st.integers(1 << 30, (1 << 31) - 1),
+           exponent=st.integers(-12, 40))
+    @example(in_zp=-128, out_zp=127, mantissa=1 << 30, exponent=1)
+    @example(in_zp=127, out_zp=-128, mantissa=(1 << 31) - 1, exponent=36)
+    def test_equals_arithmetic_on_every_int8_value(self, in_zp, out_zp,
+                                                   mantissa, exponent):
+        # exponents above 31 are left shifts; large ones saturate
+        in_qp, out_qp = QuantParams(0.1, in_zp), QuantParams(0.1, out_zp)
+        mult = FixedPointMultiplier(mantissa, exponent)
+        q = np.arange(-128, 128, dtype=np.int8).reshape(2, 16, 8)
+        got_audit, want_audit = ie.SaturationAudit(), ie.SaturationAudit()
+        got = ie.relu_int8(q, in_qp, mult, out_qp, got_audit)
+        want = arithmetic_relu(q, in_qp, mult, out_qp, want_audit)
+        assert got.dtype == np.int8 and got.shape == q.shape
+        assert got.tobytes() == want.tobytes()
+        assert got_audit == want_audit
+
+    def test_strided_input(self):
+        qp, mult = QuantParams(0.05, -3), decompose_multiplier(0.7)
+        q = np.arange(-128, 128, dtype=np.int8).reshape(16, 16)[::2, 1::3]
+        got = ie.relu_int8(q, qp, mult, qp)
+        want = arithmetic_relu(q, qp, mult, qp, ie.SaturationAudit())
+        assert got.tobytes() == want.tobytes()
+
+
 class TestLstmHybrid:
     def test_zero_weights_output_zero_point(self):
         in_qp = QuantParams(0.1, 2)

@@ -159,6 +159,34 @@ def test_accumulator_overflow_raises_on_load(quant_model):
     assert isinstance(info.value.__cause__, AccumulatorOverflowError)
 
 
+def test_non_finite_input_scale_raises_on_load(quant_model):
+    # the input quant params follow the layer records: f64 scale, i32 zp
+    start = HEADER_BYTES + LAYER_RECORD_BYTES * len(quant_model.layers)
+    for scale in (np.nan, np.inf):
+        data = bytearray(serialize(quant_model))
+        data[start:start + 8] = struct.pack("<d", scale)
+        with pytest.raises(ModelFileError):
+            deserialize(bytes(data))
+
+
+def test_wrong_tensor_dtype_raises_on_load(float_graph, quant_model):
+    """Each tensor record must hold the dtype serialize writes at its
+    place: float32 parameters, int8 weights and an int32 bias."""
+    cases = [
+        # conv 0's float32 weights relabelled int32, the same item size
+        (float_graph, struct.pack("<H1sB", 1, b"w", 0), 2),
+        # conv 0's int8 weights relabelled int32
+        (quant_model, struct.pack("<H1sB", 1, b"w", 1), 2),
+        # conv 0's int32 bias relabelled float32
+        (quant_model, struct.pack("<H1sB", 1, b"b", 2), 0),
+    ]
+    for model, record, code in cases:
+        data = bytearray(serialize(model))
+        data[data.index(record) + len(record) - 1] = code
+        with pytest.raises(CorruptHeaderError, match="dtype code"):
+            deserialize(bytes(data))
+
+
 @pytest.fixture(scope="module")
 def fuzz_files():
     """Small models of each architecture and precision, serialized, and

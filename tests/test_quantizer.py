@@ -20,6 +20,13 @@ from tinyhar.quantizer import (DEGENERATE_SCALE, AccumulatorOverflowError,
                                symmetric_params)
 
 
+class TestQuantParams:
+    @pytest.mark.parametrize("scale", [0.0, np.nan, np.inf])
+    def test_scale_not_finite_and_positive_rejected(self, scale):
+        with pytest.raises(ValueError):
+            QuantParams(scale, 0)
+
+
 class TestAffineParams:
     def test_relu6_style_range(self):
         qp = affine_params(0.0, 6.0)
