@@ -6,6 +6,7 @@ Equivalent to chaining the `tinyhar synth/train/quantize/eval/mcu-check`
 subcommands, but in-process and with a compact console summary.
 """
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -39,8 +40,8 @@ def main() -> int:
     print(f"generating synthetic dataset (seed {args.seed}) ...")
     sessions = synth_generate(args.seed, subjects=2, sessions_per_subject=5,
                               duration_s=args.duration_s)
-    train, test = prepared_windows(sessions, group, window_len=24, stride=12,
-                                   held_out_session=5)
+    train, test, stats = prepared_windows(sessions, group, window_len=24,
+                                          stride=12, held_out_session=5)
     print(f"  {len(train)} train / {len(test)} held-out windows "
           f"({group.width} channels)")
 
@@ -51,6 +52,7 @@ def main() -> int:
                                learning_rate=1e-3, seed=args.seed)
     graph, history = training.train(graph, dp.stack_windows(train),
                                     (test, test.y), cfg)
+    graph = dataclasses.replace(graph, stats=stats)  # both files carry them
     for row in history:
         print(f"  epoch {row['epoch']}: loss {row['loss']:.4f} "
               f"train {row['train_acc']:.4f} val {row['val_acc']:.4f}")

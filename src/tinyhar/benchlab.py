@@ -13,12 +13,13 @@ import io
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import int8_engine, mcu, metrics, modelfile, training
-from .datapipe import (ChannelGroup, DatapipeError, Windows, fit_stats,
-                       make_windows, normalize, split_by_session,
+from .datapipe import (ChannelGroup, DatapipeError, DatasetStats, Windows,
+                       fit_stats, make_windows, normalize, split_by_session,
                        stack_windows)
 from .int8_engine import LatencyStats
 from .model_ir import (ModelGraph, Precision, build_deep_conv_lstm,
@@ -119,16 +120,24 @@ def classify(model, samples: Windows):
     return preds, samples.y
 
 
+class PreparedSplit(NamedTuple):
+    train: Windows
+    test: Windows
+    stats: DatasetStats  # fitted on the raw train windows
+
+
 def prepared_windows(sessions, group: ChannelGroup, window_len: int,
-                     stride: int, held_out_session: int):
-    """(train, test) windows, z-scored with train-split statistics."""
+                     stride: int, held_out_session: int) -> PreparedSplit:
+    """Train and test windows, z-scored with train-split statistics, and
+    those statistics."""
     windows = make_windows(sessions, window_len, stride, group)
     train, test = split_by_session(windows, held_out_session)
     if not train:
         raise DatapipeError(f"no training windows left after holding out "
                             f"session {held_out_session}")
     stats = fit_stats(train)
-    return normalize(train, stats), normalize(test, stats)
+    return PreparedSplit(normalize(train, stats), normalize(test, stats),
+                         stats)
 
 
 def evaluate(model, arch: str, group: ChannelGroup, level: str, filters: int,
@@ -150,11 +159,12 @@ def evaluate(model, arch: str, group: ChannelGroup, level: str, filters: int,
     return report
 
 
-def run_config(split, arch: str, group: ChannelGroup, level: str,
-               cfg: SweepConfig) -> list[EvalReport]:
+def run_config(split: PreparedSplit, arch: str, group: ChannelGroup,
+               level: str, cfg: SweepConfig) -> list[EvalReport]:
     """Train (MC-CNN only), quantize, and evaluate one configuration on its
-    prepared (train, test) windows: the float report, then the int8 one."""
-    train_set, test_set = split
+    prepared windows: the float report, then the int8 one. The models do
+    not carry the split's statistics."""
+    train_set, test_set = split.train, split.test
     seed = cfg.seed + 1000 * LEVELS.index(level) + group.width
     graph = build_for(arch, group, level, cfg.window_len, seed)
     trainable = arch == "mc_cnn"

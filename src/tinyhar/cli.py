@@ -8,6 +8,7 @@ deterministic given --seed (host latency measurements excepted).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ import numpy as np
 from . import benchlab, int8_engine, mcu, modelfile, synth, training
 from .benchlab import SweepConfig
 from .datapipe import (ChannelGroup, SessionRecording, ingest_csv,
-                       stack_windows, write_csv)
+                       make_windows, normalize, stack_windows, write_csv)
 from .model_ir import LayerKind, ModelGraph, build_mc_cnn
 from .quantizer import QuantizedModel, quantize_model
 
@@ -39,30 +40,48 @@ def _write_config_echo(outdir: Path, args: argparse.Namespace) -> None:
         json.dumps(effective, indent=2, default=str) + "\n")
 
 
-def _load_dataset(data_dir: str) -> list[SessionRecording]:
+def _iter_sessions(data_dir: str, keep=lambda session: True):
+    """The recordings of the manifest's sessions whose id passes ``keep``,
+    in manifest order, each CSV read only when its turn comes."""
     manifest_path = Path(data_dir) / "manifest.json"
     if not manifest_path.is_file():
         raise CliError(f"no manifest.json in {data_dir}; "
                        f"generate a dataset with `tinyhar synth` first")
     manifest = json.loads(manifest_path.read_text())
-    sessions = []
     for entry in manifest["sessions"]:
+        if not keep(entry["session"]):
+            continue
         path = Path(data_dir) / entry["path"]
         if not path.is_file():
             raise CliError(f"dataset file missing: {path}")
         timestamps, frames, labels = ingest_csv(path)
-        sessions.append(SessionRecording(subject=entry["subject"],
-                                         session=entry["session"],
-                                         timestamps=timestamps,
-                                         frames=frames, labels=labels))
-    return sessions
+        yield SessionRecording(subject=entry["subject"],
+                               session=entry["session"],
+                               timestamps=timestamps, frames=frames,
+                               labels=labels)
+
+
+def _load_dataset(data_dir: str) -> list[SessionRecording]:
+    return list(_iter_sessions(data_dir))
 
 
 def _load_model(path: str):
     model_path = Path(path)
     if not model_path.is_file():
         raise CliError(f"model file not found: {path}")
-    return modelfile.load(model_path)
+    try:
+        return modelfile.load(model_path)
+    except modelfile.VersionMismatchError as exc:
+        raise CliError(f"{path}: {exc}; make it again with `tinyhar train` "
+                       f"(and `tinyhar quantize`)") from None
+
+
+def _require_stats(model, path: str) -> None:
+    """Raises unless ``model`` carries the statistics its inputs are
+    z-scored with."""
+    if model.stats is None:
+        raise CliError(f"{path} carries no normalization statistics; "
+                       f"make it with `tinyhar train`")
 
 
 def cmd_synth(args) -> int:
@@ -86,7 +105,7 @@ def cmd_train(args) -> int:
     outdir = Path(args.out)
     sessions = _load_dataset(args.data)
     group = ChannelGroup.from_width(args.group)
-    train_set, test_set = benchlab.prepared_windows(
+    train_set, test_set, stats = benchlab.prepared_windows(
         sessions, group, args.window_len, args.stride, args.held_out_session)
     graph = build_mc_cnn(group.width, args.window_len,
                          first_filters=args.filters, seed=args.seed)
@@ -95,6 +114,7 @@ def cmd_train(args) -> int:
                                seed=args.seed)
     graph, history = training.train(graph, stack_windows(train_set),
                                     (test_set, test_set.y), cfg)
+    graph = dataclasses.replace(graph, stats=stats)
     model_path = outdir / "model_float.thar"
     modelfile.save(graph, model_path)
     (outdir / "history.csv").write_text(training.history_to_csv(history))
@@ -105,20 +125,40 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _windows(model, sessions, stride: int):
+    """``sessions`` cut into ``model``'s windows at ``stride`` and z-scored
+    with the model's statistics."""
+    window_len, channels = model.input_shape
+    return normalize(make_windows(sessions, window_len, stride,
+                                  ChannelGroup.from_width(channels)),
+                     model.stats)
+
+
 def cmd_quantize(args) -> int:
     outdir = Path(args.out)
     model = _load_model(args.model)
     if not isinstance(model, ModelGraph):
         raise CliError(f"{args.model} is already quantized")
-    sessions = _load_dataset(args.data)
-    group = ChannelGroup.from_width(model.input_shape[1])
-    train_set, _ = benchlab.prepared_windows(
-        sessions, group, model.input_shape[0], args.stride,
-        args.held_out_session)
-    qmodel = quantize_model(model, train_set[:args.rep_windows])
+    _require_stats(model, args.model)
+    # the first --rep-windows training windows, read session by session
+    sessions, count = [], 0
+    window_len = model.input_shape[0]
+    for rec in _iter_sessions(args.data,
+                              lambda s: s != args.held_out_session):
+        sessions.append(rec)
+        count += len(range(0, len(rec.labels) - window_len + 1, args.stride))
+        if count >= args.rep_windows:
+            break
+    rep_set = _windows(model, sessions, args.stride)[:args.rep_windows]
+    if not rep_set:
+        raise CliError(f"no representative windows: --rep-windows "
+                       f"{args.rep_windows}, and the sessions other than "
+                       f"held-out session {args.held_out_session} hold "
+                       f"{count} windows")
+    qmodel = quantize_model(model, rep_set)
     out_path = outdir / "model_int8.thar"
     size = modelfile.save(qmodel, out_path)
-    float_size = len(modelfile.serialize(model))
+    float_size = Path(args.model).stat().st_size
     print(f"quantized model written to {out_path} "
           f"({size} bytes, float/int8 ratio {float_size / size:.2f})")
     return 0
@@ -132,17 +172,15 @@ def _arch_of(layers) -> str:
 def cmd_eval(args) -> int:
     outdir = Path(args.out)
     model = _load_model(args.model)
+    _require_stats(model, args.model)
     layers = (tuple(ql.spec for ql in model.layers)
               if isinstance(model, QuantizedModel) else model.layers)
     arch = _arch_of(layers)
     if arch != "mc_cnn":
         raise CliError("eval supports trained MC-CNN models only")
-    sessions = _load_dataset(args.data)
     group = ChannelGroup.from_width(model.input_shape[1])
-    # keep no train split alive: at stride 1 it is the largest array here
-    test_set = benchlab.prepared_windows(
-        sessions, group, model.input_shape[0], args.stride,
-        args.held_out_session)[1]
+    test_set = _windows(model, list(_iter_sessions(
+        args.data, lambda s: s == args.held_out_session)), args.stride)
     if not test_set:
         raise CliError(f"held-out session {args.held_out_session} "
                        f"produced no windows")

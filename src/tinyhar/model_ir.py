@@ -1,5 +1,6 @@
 """Layer-graph model representation: layer specs, the two network builders,
-the input check and block loop the executors share, and parameter accounting.
+the input check and block loop the executors share, the check of a model's
+normalization statistics, and parameter accounting.
 
 A model is a plain ordered list of layers. There is no general computation
 graph: the only supported topologies are the conv->pool->dense classifier
@@ -13,6 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+from .datapipe import DatasetStats
 
 
 class GraphError(ValueError):
@@ -264,28 +267,50 @@ def check_layers(layers: tuple[LayerSpec, ...], params,
                     f"{layer_params[name].shape}, expected {shape}")
 
 
+def check_stats(stats: DatasetStats | None, channels: int) -> None:
+    """Raises unless ``stats`` is None, or one finite mean and one finite
+    std >= 0 per input channel; then makes its arrays read-only. Both model
+    types run it when built."""
+    if stats is None:
+        return
+    for name in ("mean", "std"):
+        arr = getattr(stats, name)
+        if arr.shape != (channels,):
+            raise ShapeMismatchError(f"stats {name} has shape {arr.shape}, "
+                                     f"expected ({channels},)")
+        if not np.isfinite(arr).all():
+            raise GraphError(f"stats {name} holds NaN or infinity")
+        arr.flags.writeable = False
+    if np.any(stats.std < 0):
+        raise GraphError("stats std holds a negative value")
+
+
 @dataclass(frozen=True)
 class ModelGraph:
     """Immutable layer list plus float parameters, checked when built.
 
     Parameter arrays are frozen (non-writeable) so a graph can be shared
-    read-only across concurrent executors.
+    read-only across concurrent executors. ``stats`` are the per-channel
+    z-score statistics of the windows the graph was trained on, when known.
     """
 
     layers: tuple[LayerSpec, ...]
     params: tuple[dict[str, np.ndarray], ...]
     input_shape: tuple[int, int]
     num_classes: int
+    stats: DatasetStats | None = None
 
     def __post_init__(self):
         check_layers(self.layers, self.params, self.input_shape,
                      self.num_classes)
+        check_stats(self.stats, self.input_shape[1])
         for layer_params in self.params:
             for arr in layer_params.values():
                 arr.flags.writeable = False
 
     def with_params(self, params: tuple[dict[str, np.ndarray], ...]) -> "ModelGraph":
-        return ModelGraph(self.layers, params, self.input_shape, self.num_classes)
+        return ModelGraph(self.layers, params, self.input_shape,
+                          self.num_classes, self.stats)
 
 
 def build_mc_cnn(channels: int, window_len: int, first_filters: int = 128,

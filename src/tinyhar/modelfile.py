@@ -1,4 +1,4 @@
-"""Flat binary model file format (".thar").
+"""Flat binary model file format (".thar"), version 2.
 
 Layout (all little-endian):
 
@@ -10,30 +10,43 @@ Layout (all little-endian):
     precision 1: input quant params, then per layer: in/out quant params,
         optional fixed-point multiplier, int8 weight tensor table with
         per-tensor quant params, optional int32 bias tensor.
+    stats record: u8 flag (0 = none), then if set the float64 tensors
+        "mean" and "std", one value per input channel
+    u32 CRC-32 (``zlib.crc32``) of every byte before it
 
     tensor record: u16 name length | name | u8 dtype | u8 ndim |
         ndim * u32 dims | u64 payload bytes | raw payload
-    dtype codes: 0 = float32, 1 = int8, 2 = int32; a record whose code is
-    not the one its place in the file holds is rejected.
+    dtype codes: 0 = float32, 1 = int8, 2 = int32, 3 = float64; a record
+    whose code is not the one its place in the file holds is rejected.
 
-Round-trips are bit-exact on every parameter.
+The stats record holds the z-score statistics the model was trained with,
+in float64, so that a model normalizes its input bit for bit as its
+trainer did. ``deserialize`` reads the magic and the version, then checks
+the CRC before it parses anything else; a version 1 file, which has no
+stats record and no CRC, raises ``VersionMismatchError``.
+
+Round-trips are bit-exact on every parameter and statistic.
 """
 from __future__ import annotations
 
 import struct
+import zlib
 
 import numpy as np
 
+from .datapipe import DatasetStats
 from .model_ir import LayerKind, LayerSpec, ModelGraph, Precision
 from .quantizer import FixedPointMultiplier, QLayer, QuantParams, QuantizedModel
 
 MAGIC = b"THAR"
-VERSION = 1
+VERSION = 2
 
-# the dtypes ``serialize`` writes: float32 parameters, int8 weights and
-# int32 biases
-_FLOAT32, _INT8, _INT32 = np.dtype("<f4"), np.dtype("i1"), np.dtype("<i4")
-_DTYPE_CODES = {_FLOAT32: 0, _INT8: 1, _INT32: 2}
+# the dtypes ``serialize`` writes: float32 parameters, int8 weights, int32
+# biases and float64 statistics
+_FLOAT32, _INT8, _INT32, _FLOAT64 = (np.dtype("<f4"), np.dtype("i1"),
+                                     np.dtype("<i4"), np.dtype("<f8"))
+_DTYPE_CODES = {_FLOAT32: 0, _INT8: 1, _INT32: 2, _FLOAT64: 3}
+_CRC = struct.Struct("<I")
 
 
 class ModelFileError(ValueError):
@@ -50,6 +63,10 @@ class VersionMismatchError(ModelFileError):
 
 class TruncatedPayloadError(ModelFileError):
     pass
+
+
+class ChecksumError(ModelFileError):
+    """The CRC-32 trailer does not match the bytes before it."""
 
 
 class _Writer:
@@ -78,8 +95,16 @@ class _Writer:
     def qp(self, qp: QuantParams):
         self.pack("di", qp.scale, qp.zero_point)
 
-    def bytes(self) -> bytes:
-        return b"".join(self.chunks)
+    def stats(self, stats: DatasetStats | None):
+        self.pack("B", stats is not None)
+        if stats is not None:
+            self.tensor("mean", stats.mean.astype(_FLOAT64))
+            self.tensor("std", stats.std.astype(_FLOAT64))
+
+    def sealed(self) -> bytes:
+        """Every chunk, then the CRC-32 of them all."""
+        body = b"".join(self.chunks)
+        return body + _CRC.pack(zlib.crc32(body))
 
 
 class _Reader:
@@ -119,6 +144,12 @@ class _Reader:
         scale, zp = self.unpack("di")
         return QuantParams(scale, zp)
 
+    def stats(self) -> DatasetStats | None:
+        if not self.unpack("B"):
+            return None
+        return DatasetStats(mean=self.tensor(_FLOAT64)[1],
+                            std=self.tensor(_FLOAT64)[1])
+
 
 def _write_specs(w: _Writer, layers, input_shape, num_classes):
     w.pack("IIII", input_shape[0], input_shape[1], num_classes, len(layers))
@@ -153,8 +184,7 @@ def serialize(model) -> bytes:
             w.pack("I", len(layer_params))
             for name in sorted(layer_params):
                 w.tensor(name, layer_params[name].astype(_FLOAT32))
-        return w.bytes()
-    if isinstance(model, QuantizedModel):
+    elif isinstance(model, QuantizedModel):
         w.pack("IB", VERSION, Precision.INT8_FULL.value)
         _write_specs(w, tuple(ql.spec for ql in model.layers),
                      model.input_shape, model.num_classes)
@@ -177,14 +207,17 @@ def serialize(model) -> bytes:
             else:
                 w.pack("B", 1)
                 w.tensor("b", ql.bias.astype(_INT32))
-        return w.bytes()
-    raise TypeError(f"cannot serialize {type(model).__name__}")
+    else:
+        raise TypeError(f"cannot serialize {type(model).__name__}")
+    w.stats(model.stats)
+    return w.sealed()
 
 
 def deserialize(data: bytes):
     """Parse bytes back into a ModelGraph or QuantizedModel, which checks
-    itself as it is built; a malformed file raises a ModelFileError, any
-    other ValueError from parsing or checking as a CorruptHeaderError."""
+    itself as it is built; a malformed file raises a ModelFileError (a
+    changed byte a ChecksumError), any other ValueError from parsing or
+    checking as a CorruptHeaderError."""
     try:
         return _parse(data)
     except ModelFileError:
@@ -194,13 +227,16 @@ def deserialize(data: bytes):
 
 
 def _parse(data: bytes):
-    r = _Reader(data)
+    body, trailer = data[:-_CRC.size], data[-_CRC.size:]
+    r = _Reader(body)
     if r.take(4) != MAGIC:
         raise CorruptHeaderError("bad magic; not a THAR model file")
     version, precision_code = r.unpack("IB")
     if version != VERSION:
         raise VersionMismatchError(
             f"file version {version}, supported version {VERSION}")
+    if zlib.crc32(body) != _CRC.unpack(trailer)[0]:
+        raise ChecksumError("CRC-32 mismatch; the file is corrupt")
     precision = Precision(precision_code)
     layers, input_shape, num_classes = _read_specs(r)
     if precision == Precision.FLOAT32:
@@ -212,7 +248,8 @@ def _parse(data: bytes):
                 name, arr = r.tensor(_FLOAT32)
                 layer_params[name] = arr
             params.append(layer_params)
-        return ModelGraph(layers, tuple(params), input_shape, num_classes)
+        return ModelGraph(layers, tuple(params), input_shape, num_classes,
+                          _read_stats_to_end(r))
     input_qp = r.qp()
     qlayers = []
     for spec in layers:
@@ -237,7 +274,17 @@ def _parse(data: bytes):
                               weight_qps=weight_qps or None,
                               bias=bias, multiplier=mult))
     return QuantizedModel(layers=qlayers, input_shape=input_shape,
-                          num_classes=num_classes, input_qp=input_qp)
+                          num_classes=num_classes, input_qp=input_qp,
+                          stats=_read_stats_to_end(r))
+
+
+def _read_stats_to_end(r: _Reader) -> DatasetStats | None:
+    """The stats record, which must end the bytes the CRC covers."""
+    stats = r.stats()
+    if r.pos != len(r.data):
+        raise CorruptHeaderError(
+            f"{len(r.data) - r.pos} bytes follow the stats record")
+    return stats
 
 
 def save(model, path) -> int:

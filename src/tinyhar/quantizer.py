@@ -22,8 +22,9 @@ from math import frexp, isfinite
 import numpy as np
 
 from . import float_engine
+from .datapipe import DatasetStats
 from .model_ir import (GraphError, LayerKind, ModelGraph, check_layers,
-                       map_blocks, param_shapes)
+                       check_stats, map_blocks, param_shapes)
 
 # fixed output coding for the final softmax: probabilities in [0, 1)
 SOFTMAX_SCALE = 1.0 / 256.0
@@ -227,12 +228,14 @@ class QLayer:
 class QuantizedModel:
     """Quantized layers, checked when built, from a graph or a file: their
     weights and bias ``b`` by ``model_ir.check_layers``, a multiplier on
-    each requantizing layer, and the bound of every accumulator."""
+    each requantizing layer, and the bound of every accumulator. ``stats``
+    are the float graph's, checked by ``model_ir.check_stats``."""
 
     layers: list[QLayer]
     input_shape: tuple[int, int]
     num_classes: int
     input_qp: QuantParams
+    stats: DatasetStats | None = None
 
     def __post_init__(self):
         check_layers(tuple(ql.spec for ql in self.layers),
@@ -240,6 +243,7 @@ class QuantizedModel:
                        **({} if ql.bias is None else {"b": ql.bias})}
                       for ql in self.layers],
                      self.input_shape, self.num_classes)
+        check_stats(self.stats, self.input_shape[1])
         for index, ql in enumerate(self.layers):
             kind = ql.spec.kind
             linear = kind in (LayerKind.CONV1D, LayerKind.DENSE)
@@ -284,7 +288,8 @@ def _check_accumulator(index: int, ql: QLayer) -> None:
 
 def quantize_model(graph: ModelGraph, representative_set) -> QuantizedModel:
     """Convert a trained float graph to a fully int8 model, calibrated on
-    ``representative_set`` (any input :func:`calibrate` takes)."""
+    ``representative_set`` (any input :func:`calibrate` takes). The model
+    keeps the graph's normalization statistics."""
     ranges = calibrate(graph, representative_set)
     act_qps = _activation_qps(graph, ranges)
     qlayers: list[QLayer] = []
@@ -314,4 +319,5 @@ def quantize_model(graph: ModelGraph, representative_set) -> QuantizedModel:
             ql.multiplier = decompose_multiplier(in_qp.scale / out_qp.scale)
         qlayers.append(ql)
     return QuantizedModel(layers=qlayers, input_shape=graph.input_shape,
-                          num_classes=graph.num_classes, input_qp=act_qps[0])
+                          num_classes=graph.num_classes, input_qp=act_qps[0],
+                          stats=graph.stats)

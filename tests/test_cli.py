@@ -1,10 +1,13 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from tinyhar import modelfile
+from tinyhar import benchlab, cli, modelfile
 from tinyhar.cli import main
+from tinyhar.datapipe import (ChannelGroup, make_windows, normalize,
+                              split_by_session)
 from tinyhar.model_ir import ModelGraph, build_mc_cnn
 from tinyhar.quantizer import QuantizedModel
 
@@ -137,6 +140,139 @@ class TestEval:
         bad.write_bytes(b"NOPE" + b"\x00" * 32)
         assert run("eval", "--model", str(bad), "--data", str(dataset),
                    "--out", str(tmp_path / "o")) == 1
+
+
+@pytest.fixture(scope="module")
+def long_dataset(tmp_path_factory):
+    """Three 150 s sessions: each holds 75 windows of 12 steps at stride
+    12, more than quantize's default of 64 representative windows."""
+    out = tmp_path_factory.mktemp("long")
+    assert run("synth", "--seed", "8", "--subjects", "1", "--sessions", "3",
+               "--duration-s", "150", "--out", str(out)) == 0
+    return out
+
+
+def session_csv(data, session):
+    return data / f"subject01_session{session}.csv"
+
+
+@pytest.fixture
+def ingested(monkeypatch):
+    """The paths the CLI ingests, in order."""
+    paths = []
+    ingest = cli.ingest_csv
+
+    def recording(path):
+        paths.append(Path(path))
+        return ingest(path)
+
+    monkeypatch.setattr(cli, "ingest_csv", recording)
+    return paths
+
+
+def captured(monkeypatch, module, name, arg):
+    """Calls of ``module.name`` go through; their argument ``arg`` is kept."""
+    seen = []
+    fn = getattr(module, name)
+
+    def keep(*args):
+        seen.append(args[arg])
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, keep)
+    return seen
+
+
+class TestStoredStats:
+    """eval and quantize z-score with the statistics the model file carries
+    and read only the sessions they need."""
+
+    @pytest.fixture(scope="class")
+    def prepared(self, dataset, trained):
+        # the split cmd_train made for the trained fixture
+        return benchlab.prepared_windows(
+            cli._load_dataset(str(dataset)), ChannelGroup.G17, 12, 12, 2)
+
+    def test_eval_reads_only_the_held_out_csv(self, long_dataset, trained,
+                                              tmp_path, ingested):
+        assert run("eval", "--model", str(trained), "--data",
+                   str(long_dataset), "--held-out-session", "2",
+                   "--out", str(tmp_path / "e")) == 0
+        assert ingested == [session_csv(long_dataset, 2)]
+
+    def test_quantize_at_defaults_reads_only_the_first_training_csv(
+            self, long_dataset, trained, tmp_path, ingested):
+        assert run("quantize", "--model", str(trained), "--data",
+                   str(long_dataset), "--out", str(tmp_path / "q")) == 0
+        assert ingested == [session_csv(long_dataset, 1)]
+
+    def test_stats_round_trip_through_float_and_int8_files(
+            self, dataset, trained, prepared, tmp_path):
+        assert run("quantize", "--model", str(trained), "--data",
+                   str(dataset), "--held-out-session", "2",
+                   "--out", str(tmp_path)) == 0
+        for path in (trained, tmp_path / "model_int8.thar"):
+            stats = modelfile.load(path).stats
+            assert stats.mean.tobytes() == prepared.stats.mean.tobytes()
+            assert stats.std.tobytes() == prepared.stats.std.tobytes()
+
+    @pytest.mark.parametrize("stride", [12, 5, 1])
+    def test_eval_normalizes_as_training_did(self, dataset, trained, prepared,
+                                             tmp_path, monkeypatch, stride):
+        samples = captured(monkeypatch, benchlab, "evaluate", 5)
+        assert run("eval", "--model", str(trained), "--data", str(dataset),
+                   "--stride", str(stride), "--held-out-session", "2",
+                   "--out", str(tmp_path)) == 0
+        held_out = [s for s in cli._load_dataset(str(dataset))
+                    if s.session == 2]
+        expected = normalize(make_windows(held_out, 12, stride,
+                                          ChannelGroup.G17), prepared.stats)
+        if stride == 12:  # the training stride: the very windows it held out
+            assert expected.x.tobytes() == prepared.test.x.tobytes()
+        assert samples[0].x.tobytes() == expected.x.tobytes()
+        assert np.array_equal(samples[0].y, expected.y)
+
+    @pytest.mark.parametrize("rep, stride", [(64, 12), (100, 12), (500, 12),
+                                             (8, 5)])
+    def test_quantize_keeps_the_representative_windows(
+            self, long_dataset, trained, tmp_path, monkeypatch, rep, stride):
+        """The first --rep-windows training windows, as when every session
+        was windowed and split, z-scored with the model's statistics."""
+        rep_sets = captured(monkeypatch, cli, "quantize_model", 1)
+        assert run("quantize", "--model", str(trained), "--data",
+                   str(long_dataset), "--held-out-session", "3",
+                   "--rep-windows", str(rep), "--stride", str(stride),
+                   "--out", str(tmp_path)) == 0
+        windows = make_windows(cli._load_dataset(str(long_dataset)), 12,
+                               stride, ChannelGroup.G17)
+        train = split_by_session(windows, 3)[0][:rep]
+        expected = normalize(train, modelfile.load(trained).stats)
+        got = rep_sets[0]
+        for field in ("y", "subject", "session"):
+            assert np.array_equal(getattr(got, field),
+                                  getattr(expected, field))
+        assert got.x.tobytes() == expected.x.tobytes()
+
+    @pytest.mark.parametrize("command", ["eval", "quantize"])
+    def test_model_without_stats_exits_one(self, dataset, tmp_path, capsys,
+                                           command):
+        path = tmp_path / "untrained.thar"
+        modelfile.save(build_mc_cnn(17, 12, 8, seed=0), path)
+        assert run(command, "--model", str(path), "--data", str(dataset),
+                   "--held-out-session", "2", "--out", str(tmp_path)) == 1
+        assert "tinyhar train" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "quantize"])
+    def test_version_1_file_exits_one(self, dataset, trained, tmp_path,
+                                      capsys, command):
+        data = bytearray(trained.read_bytes())
+        data[4:8] = (1).to_bytes(4, "little")
+        path = tmp_path / "v1.thar"
+        path.write_bytes(bytes(data))
+        assert run(command, "--model", str(path), "--data", str(dataset),
+                   "--held-out-session", "2", "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert "file version 1" in err and "tinyhar train" in err
 
 
 class TestBench:

@@ -1,4 +1,6 @@
+import dataclasses
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -7,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 from tinyhar import float_engine as fe
 from tinyhar import int8_engine as ie
 from tinyhar import modelfile
-from tinyhar.model_ir import (LayerKind, ShapeMismatchError,
+from tinyhar.datapipe import DatasetStats
+from tinyhar.model_ir import (LayerKind, ModelGraph, ShapeMismatchError,
                               build_deep_conv_lstm, build_mc_cnn)
-from tinyhar.modelfile import (CorruptHeaderError, ModelFileError,
-                               TruncatedPayloadError, VersionMismatchError,
-                               deserialize, serialize)
+from tinyhar.modelfile import (ChecksumError, CorruptHeaderError,
+                               ModelFileError, TruncatedPayloadError,
+                               VersionMismatchError, deserialize, serialize)
 from tinyhar.quantizer import AccumulatorOverflowError, quantize_model
 
 
@@ -25,6 +28,33 @@ def quant_model(float_graph):
     rng = np.random.default_rng(0)
     rep = [rng.normal(size=(24, 23)) for _ in range(4)]
     return quantize_model(float_graph, rep)
+
+
+def stats_for(channels: int, seed: int = 0) -> DatasetStats:
+    rng = np.random.default_rng(seed)
+    return DatasetStats(mean=rng.normal(size=channels),
+                        std=rng.uniform(0.0, 3.0, size=channels))
+
+
+def body(model) -> bytearray:
+    """The serialized model without its CRC trailer, to edit and reseal:
+    a test of a check behind the CRC needs a file whose CRC holds."""
+    return bytearray(serialize(model)[:-4])
+
+
+def sealed(data) -> bytes:
+    return bytes(data) + struct.pack("<I", zlib.crc32(bytes(data)))
+
+
+def stats_record(mean, std) -> bytes:
+    """A stats record as the format documents it: flag 1, then float64
+    tensor records "mean" and "std"."""
+    record = b"\x01"
+    for name, arr in (("mean", mean), ("std", std)):
+        payload = np.asarray(arr, "<f8").tobytes()
+        record += struct.pack(f"<H{len(name)}sBBIQ", len(name), name.encode(),
+                              3, 1, len(arr), len(payload)) + payload
+    return record
 
 
 def test_float_round_trip_bit_exact(float_graph):
@@ -113,9 +143,9 @@ def test_version_mismatch_rejected(float_graph):
 
 
 def test_truncated_mid_tensor_rejected(float_graph):
-    data = serialize(float_graph)
+    data = body(float_graph)
     with pytest.raises(TruncatedPayloadError):
-        deserialize(data[:len(data) // 2])
+        deserialize(sealed(data[:len(data) // 2]))
 
 
 def test_truncated_header_rejected(float_graph):
@@ -140,22 +170,22 @@ LAYER_RECORD_BYTES = struct.calcsize("<B7Id")
 def test_bad_layer_kind_raises_corrupt_header(float_graph, quant_model, kind):
     # layer 1 is a ReLU; as a pool its pool width reads 0
     for model in (float_graph, quant_model):
-        data = bytearray(serialize(model))
+        data = body(model)
         data[HEADER_BYTES + LAYER_RECORD_BYTES] = kind
         with pytest.raises(CorruptHeaderError):
-            deserialize(bytes(data))
+            deserialize(sealed(data))
 
 
 def test_accumulator_overflow_raises_on_load(quant_model):
     # the first int32 bias record is conv 0's; set it just inside int32
     filters = len(quant_model.layers[0].bias)
     record = struct.pack("<H1sBBIQ", 1, b"b", 2, 1, filters, 4 * filters)
-    data = bytearray(serialize(quant_model))
+    data = body(quant_model)
     start = data.index(record) + len(record)
     data[start:start + 4 * filters] = np.full(filters, 2**31 - 1000,
                                               "<i4").tobytes()
     with pytest.raises(CorruptHeaderError) as info:
-        deserialize(bytes(data))
+        deserialize(sealed(data))
     assert isinstance(info.value.__cause__, AccumulatorOverflowError)
 
 
@@ -163,10 +193,10 @@ def test_non_finite_input_scale_raises_on_load(quant_model):
     # the input quant params follow the layer records: f64 scale, i32 zp
     start = HEADER_BYTES + LAYER_RECORD_BYTES * len(quant_model.layers)
     for scale in (np.nan, np.inf):
-        data = bytearray(serialize(quant_model))
+        data = body(quant_model)
         data[start:start + 8] = struct.pack("<d", scale)
-        with pytest.raises(ModelFileError):
-            deserialize(bytes(data))
+        with pytest.raises(CorruptHeaderError):
+            deserialize(sealed(data))
 
 
 def test_wrong_tensor_dtype_raises_on_load(float_graph, quant_model):
@@ -181,25 +211,115 @@ def test_wrong_tensor_dtype_raises_on_load(float_graph, quant_model):
         (quant_model, struct.pack("<H1sB", 1, b"b", 2), 0),
     ]
     for model, record, code in cases:
-        data = bytearray(serialize(model))
+        data = body(model)
         data[data.index(record) + len(record) - 1] = code
         with pytest.raises(CorruptHeaderError, match="dtype code"):
+            deserialize(sealed(data))
+
+
+def test_stats_round_trip_bit_exact(float_graph, quant_model):
+    stats = stats_for(23)
+    for model in (float_graph, quant_model):
+        restored = deserialize(serialize(
+            dataclasses.replace(model, stats=stats)))
+        for name in ("mean", "std"):
+            back = getattr(restored.stats, name)
+            assert back.dtype == np.dtype("<f8")
+            assert back.tobytes() == getattr(stats, name).tobytes()
+            assert not back.flags.writeable
+        assert deserialize(serialize(model)).stats is None
+
+
+def test_stats_record_layout(float_graph, quant_model):
+    """The stats record follows the parameters and precedes the CRC; a
+    model without statistics writes only its zero flag."""
+    stats = stats_for(23)
+    for model in (float_graph, quant_model):
+        without = body(model)
+        assert without[-1] == 0
+        with_stats = serialize(dataclasses.replace(model, stats=stats))
+        assert with_stats == sealed(without[:-1]
+                                    + stats_record(stats.mean, stats.std))
+
+
+@pytest.mark.parametrize("mean, std", [
+    (np.zeros(22), np.ones(22)),                        # one channel short
+    (np.zeros(24), np.ones(24)),                        # one channel over
+    (np.zeros(23), np.ones(22)),                        # std alone short
+    (np.r_[np.nan, np.zeros(22)], np.ones(23)),
+    (np.zeros(23), np.r_[np.ones(22), np.inf]),
+    (np.zeros(23), np.r_[np.ones(22), -1.0]),
+])
+def test_bad_stats_raise_corrupt_header(float_graph, quant_model, mean, std):
+    for model in (float_graph, quant_model):
+        data = body(model)[:-1] + stats_record(mean, std)
+        with pytest.raises(CorruptHeaderError):
+            deserialize(sealed(data))
+
+
+def test_bad_stats_rejected_when_built(float_graph):
+    with pytest.raises(ShapeMismatchError):
+        dataclasses.replace(float_graph, stats=stats_for(22))
+    with pytest.raises(ValueError):
+        dataclasses.replace(float_graph, stats=DatasetStats(
+            np.zeros(23), np.full(23, np.nan)))
+
+
+def test_version_1_file_rejected(float_graph):
+    data = bytearray(serialize(float_graph))
+    data[4:8] = (1).to_bytes(4, "little")
+    with pytest.raises(VersionMismatchError):
+        deserialize(bytes(data))
+
+
+def test_weight_byte_change_raises_checksum_error(float_graph, quant_model):
+    """One changed byte inside a weight payload, a change no structural
+    check can see, is caught by the CRC."""
+    for model, header in (
+            (float_graph, struct.pack("<H1sBB", 1, b"w", 0, 3)),
+            (quant_model, struct.pack("<H1sBB", 1, b"w", 1, 3))):
+        data = bytearray(serialize(model))
+        # conv 0's weights: skip the three dims and the payload length
+        start = data.index(header) + len(header) + 3 * 4 + 8
+        data[start + 5] ^= 0x01
+        with pytest.raises(ChecksumError):
             deserialize(bytes(data))
+
+
+def test_trailing_bytes_rejected(float_graph):
+    with pytest.raises(CorruptHeaderError, match="follow the stats"):
+        deserialize(sealed(body(float_graph) + b"\x00"))
 
 
 @pytest.fixture(scope="module")
 def fuzz_files():
-    """Small models of each architecture and precision, serialized, and
-    the windows they were calibrated on."""
+    """Small models of each architecture and precision with statistics,
+    serialized, the windows they were calibrated on, and what the models
+    compute on those windows."""
     x = np.random.default_rng(0).normal(size=(4, 12, 6))
-    files = {}
+    stats = stats_for(6)
+    files, outputs = {}, {}
     for arch, graph in (("mc_cnn", build_mc_cnn(6, 12, 8, dense_width=6,
                                                 seed=0)),
                         ("deep_conv_lstm", build_deep_conv_lstm(
                             6, 12, 4, hidden=5, seed=0))):
-        files[arch, "float"] = serialize(graph)
-        files[arch, "int8"] = serialize(quantize_model(graph, x))
-    return x, files
+        graph = dataclasses.replace(graph, stats=stats)
+        for precision, model in (("float", graph),
+                                 ("int8", quantize_model(graph, x))):
+            files[arch, precision] = serialize(model)
+            outputs[arch, precision] = fuzz_outputs(model, x)
+    return x, files, outputs
+
+
+def fuzz_outputs(model, x):
+    """Every bit a loaded model shows: its statistics and its outputs on
+    ``x``, with the int8 saturation counts."""
+    stats = model.stats.mean.tobytes() + model.stats.std.tobytes()
+    if isinstance(model, ModelGraph):
+        return stats, fe.forward(model, x).tobytes()
+    audit = ie.SaturationAudit()
+    probs, classes = ie.run_quantized(model, x, audit)
+    return stats, probs.tobytes(), classes.tolist(), audit
 
 
 @pytest.mark.parametrize("arch", ["mc_cnn", "deep_conv_lstm"])
@@ -210,11 +330,9 @@ def fuzz_files():
 def test_corrupt_file_raises_model_file_error_or_runs(fuzz_files, arch,
                                                       precision, edits):
     """A corrupted file either raises a ModelFileError on load, or loads a
-    model that classifies the original windows. A changed window length
-    that no parameter shape depends on loads, and the original windows
-    then raise ShapeMismatchError; input is never built from the file's
-    dims, which could ask for gigabytes."""
-    x, files = fuzz_files
+    model that runs bit-identically to the original on the original
+    windows, with the same statistics."""
+    x, files, outputs = fuzz_files
     data = bytearray(files[arch, precision])
     for where, value in edits:
         data[where % len(data)] = value
@@ -222,10 +340,4 @@ def test_corrupt_file_raises_model_file_error_or_runs(fuzz_files, arch,
         model = deserialize(bytes(data))
     except ModelFileError:
         return
-    run = fe.forward if precision == "float" else ie.run_quantized
-    with np.errstate(all="ignore"):  # corrupt weights may overflow
-        if model.input_shape == x.shape[1:]:
-            run(model, x)
-        else:
-            with pytest.raises(ShapeMismatchError):
-                run(model, x)
+    assert fuzz_outputs(model, x) == outputs[arch, precision]
