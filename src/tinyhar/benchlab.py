@@ -141,13 +141,12 @@ def prepared_windows(sessions, group: ChannelGroup, window_len: int,
 
 
 def evaluate(model, arch: str, group: ChannelGroup, level: str, filters: int,
-             samples: Windows | None = None) -> EvalReport:
-    """The report of a float ModelGraph or a QuantizedModel: serialized
-    size and MCU estimates, plus accuracy, macro F1 and confusion on
-    ``samples`` when given."""
+             size: int, samples: Windows | None = None) -> EvalReport:
+    """The report of a float ModelGraph or a QuantizedModel whose
+    serialized size is ``size`` bytes: that size and MCU estimates, plus
+    accuracy, macro F1 and confusion on ``samples`` when given."""
     precision = (Precision.INT8_FULL if isinstance(model, QuantizedModel)
                  else Precision.FLOAT32)
-    size = len(modelfile.serialize(model))
     report = EvalReport(arch=arch, group=group, level=level, filters=filters,
                         precision=precision, model_size_bytes=size,
                         mcu_results=mcu_results_for(model, precision, size))
@@ -178,7 +177,7 @@ def run_config(split: PreparedSplit, arch: str, group: ChannelGroup,
     reports = []
     for model in (graph, qmodel):
         report = evaluate(model, arch, group, level, filters_for(arch, level),
-                          samples)
+                          len(modelfile.serialize(model)), samples)
         if cfg.measure_host_latency:
             report.host_latency = int8_engine.timed_inference(
                 model, test_set[0].window, LATENCY_REPS)

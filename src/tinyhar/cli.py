@@ -186,7 +186,8 @@ def cmd_eval(args) -> int:
                        f"produced no windows")
     first_conv = next(s for s in layers if s.kind == LayerKind.CONV1D)
     report = benchlab.evaluate(model, arch, group, "custom",
-                               first_conv.out_filters, test_set)
+                               first_conv.out_filters,
+                               Path(args.model).stat().st_size, test_set)
     benchlab.render_report([report], outdir)
     print(f"accuracy {report.accuracy:.4f}, macro F1 {report.macro_f1:.4f}, "
           f"size {report.model_size_bytes} bytes; report in {outdir}")
@@ -236,7 +237,7 @@ def cmd_mcu_check(args) -> int:
             raise CliError(f"unknown profile {args.profile!r}; "
                            f"available: {', '.join(sorted(profiles))}")
         profiles = {args.profile: profiles[args.profile]}
-    size = len(modelfile.serialize(model))
+    size = Path(args.model).stat().st_size
     arena = mcu.estimate_arena(model)
     rows = ["profile,flash_ok,sram_ok,flash_needed_bytes,arena_needed_bytes"]
     for name in sorted(profiles):
@@ -273,13 +274,16 @@ def build_parser() -> _Parser:
     p.add_argument("--duration-s", type=float, default=300.0,
                    help="session length in seconds")
 
-    def add_windowing(p):
-        p.add_argument("--window-len", type=int, default=24,
-                       help="window length in samples (6 Hz)")
+    def add_split(p):  # a model file fixes its own window length
         p.add_argument("--stride", type=int, default=12,
                        help="window stride in samples")
         p.add_argument("--held-out-session", type=int, default=5,
                        help="session id held out as test split")
+
+    def add_windowing(p):
+        p.add_argument("--window-len", type=int, default=24,
+                       help="window length in samples (6 Hz)")
+        add_split(p)
 
     p = add("train", cmd_train, "train a float MC-CNN model")
     p.add_argument("--data", required=True, help="dataset directory")
@@ -299,12 +303,12 @@ def build_parser() -> _Parser:
                    help="dataset directory (representative set source)")
     p.add_argument("--rep-windows", type=int, default=64,
                    help="representative window count for calibration")
-    add_windowing(p)
+    add_split(p)
 
     p = add("eval", cmd_eval, "evaluate a model on the held-out session")
     p.add_argument("--model", required=True, help=".thar model file")
     p.add_argument("--data", required=True, help="dataset directory")
-    add_windowing(p)
+    add_split(p)
 
     p = add("bench", cmd_bench, "measure host inference latency")
     p.add_argument("--model", required=True, help=".thar model file")

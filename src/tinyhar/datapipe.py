@@ -12,8 +12,10 @@ Channel layout (791 columns, fixed order):
 
 CSV files carry 793 columns: timestamp_ms, the 791 channels, label.
 
-The pipeline works on whole arrays. ``ingest_csv`` parses a file with
-``np.loadtxt`` and validates it in one vectorised pass. ``make_windows``
+The pipeline works on whole arrays. ``ingest_csv`` is the one CSV parser:
+it reads a file with one ``np.loadtxt`` call, validates it in one
+vectorised pass and names the line of the first error from those arrays.
+``make_windows``
 returns :class:`Windows`: every window is a read-only row view over one
 array of channel-selected frames, and indexing keeps the old list
 semantics. ``normalize`` z-scores each frame row that some window covers
@@ -135,77 +137,70 @@ class SensorStream:
     values: np.ndarray      # (n, width)
 
 
+def _rows(lines: list[str]):
+    """``lines`` as one (N, 793) array in a single ``np.loadtxt`` call, or
+    None when some line is not a row of 793 numeric cells."""
+    if not lines:
+        return np.empty((0, len(CSV_HEADER)))
+    if "" in lines:  # loadtxt skips blank lines, and warns if none is left
+        return None
+    try:
+        # labels go through int(), so "3.0" fails
+        data = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"',
+                          ndmin=2, converters={len(CSV_HEADER) - 1: int})
+    except ValueError:
+        return None
+    return data if data.shape == (len(lines), len(CSV_HEADER)) else None
+
+
 def ingest_csv(path):
     """Parse one recording CSV into (timestamps, frames, labels).
 
-    Validates the 793-column header, the column count of every row,
-    integral labels in 0..14, finite values and strictly increasing
-    timestamps. ``np.loadtxt`` parses the rows and one vectorised pass
-    checks them; a file that fails to parse or to check is handed to the
-    row parser, which names the offending line, so both paths accept the
-    same files and raise the same errors.
+    The grammar is ``np.loadtxt``'s: 793 comma-separated cells per line,
+    any of them quoted with ``"``; the timestamp and the 791 channels are
+    ASCII decimal, ``nan`` or ``inf`` numbers (no ``_`` digit separator),
+    and the label is an integer as ``int()`` reads it. Validates the
+    header, finite values, strictly increasing timestamps and labels in
+    0..14. Each error names its line, the header being line 1: the first
+    row that fails a check (within a row: non-finite, then timestamp, then
+    label), or else the first line that is not a full row.
     """
     with open(path) as fh:  # universal newlines split rows as csv does
         header_line, _, body = fh.read().partition("\n")
+    if next(csv.reader([header_line]), None) != CSV_HEADER:
+        raise HeaderMismatchError(
+            f"{path}: header does not match the documented "
+            f"{len(CSV_HEADER)}-column layout")
     lines = body.split("\n")
     if lines[-1] == "":
         lines.pop()
-    if next(csv.reader([header_line]), None) != CSV_HEADER or not lines:
-        return _ingest_rows(path)  # raises on a bad header
-    try:
-        # labels go through int() as in the row parser, so "3.0" fails
-        data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
-                          converters={len(CSV_HEADER) - 1: int})
-    except ValueError:
-        return _ingest_rows(path)
+    data = _rows(lines)
+    readable = len(lines)
+    if data is None:  # check the rows before the first unreadable line
+        # a quote left open on one line runs on into the next
+        readable = next(i for i, line in enumerate(lines)
+                        if line.count('"') % 2 or _rows([line]) is None)
+        data = _rows(lines[:readable])
     timestamps, labels = data[:, 0], data[:, -1]
-    # loadtxt skips blank lines, which the row parser rejects
-    if (data.shape != (len(lines), len(CSV_HEADER))
-            or not np.isfinite(data).all()
-            or np.any(timestamps[1:] <= timestamps[:-1])
-            or np.any((labels < 0) | (labels >= NUM_CLASSES))):
-        return _ingest_rows(path)
+    failed = np.stack([~np.isfinite(data).all(axis=1),
+                       np.diff(timestamps, prepend=-np.inf) <= 0,
+                       (labels < 0) | (labels >= NUM_CLASSES)])
+    if failed.any():
+        row = int(failed.any(axis=0).argmax())
+        where = f"{path}:{row + 2}:"
+        if failed[0, row]:
+            raise RowParseError(f"{where} non-finite value")
+        if failed[1, row]:
+            raise NonMonotonicTimestampError(
+                f"{where} timestamp {timestamps[row]} does not increase "
+                f"past {timestamps[row - 1]}")
+        raise RowParseError(f"{where} label {int(labels[row])} outside "
+                            f"0..{NUM_CLASSES - 1}")
+    if readable < len(lines):
+        raise RowParseError(f"{path}:{readable + 2}: not a row of "
+                            f"{len(CSV_HEADER)} numeric cells")
     return (timestamps.copy(), np.ascontiguousarray(data[:, 1:-1]),
             labels.astype(np.int64))
-
-
-def _ingest_rows(path):
-    """Row-at-a-time parser behind :func:`ingest_csv`: the reference its
-    fast path must agree with, and the one that names a bad line."""
-    timestamps, frames, labels = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != CSV_HEADER:
-            raise HeaderMismatchError(
-                f"{path}: header does not match the documented "
-                f"{len(CSV_HEADER)}-column layout")
-        prev_ts = None
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(CSV_HEADER):
-                raise RowParseError(
-                    f"{path}:{line_no}: expected {len(CSV_HEADER)} columns, "
-                    f"got {len(row)}")
-            try:
-                ts = float(row[0])
-                values = np.array(row[1:-1], dtype=np.float64)
-                label = int(row[-1])
-            except ValueError as exc:
-                raise RowParseError(f"{path}:{line_no}: {exc}") from None
-            if not (np.isfinite(ts) and np.isfinite(values).all()):
-                raise RowParseError(f"{path}:{line_no}: non-finite value")
-            if prev_ts is not None and ts <= prev_ts:
-                raise NonMonotonicTimestampError(
-                    f"{path}:{line_no}: timestamp {ts} does not increase "
-                    f"past {prev_ts}")
-            if not 0 <= label < NUM_CLASSES:
-                raise RowParseError(
-                    f"{path}:{line_no}: label {label} outside 0..{NUM_CLASSES - 1}")
-            prev_ts = ts
-            timestamps.append(ts)
-            frames.append(values)
-            labels.append(label)
-    return (np.array(timestamps), np.array(frames).reshape(-1, NUM_CHANNELS),
-            np.array(labels, dtype=np.int64))
 
 
 # one CSV row: timestamp, the 791 channels, label

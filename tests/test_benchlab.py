@@ -100,7 +100,8 @@ class TestEvaluate:
 
     def test_without_samples(self, models):
         for model, precision in zip(models, Precision):
-            r = benchlab.evaluate(model, "mc_cnn", ChannelGroup.G17, "N1", 128)
+            r = benchlab.evaluate(model, "mc_cnn", ChannelGroup.G17, "N1", 128,
+                                  len(modelfile.serialize(model)))
             assert r.precision == precision
             assert math.isnan(r.accuracy) and math.isnan(r.macro_f1)
             assert r.confusion is None
@@ -109,10 +110,10 @@ class TestEvaluate:
     def test_with_samples(self, models, tiny_split):
         samples = tiny_split[1][:10]
         for model, precision in zip(models, Precision):
-            r = benchlab.evaluate(model, "mc_cnn", ChannelGroup.G17, "N1", 128,
-                                  samples)
-            preds, labels = benchlab.classify(model, samples)
             size = len(modelfile.serialize(model))
+            r = benchlab.evaluate(model, "mc_cnn", ChannelGroup.G17, "N1", 128,
+                                  size, samples)
+            preds, labels = benchlab.classify(model, samples)
             assert r.precision == precision
             assert r.accuracy == metrics.accuracy(preds, labels)
             assert r.macro_f1 == metrics.macro_f1(preds, labels)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tinyhar import benchlab, cli, modelfile
+from tinyhar import benchlab, cli, mcu, modelfile
 from tinyhar.cli import main
 from tinyhar.datapipe import (ChannelGroup, make_windows, normalize,
                               split_by_session)
@@ -79,7 +79,7 @@ class TestQuantize:
     def test_produces_int8_model(self, dataset, trained, tmp_path):
         out = tmp_path / "q"
         code = run("quantize", "--model", str(trained), "--data",
-                   str(dataset), "--window-len", "12", "--stride", "12",
+                   str(dataset), "--stride", "12",
                    "--held-out-session", "2", "--rep-windows", "8",
                    "--out", str(out))
         assert code == 0
@@ -92,10 +92,10 @@ class TestQuantize:
     def test_rejects_already_quantized(self, dataset, trained, tmp_path):
         out = tmp_path / "q1"
         assert run("quantize", "--model", str(trained), "--data",
-                   str(dataset), "--window-len", "12", "--stride", "12",
+                   str(dataset), "--stride", "12",
                    "--held-out-session", "2", "--out", str(out)) == 0
         assert run("quantize", "--model", str(out / "model_int8.thar"),
-                   "--data", str(dataset), "--window-len", "12",
+                   "--data", str(dataset),
                    "--out", str(tmp_path / "q2")) == 1
 
 
@@ -119,8 +119,8 @@ class TestEval:
         model = trained
         if quantized:
             assert run("quantize", "--model", str(trained), "--data",
-                       str(dataset), "--window-len", "12", "--held-out-session",
-                       "2", "--out", str(tmp_path / "q")) == 0
+                       str(dataset), "--held-out-session", "2",
+                       "--out", str(tmp_path / "q")) == 0
             model = tmp_path / "q" / "model_int8.thar"
         bad = tmp_path / "bad_data"
         bad.mkdir()
@@ -219,7 +219,7 @@ class TestStoredStats:
     @pytest.mark.parametrize("stride", [12, 5, 1])
     def test_eval_normalizes_as_training_did(self, dataset, trained, prepared,
                                              tmp_path, monkeypatch, stride):
-        samples = captured(monkeypatch, benchlab, "evaluate", 5)
+        samples = captured(monkeypatch, benchlab, "evaluate", 6)
         assert run("eval", "--model", str(trained), "--data", str(dataset),
                    "--stride", str(stride), "--held-out-session", "2",
                    "--out", str(tmp_path)) == 0
@@ -311,6 +311,32 @@ class TestMcuCheck:
         assert "huge,1,1" in (out / "feasibility.csv").read_text()
 
 
+class TestLoadedModelSize:
+    """eval and mcu-check take a loaded model's size from its file."""
+
+    @pytest.fixture
+    def no_serialize(self, monkeypatch):
+        def refuse(model):
+            raise RuntimeError("a loaded model was serialized again")
+
+        monkeypatch.setattr(modelfile, "serialize", refuse)
+
+    def test_eval(self, dataset, trained, tmp_path, no_serialize):
+        out = tmp_path / "e"
+        assert run("eval", "--model", str(trained), "--data", str(dataset),
+                   "--held-out-session", "2", "--out", str(out)) == 0
+        rows = benchlab.parse_report_csv((out / "report.csv").read_text())
+        assert int(rows[0]["model_size_bytes"]) == trained.stat().st_size
+
+    def test_mcu_check(self, trained, tmp_path, no_serialize):
+        out = tmp_path / "m"
+        assert run("mcu-check", "--model", str(trained),
+                   "--out", str(out)) == 0
+        rows = (out / "feasibility.csv").read_text().splitlines()[1:]
+        assert {int(row.split(",")[3]) for row in rows} == {
+            trained.stat().st_size + mcu.DEFAULT_FLASH_OVERHEAD}
+
+
 class TestSweepCommand:
     def test_small_sweep_deterministic(self, dataset, tmp_path):
         args = ("sweep", "--data", str(dataset), "--window-len", "12",
@@ -340,6 +366,14 @@ class TestFlags:
         assert echo["subjects"] == 1       # explicit flag wins
         assert echo["duration_s"] == 10.0  # config value applied
         assert echo["seed"] == 99
+
+    @pytest.mark.parametrize("command, window_len", [("eval", "99"),
+                                                     ("quantize", "5")])
+    def test_window_len_is_the_models_own(self, dataset, trained, tmp_path,
+                                          command, window_len):
+        assert run(command, "--model", str(trained), "--data", str(dataset),
+                   "--window-len", window_len, "--held-out-session", "2",
+                   "--out", str(tmp_path / "o")) == 1
 
     def test_missing_config_file_exits_one(self, tmp_path):
         assert run("synth", "--config", str(tmp_path / "nope.json"),

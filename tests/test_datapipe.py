@@ -39,6 +39,50 @@ class TestChannelGroups:
             dp.ChannelGroup.from_width(100)
 
 
+def _ingest_rows(path):
+    """Row-at-a-time CSV parser: the reference ``ingest_csv`` must agree
+    with, naming the same line. A float cell holding ``_`` or a non-ASCII
+    character is a parse error, as in ``np.loadtxt``, though ``float()``
+    reads it."""
+    timestamps, frames, labels = [], [], []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != dp.CSV_HEADER:
+            raise dp.HeaderMismatchError(
+                f"{path}: header does not match the documented "
+                f"{len(dp.CSV_HEADER)}-column layout")
+        prev_ts = None
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != len(dp.CSV_HEADER):
+                raise dp.RowParseError(
+                    f"{path}:{line_no}: expected {len(dp.CSV_HEADER)} "
+                    f"columns, got {len(row)}")
+            try:
+                if any("_" in cell or not cell.isascii() for cell in row[:-1]):
+                    raise ValueError("not an ASCII number without '_'")
+                ts = float(row[0])
+                values = np.array(row[1:-1], dtype=np.float64)
+                label = int(row[-1])
+            except ValueError as exc:
+                raise dp.RowParseError(f"{path}:{line_no}: {exc}") from None
+            if not (np.isfinite(ts) and np.isfinite(values).all()):
+                raise dp.RowParseError(f"{path}:{line_no}: non-finite value")
+            if prev_ts is not None and ts <= prev_ts:
+                raise dp.NonMonotonicTimestampError(
+                    f"{path}:{line_no}: timestamp {ts} does not increase "
+                    f"past {prev_ts}")
+            if not 0 <= label < dp.NUM_CLASSES:
+                raise dp.RowParseError(
+                    f"{path}:{line_no}: label {label} outside "
+                    f"0..{dp.NUM_CLASSES - 1}")
+            prev_ts = ts
+            timestamps.append(ts)
+            frames.append(values)
+            labels.append(label)
+    return (np.array(timestamps), np.array(frames).reshape(-1, dp.NUM_CHANNELS),
+            np.array(labels, dtype=np.int64))
+
+
 class TestCsvRoundTrip:
     def _sample(self, n=5):
         rng = np.random.default_rng(0)
@@ -111,8 +155,40 @@ class TestCsvRoundTrip:
         cells[column] = bad
         lines[2] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
-        for parse in (dp.ingest_csv, dp._ingest_rows):
+        for parse in (dp.ingest_csv, _ingest_rows):
             with pytest.raises(dp.RowParseError, match=":3: non-finite"):
+                parse(path)
+
+    def test_first_failing_check_is_reported(self, tmp_path):
+        """Within a row, non-finite comes before the label check; a failing
+        row comes before a later line that is not a full row."""
+        ts, frames, labels = self._sample(3)
+        frames[0, 4] = np.nan
+        labels[0] = 99
+        path = tmp_path / "rec.csv"
+        dp.write_csv(path, ts, frames, labels)
+        lines = path.read_text().splitlines()
+        lines[3] = "1.0,2.0,3.0"
+        path.write_text("\n".join(lines) + "\n")
+        for parse in (dp.ingest_csv, _ingest_rows):
+            with pytest.raises(dp.RowParseError, match=":2: non-finite"):
+                parse(path)
+
+    @pytest.mark.parametrize("column, edit", [
+        *((c, '"{}') for c in (0, 5, 792)),  # a quote left open
+        # cells float() reads as 10.0 and 1.0
+        *((c, bad) for c in (0, 5) for bad in ("1_0", "\u0661"))])
+    def test_unreadable_cell_names_line(self, tmp_path, column, edit):
+        ts, frames, labels = self._sample(3)
+        path = tmp_path / "rec.csv"
+        dp.write_csv(path, ts, frames, labels)
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[column] = edit.format(cells[column])
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        for parse in (dp.ingest_csv, _ingest_rows):
+            with pytest.raises(dp.RowParseError, match=":3:"):
                 parse(path)
 
     def test_write_csv_bytes_match_csv_writer(self, tmp_path):
@@ -169,7 +245,7 @@ def _corrupt(rows, kind, i, c):
 
 
 def _assert_paths_agree(kinds, row, column, seed):
-    """Corrupt a 4-row CSV; the fast path and the row parser must return
+    """Corrupt a 4-row CSV; ``ingest_csv`` and the row parser must return
     bit-identical arrays, or raise the same error type naming the same
     line."""
     rng = np.random.default_rng(seed)
@@ -187,7 +263,7 @@ def _assert_paths_agree(kinds, row, column, seed):
         path.write_text("\n".join([header] + [",".join(r) for r in rows])
                         + "\n")
         fast = _parse(dp.ingest_csv, path)
-        reference = _parse(dp._ingest_rows, path)
+        reference = _parse(_ingest_rows, path)
     assert len(fast) == len(reference)
     if len(reference) == 2:  # (error type, line)
         assert fast == reference
@@ -198,7 +274,7 @@ def _assert_paths_agree(kinds, row, column, seed):
 
 
 class TestIngestOracle:
-    """The loadtxt fast path of ``ingest_csv`` against the row parser."""
+    """``ingest_csv`` against the row-at-a-time oracle ``_ingest_rows``."""
 
     @pytest.mark.parametrize("kind", _CORRUPTIONS)
     def test_each_corruption(self, kind):
@@ -219,7 +295,7 @@ class TestIngestOracle:
         path = tmp_path / "rec.csv"
         dp.write_csv(path, np.arange(n) * dp.GRID_STEP_MS, frames,
                      rng.integers(0, dp.NUM_CLASSES, size=n))
-        for got, want in zip(dp.ingest_csv(path), dp._ingest_rows(path)):
+        for got, want in zip(dp.ingest_csv(path), _ingest_rows(path)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.flags.c_contiguous
             assert got.tobytes() == want.tobytes()
