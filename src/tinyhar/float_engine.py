@@ -7,8 +7,9 @@ Every matrix product runs one GEMV per row: a GEMM sums in another order
 and differs in the last bits, so only GEMV rows give each window the same
 result, bit for bit, in any batch. A conv is one such product of the
 read-only row view :func:`rows` of its input times :func:`conv_matrix`;
-the trainer in :mod:`tinyhar.training` and the int8 engine multiply the
-same rows, copied to float64 by :func:`im2col`, with their own kernels.
+the trainer in :mod:`tinyhar.training` multiplies the same rows, copied
+to float64 by :func:`im2col`, and the int8 engine copies them to float32,
+each with its own kernels.
 """
 from __future__ import annotations
 

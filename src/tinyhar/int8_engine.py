@@ -6,15 +6,18 @@ round-half-away-from-zero rounding. The LSTM executes hybrid: int8
 storage, float cell math, requantized output.
 
 The kernels take each layer's packed form (``QLayer.packed``), built once
-per model: float64 weights, a conv's as ``float_engine.conv_matrix``, and
+per model: float32 weights, a conv's as ``float_engine.conv_matrix``, and
 an int64 bias with the input zero point folded in, b - zp_in * sum(w)
-(Jacob et al. 2018, eqs. 7-8). A conv's rows are ``float_engine.im2col``
-of the int8 input itself, and ``q @ w + bias`` equals
-sum((q - zp_in) * w) + b. The product runs in float64 BLAS and is exact:
-every product and partial sum is an integer of magnitude at most
-K * C * 128 * 128, far below 2**53, so no summation order rounds, and the
-result is the integer the int32 accumulator holds (``QuantizedModel``
-checks sum|w| * 255 + |b| < 2**31 when it is built).
+(Jacob et al. 2018, eqs. 7-8). A conv's rows are ``float_engine.rows``
+of the int8 input itself, copied to float32, and ``q @ w + bias`` equals
+sum((q - zp_in) * w) + b. The product runs in float32 BLAS, one GEMM per
+chunk of weight rows, and is exact: a raw input has |q| <= 128, so every
+product and partial sum within a chunk is an integer of magnitude at
+most 128 * sum|w| over the chunk's rows of its column, which packing
+keeps below 2**24. Float32 holds every such integer, so no summation
+order, with or without FMA, rounds. The chunks are added in int64 to
+the bias, and the result is the integer the int32 accumulator holds
+(``QuantizedModel`` checks sum|w| * 255 + |b| < 2**31 when it is built).
 An LSTM's packed form is its dequantized float64 weights and bias.
 
 On int8 data a ReLU is a fixed map of the 256 int8 values, set by its
@@ -92,23 +95,29 @@ def _saturate(values: np.ndarray, audit: SaturationAudit | None) -> np.ndarray:
 
 
 def _accumulate(cols: np.ndarray, packed: PackedLinear) -> np.ndarray:
-    # exact: see the module docstring
-    return np.rint(cols @ packed.w).astype(np.int64) + packed.bias
+    """The int64 accumulator of float32 (..., K * C) input rows: one exact
+    float32 GEMM per chunk (see the module docstring), summed in int64."""
+    flat = cols.reshape(-1, cols.shape[-1])
+    acc = sum(((flat[:, part] @ w).astype(np.int64)
+               for part, w in packed.chunks), packed.bias)
+    return acc.reshape(cols.shape[:-1] + acc.shape[-1:])
 
 
 def conv1d_int8(q_in: np.ndarray, packed: PackedLinear,
                 mult: FixedPointMultiplier, out_qp: QuantParams,
                 audit: SaturationAudit | None = None) -> np.ndarray:
     """q_in: (..., T, C) int8; ``packed`` holds (K * C, F) weights."""
-    acc = _accumulate(float_engine.im2col(q_in, packed.kernel), packed)
-    return _saturate(requantize(acc, mult) + out_qp.zero_point, audit)
+    cols = float_engine.rows(q_in, packed.kernel).astype(np.float32,
+                                                         order="C")
+    return _saturate(requantize(_accumulate(cols, packed), mult)
+                     + out_qp.zero_point, audit)
 
 
 def dense_int8(q_in: np.ndarray, packed: PackedLinear,
                mult: FixedPointMultiplier, out_qp: QuantParams,
                audit: SaturationAudit | None = None) -> np.ndarray:
     """q_in: (..., D) int8; ``packed`` holds (D, O) weights."""
-    return _saturate(requantize(_accumulate(q_in.astype(np.float64), packed),
+    return _saturate(requantize(_accumulate(q_in.astype(np.float32), packed),
                                 mult) + out_qp.zero_point, audit)
 
 

@@ -32,6 +32,9 @@ SOFTMAX_ZERO_POINT = -128
 
 DEGENERATE_SCALE = 1e-8  # substitute for zero-width calibration ranges
 
+# float32 holds every integer of magnitude below 2**24 exactly
+FLOAT32_EXACT = 2**24
+
 
 class EmptyDatasetError(ValueError):
     """Representative dataset was empty."""
@@ -101,8 +104,14 @@ def symmetric_params(lo: float, hi: float) -> QuantParams:
 
 
 def quantize_tensor(x: np.ndarray, qp: QuantParams) -> np.ndarray:
-    q = np.round(np.asarray(x, dtype=np.float64) / qp.scale) + qp.zero_point
-    return np.clip(q, -128, 127).astype(np.int8)
+    """round(x / scale) + zero_point, saturated to int8; ties round to
+    even. The float64 cast comes before the divide, and every later step
+    works in place on the one float64 temporary."""
+    x = np.asarray(x, dtype=np.float64)
+    q = np.divide(x, qp.scale, out=np.empty(x.shape))  # an array, also 0-d
+    np.rint(q, out=q)
+    q += qp.zero_point
+    return np.clip(q, -128, 127, out=q).astype(np.int8)
 
 
 def dequantize(q: np.ndarray, qp: QuantParams) -> np.ndarray:
@@ -155,13 +164,16 @@ def calibrate(graph: ModelGraph, representative_set) -> list[tuple[float, float]
 class PackedLinear:
     """A conv or dense layer's weights in the form the int8 kernels use.
 
-    ``w`` is float64 (K * C, F): a conv's ``float_engine.conv_matrix``, or
-    a dense layer's (D, O) weights with K = 1. ``bias`` is the int64 bias
-    with the input zero-point term folded in, b - zp_in * sum(w) per
-    column, so sum((q - zp_in) * w) + b == q @ w + bias.
+    The (K * C, F) weight matrix, a conv's ``float_engine.conv_matrix`` or
+    a dense layer's (D, O) weights with K = 1, is split into ``chunks`` of
+    consecutive rows, each a (rows, float32 weights) pair whose columns
+    keep 128 * sum|w| below ``FLOAT32_EXACT``, so that a float32 product
+    of int8 inputs and a chunk is exact. ``bias`` is the int64 bias with
+    the input zero-point term folded in, b - zp_in * sum(w) per column, so
+    sum((q - zp_in) * w) + b == q @ w + bias.
     """
 
-    w: np.ndarray
+    chunks: tuple[tuple[slice, np.ndarray], ...]
     bias: np.ndarray
     kernel: int
 
@@ -175,6 +187,23 @@ class PackedLSTM:
     b: np.ndarray
 
 
+def _row_chunks(w: np.ndarray) -> tuple[tuple[slice, np.ndarray], ...]:
+    """Splits the int64 rows of ``w`` into runs whose column bound
+    128 * sum|w| stays below ``FLOAT32_EXACT``. One row's bound is at most
+    128 * 128, so every run holds at least one row."""
+    reach = np.cumsum(np.abs(w), axis=0) * 128  # row r: bound of rows 0..r
+    chunks, start = [], 0
+    while start < len(w):
+        base = reach[start - 1] if start else 0
+        # the bound of rows start..r never falls as r grows
+        bound = (reach[start:] - base).max(axis=1)
+        stop = start + int(np.searchsorted(bound, FLOAT32_EXACT))
+        chunks.append((slice(start, stop),
+                       w[start:stop].astype(np.float32)))
+        start = stop
+    return tuple(chunks)
+
+
 def pack_linear(q_w: np.ndarray, bias: np.ndarray,
                 in_zero_point: int) -> PackedLinear:
     """Packs int8 conv (C, K, F) or dense (D, O) weights and their int32
@@ -183,9 +212,9 @@ def pack_linear(q_w: np.ndarray, bias: np.ndarray,
     if q_w.ndim == 3:  # conv
         kernel = q_w.shape[1]
         q_w = float_engine.conv_matrix(q_w)
-    w = q_w.astype(np.float64)
-    column_sums = w.sum(axis=0).astype(np.int64)  # exact: integers < 2**53
-    return PackedLinear(w, bias.astype(np.int64) - in_zero_point * column_sums,
+    w = q_w.astype(np.int64)
+    return PackedLinear(_row_chunks(w),
+                        bias.astype(np.int64) - in_zero_point * w.sum(axis=0),
                         kernel)
 
 

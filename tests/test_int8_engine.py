@@ -177,7 +177,12 @@ class TestPackedKernels:
         if seed % 4 == 0:  # the largest products: every operand at -128
             q_in[:], q_w[:] = -128, -128
         bias = rng.integers(-2**31, 2**31, size=filters).astype(np.int32)
-        self.check(ie.conv1d_int8, q_in, pack_linear(q_w, bias, zero_point),
+        packed = pack_linear(q_w, bias, zero_point)
+        if seed % 4 == 0:
+            # a row's bound is 128 * 128, so a chunk holds 1,023 rows and
+            # the 791-channel example runs three chunks
+            assert len(packed.chunks) == -(-kernel * channels // 1023)
+        self.check(ie.conv1d_int8, q_in, packed,
                    centered_conv_acc(q_in, zero_point, q_w, bias), mult,
                    QuantParams(0.1, int(rng.integers(-128, 128))))
 

@@ -16,8 +16,8 @@ from tinyhar.quantizer import (DEGENERATE_SCALE, AccumulatorOverflowError,
                                NonPositiveMultiplierError, QuantizedModel,
                                QuantParams, RangeOverflowError,
                                affine_params, calibrate, decompose_multiplier,
-                               dequantize, quantize_model, quantize_tensor,
-                               symmetric_params)
+                               dequantize, pack_linear, quantize_model,
+                               quantize_tensor, symmetric_params)
 
 
 class TestQuantParams:
@@ -66,6 +66,98 @@ class TestQuantizeDequantize:
         x = rng.uniform(lo, hi, size=10_000)
         err = np.abs(dequantize(quantize_tensor(x, qp), qp) - x)
         assert err.max() <= qp.scale / 2 + 1e-9
+
+    @staticmethod
+    def three_temporaries(x, qp):
+        """The formula quantize_tensor computes in place."""
+        q = np.round(np.asarray(x, dtype=np.float64) / qp.scale) \
+            + qp.zero_point
+        return np.clip(q, -128, 127).astype(np.int8)
+
+    @pytest.mark.parametrize("zero_point", [-128, -3, 0, 127])
+    def test_equals_the_formula(self, zero_point):
+        qp = QuantParams(0.25, zero_point)
+        steps = np.arange(-300, 300)
+        rng = np.random.default_rng(5)
+        x = np.concatenate([
+            (steps + 0.5) * qp.scale, (steps - 0.5) * qp.scale,  # ties
+            [0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300],  # zeros, rails
+            rng.normal(scale=40.0, size=1000)]).reshape(2, -1)
+        want = self.three_temporaries(x, qp)
+        got = quantize_tensor(x, qp)
+        assert got.dtype == np.int8 and got.shape == x.shape
+        assert got.tobytes() == want.tobytes()
+        assert {-128, 127} <= set(got.ravel().tolist())
+
+    @pytest.mark.parametrize("x", [0.375, -0.0, 1e300, np.array(-0.125),
+                                   np.float32(0.625)])
+    def test_scalar_input(self, x):
+        qp = QuantParams(0.25, -3)
+        got = quantize_tensor(x, qp)
+        assert got.dtype == np.int8 and got.shape == ()
+        assert got == self.three_temporaries(x, qp)
+
+    def test_float32_input_is_cast_before_the_divide(self):
+        qp = QuantParams(0.1, 7)
+        # float32 values next to the ties, where a float32 divide rounds
+        # some of them to other integers
+        x = ((np.arange(-130, 130) + 0.5) * qp.scale).astype(np.float32)
+        got = quantize_tensor(x, qp)
+        assert got.tobytes() == self.three_temporaries(x, qp).tobytes()
+        in_float32 = np.clip(np.round(x / np.float32(qp.scale))
+                             + qp.zero_point, -128, 127).astype(np.int8)
+        assert got.tobytes() != in_float32.tobytes()
+
+
+class TestPackLinear:
+    """``pack_linear``'s chunk plan: consecutive non-empty runs of the
+    K * C rows, in order and covering them all, each column of each run
+    with a bound 128 * sum|w| below 2**24, and each run but the last
+    unable to take the next row."""
+
+    @staticmethod
+    def check_plan(matrix, packed):
+        w = matrix.astype(np.int64)
+        start = 0
+        for rows, chunk in packed.chunks:
+            assert rows.start == start < rows.stop and rows.step is None
+            assert chunk.dtype == np.float32
+            assert chunk.tobytes() == w[rows].astype(np.float32).tobytes()
+            assert (128 * np.abs(w[rows]).sum(axis=0)).max() < 2**24
+            if rows.stop < len(w):
+                grown = np.abs(w[rows.start:rows.stop + 1]).sum(axis=0)
+                assert (128 * grown).max() >= 2**24
+            start = rows.stop
+        assert start == len(w)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.integers(1, 3000), kernel=st.sampled_from([None, 1, 3]),
+           columns=st.integers(1, 6), magnitude=st.integers(0, 127),
+           zero_point=st.integers(-128, 127), seed=st.integers(0, 2**16))
+    def test_chunks_cover_the_rows_within_the_bound(self, rows, kernel,
+                                                    columns, magnitude,
+                                                    zero_point, seed):
+        rng = np.random.default_rng(seed)
+        shape = (rows, columns) if kernel is None \
+            else (-(-rows // kernel), kernel, columns)
+        q_w = rng.integers(-magnitude, magnitude + 1, size=shape)
+        q_w[rng.random(shape) < 0.5] = 127  # some columns far over 2**24
+        q_w = q_w.astype(np.int8)
+        bias = rng.integers(-1000, 1000, size=columns).astype(np.int32)
+        packed = pack_linear(q_w, bias, zero_point)
+        matrix = q_w if kernel is None else fe.conv_matrix(q_w)
+        self.check_plan(matrix, packed)
+        assert packed.kernel == (kernel or 1)
+        assert packed.bias.tolist() == [
+            b - zero_point * s for b, s in zip(
+                bias.tolist(), matrix.astype(np.int64).sum(axis=0).tolist())]
+
+    def test_full_scale_791_channel_conv_splits(self):
+        q_w = np.random.default_rng(7).choice(
+            np.array([-127, 127], dtype=np.int8), size=(791, 3, 16))
+        packed = pack_linear(q_w, np.zeros(16, dtype=np.int32), -128)
+        assert len(packed.chunks) >= 2
+        self.check_plan(fe.conv_matrix(q_w), packed)
 
 
 class TestDecomposeMultiplier:
