@@ -1,26 +1,24 @@
-"""Float reference executor.
+"""Float executor: the one float64 layer loop, and the float reference.
 
-Layer-by-layer evaluation of a ``ModelGraph``, the numeric oracle for the
-int8 engine. Like the int8 kernels, each kernel takes leading batch axes
-and trusts the shapes the graph checked when it was built.
-Every matrix product runs one GEMV per row: a GEMM sums in another order
-and differs in the last bits, so only GEMV rows give each window the same
-result, bit for bit, in any batch. A conv is one such product of the
-read-only row view :func:`rows` of its input times :func:`conv_matrix`;
-the trainer in :mod:`tinyhar.training` multiplies the same rows, copied
-to float64 by :func:`im2col`, and the int8 engine copies them to float32,
-each with its own kernels.
+:func:`layer_outputs` runs a ``ModelGraph`` over a batch of windows, for
+the float reference (:func:`forward`, :func:`forward_collect`: the int8
+engine's oracle and calibration) and for :mod:`tinyhar.training`, with its
+own parameters, dropout and backward caches. Each kernel takes leading
+batch axes and trusts the shapes the graph checked when it was built.
+A conv multiplies :func:`im2col` rows, a float64 copy of the read-only
+row view :func:`rows` (which the int8 engine copies to float32), by
+:func:`conv_matrix`. Conv and dense products are GEMMs, whose summation
+order can depend on their shape, so a window's bits can depend on its
+batch; only the LSTM runs one GEMV per row, so that the int8 engine's
+hybrid LSTM gives a window the same bits in any batch.
 """
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
 from .model_ir import LayerKind, ModelGraph, window_batch
-
-
-def _rowwise_matmul(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``v @ w`` for (..., D) rows, one GEMV per row."""
-    return (v[..., None, :] @ w)[..., 0, :]
 
 
 def rows(x: np.ndarray, kernel: int) -> np.ndarray:
@@ -62,16 +60,17 @@ def conv_weights(matrix: np.ndarray, channels: int) -> np.ndarray:
 
 
 def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Valid (unpadded) 1D convolution.
-
+    """Valid (unpadded) 1D convolution, one float64 GEMM per window, as
+    :func:`layer_outputs` runs every conv but the first.
     x: (..., time_steps, in_channels); w: (in_channels, kernel, out_filters);
     b: (out_filters,). Output: (..., time_steps - kernel + 1, out_filters).
     """
-    return _rowwise_matmul(rows(x, w.shape[1]), conv_matrix(w)) + b
+    return im2col(x, w.shape[1]) @ conv_matrix(w) + b
 
 
 def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+    """x where x > 0, else a zero (-0.0 where x < 0)."""
+    return x * (x > 0)
 
 
 def pool_groups(x: np.ndarray, pool: int) -> np.ndarray:
@@ -88,7 +87,7 @@ def avg_pool1d(x: np.ndarray, pool: int) -> np.ndarray:
 
 
 def dense_forward(v: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _rowwise_matmul(v, w) + b
+    return v @ w + b
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -107,19 +106,18 @@ def lstm_forward(seq: np.ndarray, w_x: np.ndarray, w_h: np.ndarray,
     input; returns the full (..., T, H) hidden sequence.
 
     Gates are packed along the last axis in (input, forget, candidate,
-    output) order. h_0 = c_0 = 0. The input projection of all T steps is
-    one stacked GEMV call, and each step makes one ``sigmoid`` call on the
-    whole gate vector; both are bit-identical to per-step, per-gate calls,
-    since a GEMV row and an elementwise function do not depend on their
-    neighbours.
+    output) order. h_0 = c_0 = 0. Each product is one GEMV per row, so a
+    window's bits do not depend on its batch, and the stacked GEMV of all
+    T steps' input projection and one ``sigmoid`` call per step on the
+    whole gate vector equal per-step, per-gate calls, bit for bit.
     """
     hidden = w_h.shape[0]
-    x_proj = _rowwise_matmul(seq, w_x)
+    x_proj = (seq[..., None, :] @ w_x)[..., 0, :]
     h = np.zeros(seq.shape[:-2] + (hidden,))
     c = np.zeros(seq.shape[:-2] + (hidden,))
     out = np.empty(seq.shape[:-1] + (hidden,))
     for t in range(seq.shape[-2]):
-        gates = x_proj[..., t, :] + _rowwise_matmul(h, w_h) + b
+        gates = x_proj[..., t, :] + (h[..., None, :] @ w_h)[..., 0, :] + b
         act = sigmoid(gates)
         g = np.tanh(gates[..., 2 * hidden:3 * hidden])
         c = act[..., hidden:2 * hidden] * c + act[..., :hidden] * g
@@ -135,42 +133,73 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return ex / ex.sum(axis=-1, keepdims=True)
 
 
-def _apply_layer(spec, layer_params, value):
-    kind = spec.kind
-    if kind == LayerKind.CONV1D:
-        return conv1d_forward(value, layer_params["w"], layer_params["b"])
-    if kind == LayerKind.RELU:
-        return relu(value)
-    if kind == LayerKind.DROPOUT:
-        return value  # identity at inference
-    if kind == LayerKind.AVGPOOL1D:
-        return avg_pool1d(value, spec.pool)
-    if kind == LayerKind.FLATTEN:
-        return value.reshape(len(value), -1)
-    if kind == LayerKind.DENSE:
-        v = value[:, -1] if value.ndim == 3 else value
-        return dense_forward(v, layer_params["w"], layer_params["b"])
-    if kind == LayerKind.LSTM:
-        return lstm_forward(value, layer_params["w_x"], layer_params["w_h"],
-                            layer_params["b"])
-    return softmax(value)  # LayerKind.SOFTMAX
-
-
-def _activations(graph: ModelGraph, x: np.ndarray) -> list[np.ndarray]:
-    batch, single = window_batch(x, graph.input_shape)
-    acts = [batch]
-    for spec, layer_params in zip(graph.layers, graph.params):
-        acts.append(_apply_layer(spec, layer_params, acts[-1]))
-    return [a[0] for a in acts] if single else acts
+def layer_outputs(graph: ModelGraph, params, x: np.ndarray, *,
+                  rng: np.random.Generator | None = None,
+                  keep=None) -> Iterator[np.ndarray]:
+    """Yields each layer's output in turn, for ``x`` a float64 (N, T, C)
+    batch (or (N, D) rows into a first dense layer) and ``params`` in the
+    place of ``graph.params``. Dropout runs only given ``rng``. ``keep``,
+    given, is called with each layer's cache for the trainer's backward
+    pass, before the layer's output is yielded."""
+    keep = keep or (lambda _: None)
+    value = x
+    for idx, (spec, layer_params) in enumerate(zip(graph.layers, params)):
+        kind = spec.kind
+        if kind == LayerKind.CONV1D:
+            w2 = conv_matrix(layer_params["w"])
+            cols = im2col(value, spec.kernel)
+            keep(("conv", cols, w2, value.shape))
+            # One GEMM for all windows where its bits match one per window:
+            # not so for N2's conv 1, (20, 768) @ (768, 64), from N = 2.
+            if idx == 0:
+                value = (cols.reshape(-1, cols.shape[2]) @ w2).reshape(
+                    cols.shape[:2] + w2.shape[1:])
+            else:
+                value = cols @ w2
+            value = value + layer_params["b"]
+        elif kind == LayerKind.RELU:
+            value = relu(value)
+            keep(("relu", value))
+        elif kind == LayerKind.DROPOUT:
+            if rng is not None and spec.rate > 0.0:
+                mask = rng.random(value.shape) >= spec.rate
+                scale = 1.0 / (1.0 - spec.rate)
+                keep(("dropout", mask, scale))
+                value = value * mask * scale
+            else:
+                keep(("identity",))
+        elif kind == LayerKind.AVGPOOL1D:
+            keep(("pool", value.shape, spec.pool))
+            value = avg_pool1d(value, spec.pool)
+        elif kind == LayerKind.FLATTEN:
+            keep(("flatten", value.shape))
+            value = value.reshape(len(value), np.prod(value.shape[1:]))
+        elif kind == LayerKind.DENSE:
+            in_shape = value.shape
+            if value.ndim == 3:  # fed a sequence: read the last time step
+                value = value[:, -1]
+            keep(("dense", value, in_shape))
+            value = dense_forward(value, layer_params["w"], layer_params["b"])
+        elif kind == LayerKind.LSTM:
+            value = lstm_forward(value, layer_params["w_x"],
+                                 layer_params["w_h"], layer_params["b"])
+        else:  # LayerKind.SOFTMAX
+            value = softmax(value)
+        yield value
 
 
 def forward(graph: ModelGraph, x: np.ndarray) -> np.ndarray:
     """Class probabilities of one (T, C) window, or (N, K) of an (N, T, C)
     batch. Bad input raises the errors of ``model_ir.window_batch``."""
-    return _activations(graph, x)[-1]
+    batch, single = window_batch(x, graph.input_shape)
+    for probs in layer_outputs(graph, graph.float64_params, batch):
+        pass  # each activation is freed once the next one is made
+    return probs[0] if single else probs
 
 
 def forward_collect(graph: ModelGraph, x: np.ndarray) -> list[np.ndarray]:
     """Like :func:`forward`, but returns [input, out_0, out_1, ...] for
     activation-range calibration."""
-    return _activations(graph, x)
+    batch, single = window_batch(x, graph.input_shape)
+    acts = [batch, *layer_outputs(graph, graph.float64_params, batch)]
+    return [a[0] for a in acts] if single else acts

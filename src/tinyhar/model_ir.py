@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -307,6 +308,13 @@ class ModelGraph:
         for layer_params in self.params:
             for arr in layer_params.values():
                 arr.flags.writeable = False
+
+    @cached_property
+    def float64_params(self) -> tuple[dict[str, np.ndarray], ...]:
+        """``params`` cast (exactly) to float64 once per graph, so that the
+        float layer loop's products do not cast them on every call."""
+        return tuple({k: v.astype(np.float64) for k, v in p.items()}
+                     for p in self.params)
 
     def with_params(self, params: tuple[dict[str, np.ndarray], ...]) -> "ModelGraph":
         return ModelGraph(self.layers, params, self.input_shape,

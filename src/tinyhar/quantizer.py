@@ -135,8 +135,9 @@ def calibrate(graph: ModelGraph, representative_set) -> list[tuple[float, float]
     array, a sequence of (T, C) windows or a ``datapipe.Windows``.
 
     Index 0 is the model input; index i+1 is layer i's output. Every range
-    is widened to include 0. The ranges equal those of one
-    ``forward_collect`` call per float64 window, down to the sign of zero.
+    is widened to include 0. The ranges equal a fold, window by window in
+    order, of each window's min and max in the ``forward_collect`` call
+    of its ``model_ir.map_blocks`` block, down to the sign of zero.
     A range whose width is not a finite float raises ``RangeOverflowError``.
     """
     if len(representative_set) == 0:
@@ -190,14 +191,16 @@ class PackedLSTM:
 def _row_chunks(w: np.ndarray) -> tuple[tuple[slice, np.ndarray], ...]:
     """Splits the int64 rows of ``w`` into runs whose column bound
     128 * sum|w| stays below ``FLOAT32_EXACT``. One row's bound is at most
-    128 * 128, so every run holds at least one row."""
-    reach = np.cumsum(np.abs(w), axis=0) * 128  # row r: bound of rows 0..r
+    128 * 128, so every run holds at least one row. One column sum shows
+    that most layers fit in one run; a run that ends early needs more."""
     chunks, start = [], 0
     while start < len(w):
-        base = reach[start - 1] if start else 0
-        # the bound of rows start..r never falls as r grows
-        bound = (reach[start:] - base).max(axis=1)
-        stop = start + int(np.searchsorted(bound, FLOAT32_EXACT))
+        rest = np.abs(w[start:])
+        stop = len(w)
+        if rest.sum(axis=0).max() * 128 >= FLOAT32_EXACT:
+            # the bound of rows start..r never falls as r grows
+            bound = np.cumsum(rest, axis=0).max(axis=1) * 128
+            stop = start + int(np.searchsorted(bound, FLOAT32_EXACT))
         chunks.append((slice(start, stop),
                        w[start:stop].astype(np.float32)))
         start = stop

@@ -1,25 +1,26 @@
 """Backprop trainer for the conv/dense model family.
 
-Batched forward/backward kernels (float64), the Adam optimizer,
-categorical cross-entropy loss, and a central finite-difference gradient
-checker. Convolutions are ``float_engine.im2col`` rows times ``conv_matrix``
-weights in both directions: the conv weight gradient is ``cols.T @ dout``
-over all windows and time steps, and so is the input-gradient product. The
-first conv, which reads the sensor window, runs forward as one GEMM over the
-rows of all windows too; later convs run one GEMM per window, whose bits a
-single GEMM does not always reproduce. Backpropagation stops at the first
-layer's parameters; no gradient with respect to the input window is
-computed. A dense layer fed a sequence reads its last time step, as in the
-IR. The per-epoch accuracies cost one inference pass per split and epoch,
-and ``train`` runs them only when it is given a validation split. LSTM
-graphs are out of scope: they are supported for inference, quantization
-and benchmarking only.
+Backward kernels (float64), the Adam optimizer, categorical cross-entropy
+loss, and a central finite-difference gradient checker. The forward pass
+of training steps, of the per-epoch accuracies and of ``predict_*`` is
+``float_engine.layer_outputs``, the float reference's own layer loop,
+stopped before the final softmax and given the trainer's dropout and
+backward caches. Convolutions are ``float_engine.im2col`` rows times
+``conv_matrix`` weights in both directions: the conv weight gradient is
+``cols.T @ dout`` over all windows and time steps, and so is the
+input-gradient product. Backpropagation stops at the first layer's
+parameters; no gradient with respect to the input window is computed. A
+dense layer fed a sequence reads its last time step, as in the IR. The
+per-epoch accuracies cost one inference pass per split and epoch, and
+``train`` runs them only when it is given a validation split. LSTM graphs
+cannot be trained, and ``predict_*`` runs them like any other graph.
 """
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -57,56 +58,13 @@ def _check_trainable(graph: ModelGraph) -> None:
                 f"trainer does not support {spec.kind.name} layers")
 
 
-def _forward_batch(graph: ModelGraph, params, x: np.ndarray, *,
-                   rng: np.random.Generator | None = None,
-                   caches: list | None = None) -> np.ndarray:
-    """Returns the logits of ``x`` (N, T, C). Dropout runs only given
-    ``rng``; caches for :func:`_backward_batch` are kept only given a
-    ``caches`` list, so an inference pass frees each im2col after use."""
-    keep_cache = caches.append if caches is not None else (lambda _: None)
-    value = x
-    for idx, (spec, layer_params) in enumerate(zip(graph.layers, params)):
-        kind = spec.kind
-        if kind == LayerKind.CONV1D:
-            w2 = float_engine.conv_matrix(layer_params["w"])
-            cols = float_engine.im2col(value, spec.kernel)
-            keep_cache(("conv", cols, w2, value.shape))
-            # One GEMM for all windows where its bits match one per window:
-            # not so for N2's conv 1, (20, 768) @ (768, 64), from N = 2.
-            if idx == 0:
-                value = (cols.reshape(-1, cols.shape[2]) @ w2).reshape(
-                    cols.shape[:2] + w2.shape[1:])
-            else:
-                value = cols @ w2
-            value = value + layer_params["b"]
-        elif kind == LayerKind.RELU:
-            mask = value > 0
-            keep_cache(("relu", mask))
-            value = value * mask
-        elif kind == LayerKind.DROPOUT:
-            if rng is not None and spec.rate > 0.0:
-                keep = rng.random(value.shape) >= spec.rate
-                scale = 1.0 / (1.0 - spec.rate)
-                keep_cache(("dropout", keep, scale))
-                value = value * keep * scale
-            else:
-                keep_cache(("identity",))
-        elif kind == LayerKind.AVGPOOL1D:
-            keep_cache(("pool", value.shape, spec.pool))
-            value = float_engine.avg_pool1d(value, spec.pool)
-        elif kind == LayerKind.FLATTEN:
-            keep_cache(("flatten", value.shape))
-            value = value.reshape(len(value), np.prod(value.shape[1:]))
-        elif kind == LayerKind.DENSE:
-            w, b = layer_params["w"], layer_params["b"]
-            in_shape = value.shape
-            if value.ndim == 3:  # fed a sequence: read the last time step
-                value = value[:, -1]
-            keep_cache(("dense", value, in_shape))
-            value = value @ w + b
-        elif kind == LayerKind.SOFTMAX:
-            keep_cache(("softmax",))
-            # handled jointly with the loss; value stays as logits
+def _logits(graph: ModelGraph, params, x: np.ndarray, **hooks) -> np.ndarray:
+    """The input of the final softmax for ``x`` (N, T, C): the output of
+    every layer of ``float_engine.layer_outputs`` but the last, with its
+    ``rng`` and ``keep`` ``hooks``; the softmax itself is never run."""
+    for value in islice(float_engine.layer_outputs(graph, params, x, **hooks),
+                        len(graph.layers) - 1):
+        pass
     return value
 
 
@@ -132,7 +90,7 @@ def _backward_batch(graph: ModelGraph, params, caches, dlogits: np.ndarray):
     """
     grads = [dict() for _ in graph.layers]
     dvalue = dlogits
-    for idx in range(len(graph.layers) - 1, -1, -1):
+    for idx in range(len(caches) - 1, -1, -1):  # the softmax kept no cache
         cache, spec = caches[idx], graph.layers[idx]
         tag = cache[0]
         if tag == "dense":
@@ -167,8 +125,8 @@ def _backward_batch(graph: ModelGraph, params, caches, dlogits: np.ndarray):
             keep, scale = cache[1], cache[2]
             dvalue = dvalue * keep * scale
         elif tag == "relu":
-            dvalue = dvalue * cache[1]
-        # "softmax" is folded into the loss gradient, "identity" passes through
+            dvalue = dvalue * (cache[1] > 0)
+        # "identity" passes through
     return grads
 
 
@@ -211,23 +169,23 @@ class _Adam:
 
 def _inference_logits(graph: ModelGraph, params, x) -> np.ndarray:
     """Logits of the windows ``x``, one float64 inference pass per
-    ``model_ir.map_blocks`` block; float32 ``params`` promote to float64
-    exactly inside each product."""
-    _check_trainable(graph)
-    return map_blocks(partial(_forward_batch, graph, params), x,
-                      graph.input_shape)
+    ``model_ir.map_blocks`` block."""
+    return map_blocks(partial(_logits, graph, params), x, graph.input_shape)
 
 
 def predict_proba(graph: ModelGraph, x) -> np.ndarray:
     """Class probabilities (inference mode, float64) of N windows: an
-    (N, T, C) array, a sequence of (T, C) windows or a ``datapipe.Windows``."""
-    return np.exp(_log_softmax(_inference_logits(graph, graph.params, x)))
+    (N, T, C) array, a sequence of (T, C) windows or a ``datapipe.Windows``.
+    Each block's rows equal ``float_engine.forward`` of that block, bit for
+    bit, as the softmax treats each row on its own."""
+    return float_engine.softmax(
+        _inference_logits(graph, graph.float64_params, x))
 
 
 def predict_batch(graph: ModelGraph, x) -> np.ndarray:
     """Argmax classes (inference mode, float64) of N windows: an (N, T, C)
     array, a sequence of (T, C) windows or a ``datapipe.Windows``."""
-    return _inference_logits(graph, graph.params, x).argmax(axis=1)
+    return _inference_logits(graph, graph.float64_params, x).argmax(axis=1)
 
 
 def train(graph: ModelGraph, train_set, val_set, cfg: TrainConfig):
@@ -262,7 +220,7 @@ def train(graph: ModelGraph, train_set, val_set, cfg: TrainConfig):
             idx = order[start:start + cfg.batch_size]
             xb, yb = x_train[idx], y_train[idx]
             caches = []
-            logits = _forward_batch(graph, params, xb, rng=rng, caches=caches)
+            logits = _logits(graph, params, xb, rng=rng, keep=caches.append)
             loss, dlogits = _loss_and_dlogits(logits, yb)
             grads = _backward_batch(graph, params, caches, dlogits)
             opt.step(params, grads)
@@ -296,11 +254,11 @@ def grad_check(graph: ModelGraph, window: np.ndarray, label: int,
     y = np.array([label])
 
     def loss_at(p):
-        loss, _ = _loss_and_dlogits(_forward_batch(graph, p, x), y)
+        loss, _ = _loss_and_dlogits(_logits(graph, p, x), y)
         return loss
 
     caches = []
-    logits = _forward_batch(graph, params, x, caches=caches)
+    logits = _logits(graph, params, x, keep=caches.append)
     _, dlogits = _loss_and_dlogits(logits, y)
     grads = _backward_batch(graph, params, caches, dlogits)
 

@@ -41,16 +41,16 @@ class TestConv1d:
             graph.with_params(tuple(params))
 
 
-def per_step_conv(x, w, b):
-    """Oracle: one row product per output time step."""
+def per_window_conv(x, w, b):
+    """Oracle: each window's rows, stacked one slice per kernel tap, times
+    the (K * C, F) weight matrix in a product of its own."""
     kernel = w.shape[1]
-    lead = x.shape[:-2]
     out_steps = x.shape[-2] - kernel + 1
-    w2 = fe.conv_matrix(w)
-    out = np.empty(lead + (out_steps, w.shape[2]), dtype=np.result_type(x, w))
-    for t in range(out_steps):
-        out[..., t, :] = fe._rowwise_matmul(
-            x[..., t:t + kernel, :].reshape(lead + (-1,)), w2)
+    w2 = w.transpose(1, 0, 2).reshape(-1, w.shape[2]).astype(np.float64)
+    out = np.empty(x.shape[:-2] + (out_steps, w.shape[2]))
+    for lead in np.ndindex(x.shape[:-2]):
+        taps = [x[lead][k:k + out_steps] for k in range(kernel)]
+        out[lead] = np.concatenate(taps, axis=1).astype(np.float64) @ w2
     return out + b
 
 
@@ -62,18 +62,17 @@ class TestConv1dOracle:
            x_dtype=st.sampled_from([np.float32, np.float64]),
            weight_dtype=st.sampled_from([np.float32, np.float64]),
            seed=st.integers(0, 2**16))
-    def test_equals_per_step_oracle(self, lead, kernel, extra_steps,
-                                    channels, filters, x_dtype, weight_dtype,
-                                    seed):
+    def test_equals_per_window_oracle(self, lead, kernel, extra_steps,
+                                      channels, filters, x_dtype,
+                                      weight_dtype, seed):
         rng = np.random.default_rng(seed)
         x = mixed_magnitude(rng, (*lead, kernel + extra_steps, channels),
                             x_dtype)
         w = mixed_magnitude(rng, (channels, kernel, filters), weight_dtype)
         b = mixed_magnitude(rng, filters, weight_dtype)
         out = fe.conv1d_forward(x, w, b)
-        expected = per_step_conv(x, w, b)
-        assert out.dtype == expected.dtype == np.result_type(x_dtype,
-                                                             weight_dtype)
+        expected = per_window_conv(x, w, b)
+        assert out.dtype == expected.dtype == np.float64
         assert out.shape == expected.shape
         assert out.tobytes() == expected.tobytes()
 
@@ -144,6 +143,11 @@ def piecewise_sigmoid(x):
     return out
 
 
+def gemv_rows(v, w):
+    """``v @ w`` for (..., D) rows, one GEMV per row."""
+    return (v[..., None, :] @ w)[..., 0, :]
+
+
 def per_step_lstm(seq, w_x, w_h, b):
     """Oracle: two GEMV calls and three per-gate sigmoid calls per step."""
     hidden = w_h.shape[0]
@@ -151,8 +155,7 @@ def per_step_lstm(seq, w_x, w_h, b):
     c = np.zeros(seq.shape[:-2] + (hidden,))
     out = np.empty(seq.shape[:-1] + (hidden,))
     for t in range(seq.shape[-2]):
-        gates = (fe._rowwise_matmul(seq[..., t, :], w_x)
-                 + fe._rowwise_matmul(h, w_h) + b)
+        gates = gemv_rows(seq[..., t, :], w_x) + gemv_rows(h, w_h) + b
         i = piecewise_sigmoid(gates[..., :hidden])
         f = piecewise_sigmoid(gates[..., hidden:2 * hidden])
         g = np.tanh(gates[..., 2 * hidden:3 * hidden])
@@ -253,11 +256,18 @@ class TestForward:
             fe.forward(graph, np.zeros((16, 6)))
 
     def test_matches_batched_trainer_forward(self, graph):
-        # the trainer's vectorized path and the reference must agree
+        # the trainer's predict_* and the reference run one layer loop, so
+        # they agree bit for bit on the same batch, LSTM graphs included
+        lstm = build_deep_conv_lstm(5, 16, 4, hidden=5, num_classes=4,
+                                    seed=7)
         x = np.random.default_rng(6).normal(size=(7, 16, 5))
-        batched = training.predict_proba(graph, x)
-        for i in range(7):
-            assert np.allclose(batched[i], fe.forward(graph, x[i]), atol=1e-10)
+        for g in (graph, lstm):
+            probs = fe.forward(g, x)
+            assert probs.shape == (7, 4)
+            assert fe.forward_collect(g, x)[-1].tobytes() == probs.tobytes()
+            assert training.predict_proba(g, x).tobytes() == probs.tobytes()
+            assert training.predict_batch(g, x).tolist() == \
+                probs.argmax(axis=1).tolist()
 
 
 @pytest.fixture(scope="module")
@@ -271,20 +281,22 @@ class TestBatch:
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(1, 9), arch=st.sampled_from(["mc_cnn", "lstm"]),
            seed=st.integers(0, 2**16))
-    def test_batch_equals_single_window_calls(self, small_graphs, n, arch,
-                                              seed):
+    def test_collect_equals_the_layer_loop_on_the_same_batch(
+            self, small_graphs, n, arch, seed):
         graph = small_graphs[arch]
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n,) + graph.input_shape) \
             * rng.choice([1e-3, 1.0, 30.0], size=(n, 1, 1))
-        singles = [fe.forward_collect(graph, w) for w in x]
         batched = fe.forward_collect(graph, x)
-        assert len(batched) == len(singles[0]) == len(graph.layers) + 1
-        for layer, act in enumerate(batched):
-            stacked = np.stack([acts[layer] for acts in singles])
-            assert act.shape == stacked.shape
-            assert act.tobytes() == stacked.tobytes()
+        assert len(batched) == len(graph.layers) + 1
+        assert batched[0].tobytes() == x.tobytes()
+        outputs = fe.layer_outputs(graph, graph.params, x)
+        for act, out in zip(batched[1:], outputs, strict=True):
+            assert act.shape == out.shape
+            assert act.tobytes() == out.tobytes()
         assert fe.forward(graph, x).tobytes() == batched[-1].tobytes()
+        single = fe.forward_collect(graph, x[0])
+        assert [a.shape for a in single] == [a.shape[1:] for a in batched]
 
     def test_kernels_with_leading_axis_equal_per_window(self):
         rng = np.random.default_rng(17)

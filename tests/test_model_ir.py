@@ -143,6 +143,17 @@ class TestGraphImmutability:
         with pytest.raises(ValueError):
             g.params[0]["w"][0, 0, 0] = 1.0
 
+    def test_float64_params_cast_once_and_exactly(self):
+        g = build_deep_conv_lstm(8, 24, 4, hidden=5)
+        cast = g.float64_params
+        assert g.float64_params is cast
+        for params, params64 in zip(g.params, cast):
+            assert sorted(params) == sorted(params64)
+            for name, arr in params.items():
+                assert params64[name].dtype == np.float64
+                assert params64[name].astype(np.float32).tobytes() == \
+                    arr.tobytes()
+
 
 class TestMapBlocks:
     def test_blocks_cover_the_windows_in_order(self):

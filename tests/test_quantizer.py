@@ -206,11 +206,13 @@ class TestCalibrate:
             assert lo <= 0.0 <= hi
 
     def test_two_window_union(self, small_graph):
+        # one window per block, so each window runs alone in both calls
         rng = np.random.default_rng(2)
         a, b = rng.normal(size=(2, 16, 4))
         ra = calibrate(small_graph, [a])
         rb = calibrate(small_graph, [b])
-        rab = calibrate(small_graph, [a, b])
+        with mock.patch.object(model_ir, "BLOCK_WINDOWS", 1):
+            rab = calibrate(small_graph, [a, b])
         for (lo_a, hi_a), (lo_b, hi_b), (lo, hi) in zip(ra, rb, rab):
             assert lo == min(lo_a, lo_b)
             assert hi == max(hi_a, hi_b)
@@ -228,16 +230,18 @@ class TestCalibrate:
                 assert lo == max(0.0, min(oracle_min, 0.0)) == 0.0
 
 
-def per_window_ranges(graph, windows):
-    """The calibration fold, one forward_collect call per window."""
+def per_window_ranges(graph, windows, block):
+    """The calibration fold, window by window, over one forward_collect
+    call per block of ``block`` windows."""
     ranges = None
-    for window in windows:
-        acts = fe.forward_collect(graph, window)
-        if ranges is None:
-            ranges = [(float(a.min()), float(a.max())) for a in acts]
-        else:
-            ranges = [(min(lo, float(a.min())), max(hi, float(a.max())))
-                      for (lo, hi), a in zip(ranges, acts)]
+    for start in range(0, len(windows), block):
+        for acts in zip(*fe.forward_collect(graph,
+                                            windows[start:start + block])):
+            if ranges is None:
+                ranges = [(float(a.min()), float(a.max())) for a in acts]
+            else:
+                ranges = [(min(lo, float(a.min())), max(hi, float(a.max())))
+                          for (lo, hi), a in zip(ranges, acts)]
     return [(min(lo, 0.0), max(hi, 0.0)) for lo, hi in ranges]
 
 
@@ -260,7 +264,7 @@ class TestCalibrateBlocks:
             zeros = np.zeros((2, 7) + graph.input_shape)
             zeros[0, ::2] = zeros[1, 1::2] = -0.0
             for windows in (x, *zeros):
-                expected = per_window_ranges(graph, windows)
+                expected = per_window_ranges(graph, windows, block)
                 with mock.patch.object(model_ir, "BLOCK_WINDOWS", block):
                     got = calibrate(graph, list(windows))
                 assert (np.array(got).tobytes()

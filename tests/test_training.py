@@ -111,8 +111,8 @@ class TestConvGemmBits:
             w1 = float_engine.conv_matrix(params[1]["w"])
             for n in (1, 7, 32):
                 caches = []
-                logits = training._forward_batch(graph, params, x[:n],
-                                                 caches=caches)
+                logits = training._logits(graph, params, x[:n],
+                                          keep=caches.append)
                 cols0 = float_engine.im2col(x[:n], 3)
                 out0 = cols0 @ w0 + params[0]["b"]  # one GEMM per window
                 # conv 1's rows are conv 0's output, copied
@@ -217,7 +217,7 @@ class TestGradCheck:
                   for p in g.params]
         x = np.zeros((1, 12, 3))
         caches = []
-        logits = training._forward_batch(g, params, x, caches=caches)
+        logits = training._logits(g, params, x, keep=caches.append)
         _, dlogits = training._loss_and_dlogits(logits, np.array([1]))
         grads = training._backward_batch(g, params, caches, dlogits)
         assert np.all(grads[0]["w"] == 0.0)  # conv weight grads vanish
@@ -236,7 +236,7 @@ def full_backward(graph, params, caches, dlogits):
     carried through every layer down to the input window."""
     grads = [dict() for _ in graph.layers]
     dvalue = dlogits
-    for idx in range(len(graph.layers) - 1, -1, -1):
+    for idx in range(len(caches) - 1, -1, -1):  # no cache for the softmax
         cache = caches[idx]
         tag = cache[0]
         if tag == "dense":
@@ -253,7 +253,7 @@ def full_backward(graph, params, caches, dlogits):
         elif tag == "dropout":
             dvalue = dvalue * cache[1] * cache[2]
         elif tag == "relu":
-            dvalue = dvalue * cache[1]
+            dvalue = dvalue * (cache[1] > 0)
         elif tag == "conv":
             cols, w2, in_shape = cache[1], cache[2], cache[3]
             spec = graph.layers[idx]
@@ -293,8 +293,8 @@ def batch_gradients(graph, x):
     params = [{k: v.astype(np.float64) for k, v in p.items()}
               for p in graph.params]
     caches = []
-    logits = training._forward_batch(
-        graph, params, x, rng=np.random.default_rng(0), caches=caches)
+    logits = training._logits(
+        graph, params, x, rng=np.random.default_rng(0), keep=caches.append)
     labels = np.arange(x.shape[0]) % graph.num_classes
     _, dlogits = training._loss_and_dlogits(logits, labels)
     return (training._backward_batch(graph, params, caches, dlogits),
