@@ -10,7 +10,11 @@ row view :func:`rows` (which the int8 engine copies to float32), by
 :func:`conv_matrix`. Conv and dense products are GEMMs, whose summation
 order can depend on their shape, so a window's bits can depend on its
 batch; only the LSTM runs one GEMV per row, so that the int8 engine's
-hybrid LSTM gives a window the same bits in any batch.
+hybrid LSTM gives a window the same bits in any batch. Given a
+``model_ir.FrameBlock`` (a block of a ``datapipe.Windows``), the first
+conv multiplies the rows of the block's distinct frames, each once, and
+each window gathers its rows of the product; the later layers run per
+window.
 """
 from __future__ import annotations
 
@@ -18,7 +22,8 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .model_ir import LayerKind, ModelGraph, window_batch
+from .model_ir import (FrameBlock, LayerKind, ModelGraph, frames_of,
+                       per_window, window_batch)
 
 
 def rows(x: np.ndarray, kernel: int) -> np.ndarray:
@@ -28,7 +33,7 @@ def rows(x: np.ndarray, kernel: int) -> np.ndarray:
     read-only view in the input's dtype, and no row matrix is built."""
     x = np.ascontiguousarray(x)
     steps, channels = x.shape[-2:]
-    shape = x.shape[:-2] + (steps - kernel + 1, kernel * channels)
+    shape = x.shape[:-2] + (max(steps - kernel + 1, 0), kernel * channels)
     return np.lib.stride_tricks.as_strided(x, shape, x.strides,
                                            writeable=False)
 
@@ -133,30 +138,36 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return ex / ex.sum(axis=-1, keepdims=True)
 
 
-def layer_outputs(graph: ModelGraph, params, x: np.ndarray, *,
+def layer_outputs(graph: ModelGraph, params, x, *,
                   rng: np.random.Generator | None = None,
                   keep=None) -> Iterator[np.ndarray]:
     """Yields each layer's output in turn, for ``x`` a float64 (N, T, C)
-    batch (or (N, D) rows into a first dense layer) and ``params`` in the
-    place of ``graph.params``. Dropout runs only given ``rng``. ``keep``,
-    given, is called with each layer's cache for the trainer's backward
-    pass, before the layer's output is yielded."""
+    batch (or (N, D) rows into a first dense layer) or a
+    ``model_ir.FrameBlock``, and ``params`` in the place of
+    ``graph.params``. A FrameBlock's first conv multiplies the rows of its
+    distinct frames, each once, and gathers each window's rows; a graph
+    that does not open with a conv stacks the block's windows. Dropout
+    runs only given ``rng``. ``keep``, given, is called with each layer's
+    cache for the trainer's backward pass, before the layer's output is
+    yielded."""
     keep = keep or (lambda _: None)
-    value = x
+    value = (x if graph.layers[0].kind == LayerKind.CONV1D
+             else per_window(x, frames_of(x)))
     for idx, (spec, layer_params) in enumerate(zip(graph.layers, params)):
         kind = spec.kind
         if kind == LayerKind.CONV1D:
             w2 = conv_matrix(layer_params["w"])
-            cols = im2col(value, spec.kernel)
+            cols = im2col(frames_of(value), spec.kernel)
             keep(("conv", cols, w2, value.shape))
-            # One GEMM for all windows where its bits match one per window:
+            # One GEMM for all rows where its bits match one per window:
             # not so for N2's conv 1, (20, 768) @ (768, 64), from N = 2.
             if idx == 0:
-                value = (cols.reshape(-1, cols.shape[2]) @ w2).reshape(
-                    cols.shape[:2] + w2.shape[1:])
+                value = per_window(value, (
+                    cols.reshape(-1, cols.shape[-1]) @ w2).reshape(
+                    cols.shape[:-1] + w2.shape[1:]) + layer_params["b"],
+                    spec.kernel)
             else:
-                value = cols @ w2
-            value = value + layer_params["b"]
+                value = cols @ w2 + layer_params["b"]
         elif kind == LayerKind.RELU:
             value = relu(value)
             keep(("relu", value))
@@ -197,9 +208,12 @@ def forward(graph: ModelGraph, x: np.ndarray) -> np.ndarray:
     return probs[0] if single else probs
 
 
-def forward_collect(graph: ModelGraph, x: np.ndarray) -> list[np.ndarray]:
+def forward_collect(graph: ModelGraph, x) -> list[np.ndarray]:
     """Like :func:`forward`, but returns [input, out_0, out_1, ...] for
-    activation-range calibration."""
-    batch, single = window_batch(x, graph.input_shape)
-    acts = [batch, *layer_outputs(graph, graph.float64_params, batch)]
+    activation-range calibration. ``x`` may also be a checked
+    ``model_ir.FrameBlock``; its input is returned stacked."""
+    batch, single = ((x, False) if isinstance(x, FrameBlock)
+                     else window_batch(x, graph.input_shape))
+    acts = [per_window(batch, frames_of(batch)),
+            *layer_outputs(graph, graph.float64_params, batch)]
     return [a[0] for a in acts] if single else acts

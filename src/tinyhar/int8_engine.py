@@ -28,7 +28,11 @@ parameter set (Jacob et al. 2018, arXiv 1712.05877).
 Kernels take leading batch axes, as TFLite's int8 kernels do, so one
 ``run_quantized`` call classifies a whole batch of windows, bit for bit
 as one call per window would. As in TFLite Micro, they trust the shapes
-the model checked once, when it was built.
+the model checked once, when it was built. A block of sliding windows
+(a ``model_ir.FrameBlock``) quantizes each distinct frame row once, and
+its first conv accumulates and requantizes each row of those frames once;
+each window gathers its rows before saturation. The accumulators are
+exact integers, so each window's are the same bits as when stacked.
 """
 from __future__ import annotations
 
@@ -39,7 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import float_engine
-from .model_ir import LayerKind, map_blocks
+from .model_ir import (LayerKind, frames_of, map_blocks, per_window,
+                       with_frames)
 from .quantizer import (FixedPointMultiplier, PackedLinear, PackedLSTM,
                         QuantParams, QuantizedModel, dequantize,
                         quantize_tensor)
@@ -103,14 +108,17 @@ def _accumulate(cols: np.ndarray, packed: PackedLinear) -> np.ndarray:
     return acc.reshape(cols.shape[:-1] + acc.shape[-1:])
 
 
-def conv1d_int8(q_in: np.ndarray, packed: PackedLinear,
-                mult: FixedPointMultiplier, out_qp: QuantParams,
+def conv1d_int8(q_in, packed: PackedLinear, mult: FixedPointMultiplier,
+                out_qp: QuantParams,
                 audit: SaturationAudit | None = None) -> np.ndarray:
-    """q_in: (..., T, C) int8; ``packed`` holds (K * C, F) weights."""
-    cols = float_engine.rows(q_in, packed.kernel).astype(np.float32,
-                                                         order="C")
-    return _saturate(requantize(_accumulate(cols, packed), mult)
-                     + out_qp.zero_point, audit)
+    """q_in: (..., T, C) int8, or a ``model_ir.FrameBlock`` of int8 frames,
+    whose distinct rows are accumulated and requantized once each and
+    gathered per window before saturation, so ``audit`` counts each
+    window's elements; ``packed`` holds (K * C, F) weights."""
+    cols = float_engine.rows(frames_of(q_in), packed.kernel).astype(
+        np.float32, order="C")
+    acc = requantize(_accumulate(cols, packed), mult) + out_qp.zero_point
+    return _saturate(per_window(q_in, acc, packed.kernel), audit)
 
 
 def dense_int8(q_in: np.ndarray, packed: PackedLinear,
@@ -172,10 +180,14 @@ def softmax_int8(q_logits: np.ndarray, in_qp: QuantParams,
     return quantize_tensor(probs, out_qp)
 
 
-def run_layers(model: QuantizedModel, q_value: np.ndarray,
+def run_layers(model: QuantizedModel, q_value,
                audit: SaturationAudit | None = None) -> np.ndarray:
-    """Runs a quantized (N, T, C) batch through every layer; returns the
-    (N, K) int8 output."""
+    """Runs a quantized (N, T, C) batch, or a ``model_ir.FrameBlock`` of
+    quantized frames, through every layer; returns the (N, K) int8 output.
+    A FrameBlock's first conv runs once per distinct row; a model that does
+    not open with a conv stacks the block's windows."""
+    if model.layers[0].spec.kind != LayerKind.CONV1D:
+        q_value = per_window(q_value, frames_of(q_value))
     for ql in model.layers:
         kind = ql.spec.kind
         if kind == LayerKind.CONV1D:
@@ -207,14 +219,21 @@ def run_quantized(model: QuantizedModel, x,
     (probability vector, class), or on N windows, returning ((N, K)
     probabilities, (N,) classes): an (N, T, C) array, a sequence of (T, C)
     windows or a ``datapipe.Windows``, run by ``model_ir.map_blocks``.
+    A ``Windows`` block quantizes each distinct frame row once, and its
+    first conv runs once per row; the results are the same bits.
 
     Argmax ties break toward the lowest class index. Non-finite input
     raises ``NonFiniteInputError``.
     """
     single = isinstance(x, np.ndarray) and x.ndim == 2
-    probs = map_blocks(lambda block: dequantize(run_layers(
-        model, quantize_tensor(block, model.input_qp), audit),
-        model.layers[-1].out_qp), x, model.input_shape)
+
+    def run(block):
+        q_in = with_frames(block, quantize_tensor(frames_of(block),
+                                                  model.input_qp))
+        return dequantize(run_layers(model, q_in, audit),
+                          model.layers[-1].out_qp)
+
+    probs = map_blocks(run, x, model.input_shape)
     classes = probs.argmax(axis=1)
     if single:
         return probs[0], int(classes[0])

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .datapipe import DatasetStats
+from .datapipe import DatasetStats, Windows
 
 
 class GraphError(ValueError):
@@ -61,23 +61,90 @@ def window_batch(x: np.ndarray,
     return batch, single
 
 
+@dataclass(frozen=True)
+class FrameBlock:
+    """A block of windows that share frames, as :func:`map_blocks` hands
+    one of a ``datapipe.Windows``: window ``i`` at step ``t`` is row
+    ``index[i, t]`` of ``frames``, the (R, C) distinct frame rows the
+    block's windows cover, in frame order. A window's steps are
+    consecutive rows of ``frames``, and so are its rows of a valid conv
+    over them, so each conv row runs once however many windows cover it
+    (Rybakov et al. 2020, arXiv 2005.06720, on streaming convolutions)."""
+
+    frames: np.ndarray  # (R, C), float64 as checked, int8 once quantized
+    index: np.ndarray   # (N, T)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.index.shape + self.frames.shape[1:]
+
+
+def frames_of(block) -> np.ndarray:
+    """The rows a block's input stage and first conv run over: a
+    :class:`FrameBlock`'s distinct frames, or an (N, T, C) batch itself."""
+    return block.frames if isinstance(block, FrameBlock) else block
+
+
+def with_frames(block, frames: np.ndarray):
+    """``block`` with its :func:`frames_of` replaced by ``frames``."""
+    return FrameBlock(frames, block.index) if isinstance(
+        block, FrameBlock) else frames
+
+
+def per_window(block, out: np.ndarray, kernel: int = 1) -> np.ndarray:
+    """``out``, computed row by row over ``frames_of(block)`` by a valid
+    conv of ``kernel`` steps (1: the frames themselves), as the (N,
+    T - kernel + 1, ...) rows of each window: gathered by a
+    :class:`FrameBlock`'s index, a batch's ``out`` as it is."""
+    if not isinstance(block, FrameBlock):
+        return out
+    return out[block.index[:, :block.index.shape[1] - kernel + 1]]
+
+
+def frame_block(windows: Windows,
+                input_shape: tuple[int, int]) -> FrameBlock:
+    """The :class:`FrameBlock` of ``windows`` (``normalize``'s
+    ``np.unique`` and ``searchsorted``): its distinct covered frame rows
+    as float64, checked like :func:`window_batch`. A frame row no window
+    covers is neither copied nor checked."""
+    if (windows.window_len, windows.frames.shape[-1]) != tuple(input_shape):
+        raise ShapeMismatchError(
+            f"windows of {windows.window_len} steps of "
+            f"{windows.frames.shape[-1]} channels are not "
+            f"{tuple(input_shape)}")
+    rows = windows.rows()
+    distinct = np.unique(rows)
+    frames = np.asarray(windows.frames[distinct], np.float64)
+    if not np.isfinite(frames).all():
+        raise NonFiniteInputError("input holds NaN or infinity")
+    return FrameBlock(frames, np.searchsorted(distinct, rows))
+
+
 def map_blocks(fn, x, input_shape: tuple[int, int]) -> np.ndarray:
     """``fn`` of each block of at most BLOCK_WINDOWS windows of ``x``,
     concatenated. ``x`` is an (N, T, C) array, a sequence of (T, C) windows
-    or a ``datapipe.Windows`` (one (T, C) array is one window). Each block
-    is stacked to float64 and checked by :func:`window_batch` in its turn,
-    so memory does not grow with N; an empty input makes one empty block."""
+    or a ``datapipe.Windows`` (one (T, C) array is one window). A block of
+    a ``Windows`` is its :func:`frame_block`, so the executors run their
+    input stage and first conv once per distinct frame row; any other block
+    is stacked to float64 and checked by :func:`window_batch`, with no
+    further copy. Each block is built in its turn, so memory does not grow
+    with N; an empty input makes one empty block."""
     if isinstance(x, np.ndarray) and x.ndim == 2:
         x = x[None]
     results = []
     for start in range(0, max(len(x), 1), BLOCK_WINDOWS):
-        try:
-            block = np.asarray(x[start:start + BLOCK_WINDOWS], np.float64)
-        except ValueError:  # windows of different shapes do not stack
-            raise ShapeMismatchError(
-                f"the windows are not all {tuple(input_shape)}") from None
-        results.append(fn(window_batch(block, input_shape)[0]))
-        del block  # freed before the next block is stacked
+        part = x[start:start + BLOCK_WINDOWS]
+        if isinstance(part, Windows):
+            block = frame_block(part, input_shape)
+        else:
+            try:
+                block = np.asarray(part, np.float64)
+            except ValueError:  # windows of different shapes do not stack
+                raise ShapeMismatchError(f"the windows are not all "
+                                         f"{tuple(input_shape)}") from None
+            block = window_batch(block, input_shape)[0]
+        results.append(fn(block))
+        del block  # freed before the next block is built
     return np.concatenate(results)
 
 

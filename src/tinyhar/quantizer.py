@@ -34,6 +34,7 @@ DEGENERATE_SCALE = 1e-8  # substitute for zero-width calibration ranges
 
 # float32 holds every integer of magnitude below 2**24 exactly
 FLOAT32_EXACT = 2**24
+CHUNK_SEARCH_ROWS = 64  # rows per block sum of the chunk plan's search
 
 
 class EmptyDatasetError(ValueError):
@@ -191,16 +192,33 @@ class PackedLSTM:
 def _row_chunks(w: np.ndarray) -> tuple[tuple[slice, np.ndarray], ...]:
     """Splits the int64 rows of ``w`` into runs whose column bound
     128 * sum|w| stays below ``FLOAT32_EXACT``. One row's bound is at most
-    128 * 128, so every run holds at least one row. One column sum shows
-    that most layers fit in one run; a run that ends early needs more."""
+    128 * 128, so every run holds at least one row. The search reads the
+    column sums of blocks of ``CHUNK_SEARCH_ROWS`` rows, cumulated once:
+    a run's bound at each block edge is a difference of two of them, so
+    only the block where a run ends is summed row by row."""
+    a = np.abs(w)
+    full = len(a) - len(a) % CHUNK_SEARCH_ROWS
+    sums = [np.zeros((1, a.shape[1]), np.int64),
+            a[:full].reshape(-1, CHUNK_SEARCH_ROWS, a.shape[1]).sum(axis=1)]
+    if full < len(a):
+        sums.append(a[full:].sum(axis=0, keepdims=True))
+    # prefix[k]: the column sums of the rows before block k
+    prefix = np.cumsum(np.concatenate(sums), axis=0)
     chunks, start = [], 0
     while start < len(w):
-        rest = np.abs(w[start:])
+        first = start // CHUNK_SEARCH_ROWS  # the block holding ``start``
+        done = prefix[first] + a[first * CHUNK_SEARCH_ROWS:start].sum(axis=0)
+        # the bound of rows start.. up to each later block edge never falls
+        reach = (prefix[first + 1:] - done).max(axis=1) * 128
+        edge = int(np.searchsorted(reach, FLOAT32_EXACT))
         stop = len(w)
-        if rest.sum(axis=0).max() * 128 >= FLOAT32_EXACT:
-            # the bound of rows start..r never falls as r grows
-            bound = np.cumsum(rest, axis=0).max(axis=1) * 128
-            stop = start + int(np.searchsorted(bound, FLOAT32_EXACT))
+        if edge < len(reach):  # the run ends in block first + edge
+            lo = max(start, (first + edge) * CHUNK_SEARCH_ROWS)
+            before = prefix[first + edge] - done if edge else 0
+            bound = (before + np.cumsum(
+                a[lo:(first + edge + 1) * CHUNK_SEARCH_ROWS], axis=0)
+            ).max(axis=1) * 128
+            stop = lo + int(np.searchsorted(bound, FLOAT32_EXACT))
         chunks.append((slice(start, stop),
                        w[start:stop].astype(np.float32)))
         start = stop

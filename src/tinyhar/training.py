@@ -169,22 +169,23 @@ class _Adam:
 
 def _inference_logits(graph: ModelGraph, params, x) -> np.ndarray:
     """Logits of the windows ``x``, one float64 inference pass per
-    ``model_ir.map_blocks`` block."""
+    ``model_ir.map_blocks`` block (an array or a ``FrameBlock``)."""
     return map_blocks(partial(_logits, graph, params), x, graph.input_shape)
 
 
 def predict_proba(graph: ModelGraph, x) -> np.ndarray:
     """Class probabilities (inference mode, float64) of N windows: an
-    (N, T, C) array, a sequence of (T, C) windows or a ``datapipe.Windows``.
-    Each block's rows equal ``float_engine.forward`` of that block, bit for
-    bit, as the softmax treats each row on its own."""
+    (N, T, C) array, a sequence of (T, C) windows or a ``datapipe.Windows``,
+    whose blocks run their first conv once per distinct frame row. Each
+    array block's rows equal ``float_engine.forward`` of that block, bit
+    for bit, as the softmax treats each row on its own."""
     return float_engine.softmax(
         _inference_logits(graph, graph.float64_params, x))
 
 
 def predict_batch(graph: ModelGraph, x) -> np.ndarray:
-    """Argmax classes (inference mode, float64) of N windows: an (N, T, C)
-    array, a sequence of (T, C) windows or a ``datapipe.Windows``."""
+    """Argmax classes (inference mode, float64) of N windows: any input
+    :func:`predict_proba` takes."""
     return _inference_logits(graph, graph.float64_params, x).argmax(axis=1)
 
 
