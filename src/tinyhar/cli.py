@@ -340,18 +340,30 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace, argv) -> None:
+def _apply_config_file(parser, args, argv) -> argparse.Namespace:
+    """``args`` with its ``--config`` file's values, each parsed as its
+    flag would be, ahead of ``argv``, so explicit flags win."""
     if not args.config:
-        return
-    path = Path(args.config)
-    if not path.is_file():
+        return args
+    if not Path(args.config).is_file():
         raise CliError(f"config file not found: {args.config}")
-    overrides = json.loads(path.read_text())
-    explicit = {a.lstrip("-").replace("-", "_").split("=")[0]
-                for a in argv if a.startswith("--")}
+    overrides = json.loads(Path(args.config).read_text())
+    if not isinstance(overrides, dict):
+        raise CliError(f"{args.config} holds no JSON object")
+    flags = []
     for key, value in overrides.items():
-        if key in vars(args) and key not in explicit:
-            setattr(args, key, value)
+        flag = "--" + key.replace("_", "-")
+        flag += "" if isinstance(value, bool) else f"={value}"
+        try:
+            if key in ("command", "func", "config") or key not in vars(args):
+                raise CliError(f"names no flag of `tinyhar {args.command}`")
+            if value is None or isinstance(value, (list, dict)):
+                raise CliError(f"cannot be {json.dumps(value)}")
+            parser.parse_args([argv[0], flag, *argv[1:]])  # raises if bad
+        except CliError as exc:
+            raise CliError(f"{args.config}: key {key!r}: {exc}") from None
+        flags += [] if value is False else [flag]
+    return parser.parse_args([argv[0], *flags, *argv[1:]])
 
 
 def main(argv=None) -> int:
@@ -359,8 +371,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        _apply_config_file(args, argv)
+        args = _apply_config_file(parser, parser.parse_args(argv), argv)
         _write_config_echo(Path(args.out), args)
         return args.func(args)
     except (CliError, ValueError) as exc:  # typed input errors subclass it

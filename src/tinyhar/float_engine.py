@@ -5,16 +5,14 @@ the float reference (:func:`forward`, :func:`forward_collect`: the int8
 engine's oracle and calibration) and for :mod:`tinyhar.training`, with its
 own parameters, dropout and backward caches. Each kernel takes leading
 batch axes and trusts the shapes the graph checked when it was built.
-A conv multiplies :func:`im2col` rows, a float64 copy of the read-only
-row view :func:`rows` (which the int8 engine copies to float32), by
-:func:`conv_matrix`. Conv and dense products are GEMMs, whose summation
-order can depend on their shape, so a window's bits can depend on its
-batch; only the LSTM runs one GEMV per row, so that the int8 engine's
-hybrid LSTM gives a window the same bits in any batch. Given a
-``model_ir.FrameBlock`` (a block of a ``datapipe.Windows``), the first
-conv multiplies the rows of the block's distinct frames, each once, and
-each window gathers its rows of the product; the later layers run per
-window.
+The input is a ``model_ir.FrameBlock``, or a batch: its windows stacked.
+A conv multiplies the :func:`window_rows` of its input, the rows some
+window reads, each once, by :func:`conv_matrix`: one float64 copy of the
+read-only row view :func:`rows`, which the int8 engine copies to float32.
+Conv and dense products are GEMMs, whose summation order can depend on
+their shape, so a window's bits can depend on its batch; only the LSTM
+runs one GEMV per row, so that the int8 engine's hybrid LSTM gives a
+window the same bits in any batch.
 """
 from __future__ import annotations
 
@@ -22,8 +20,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .model_ir import (FrameBlock, LayerKind, ModelGraph, frames_of,
-                       per_window, window_batch)
+from .model_ir import LayerKind, ModelGraph, window_batch
 
 
 def rows(x: np.ndarray, kernel: int) -> np.ndarray:
@@ -41,6 +38,33 @@ def rows(x: np.ndarray, kernel: int) -> np.ndarray:
 def im2col(x: np.ndarray, kernel: int) -> np.ndarray:
     """:func:`rows` copied once to a C-contiguous float64 array."""
     return rows(x, kernel).astype(np.float64, order="C")
+
+
+def window_rows(x, kernel: int = 1):
+    """The :func:`rows` of a valid conv of ``kernel`` steps (1: the frames)
+    that some window of ``x``, a ``model_ir.FrameBlock`` or a (..., T, C)
+    batch, reads, each once, and the function that places results row by
+    row as each window's rows: a gather, unless each read row belongs to
+    one window, in window order (as in a batch), and so comes in place."""
+    if isinstance(x, np.ndarray):
+        return rows(x, kernel), lambda y: y
+    reads = x.index[..., :x.index.shape[-1] - kernel + 1]
+    flat = reads.ravel()
+    if not (flat[1:] > flat[:-1]).all():  # rows shared, or out of order
+        starts, where = np.unique(flat, return_inverse=True)
+        every = rows(x.frames, kernel)
+        return (every if len(starts) == len(every) else every[starts],
+                lambda out: out[where.reshape(reads.shape)])
+    if x.index.size == len(x.frames):  # the windows, stacked
+        return window_rows(x.frames.reshape(x.shape), kernel)
+    return (rows(x.frames, kernel)[flat].reshape(reads.shape + (-1,)),
+            lambda y: y)
+
+
+def windows(x) -> np.ndarray:
+    """The (..., T, C) windows of a :func:`window_rows` input, stacked."""
+    frames, place = window_rows(x)
+    return place(frames)
 
 
 def col2im(cols: np.ndarray, steps: int) -> np.ndarray:
@@ -141,33 +165,27 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def layer_outputs(graph: ModelGraph, params, x, *,
                   rng: np.random.Generator | None = None,
                   keep=None) -> Iterator[np.ndarray]:
-    """Yields each layer's output in turn, for ``x`` a float64 (N, T, C)
-    batch (or (N, D) rows into a first dense layer) or a
-    ``model_ir.FrameBlock``, and ``params`` in the place of
-    ``graph.params``. A FrameBlock's first conv multiplies the rows of its
-    distinct frames, each once, and gathers each window's rows; a graph
-    that does not open with a conv stacks the block's windows. Dropout
-    runs only given ``rng``. ``keep``, given, is called with each layer's
-    cache for the trainer's backward pass, before the layer's output is
-    yielded."""
+    """Yields each layer's output in turn, for ``x`` a ``model_ir.FrameBlock``
+    or a float (N, T, C) batch and ``params`` in the place of
+    ``graph.params``. Each conv multiplies its input's :func:`window_rows`,
+    the first in one GEMM; a graph that does not open with a conv stacks
+    its windows. Dropout runs only given ``rng``. ``keep``, given, is
+    called with each layer's cache for the trainer's backward pass, before
+    the layer's output is yielded."""
     keep = keep or (lambda _: None)
-    value = (x if graph.layers[0].kind == LayerKind.CONV1D
-             else per_window(x, frames_of(x)))
+    value = x if graph.layers[0].kind == LayerKind.CONV1D else windows(x)
     for idx, (spec, layer_params) in enumerate(zip(graph.layers, params)):
         kind = spec.kind
         if kind == LayerKind.CONV1D:
             w2 = conv_matrix(layer_params["w"])
-            cols = im2col(frames_of(value), spec.kernel)
+            cols, place = window_rows(value, spec.kernel)
+            cols = np.ascontiguousarray(cols, np.float64)
             keep(("conv", cols, w2, value.shape))
             # One GEMM for all rows where its bits match one per window:
             # not so for N2's conv 1, (20, 768) @ (768, 64), from N = 2.
-            if idx == 0:
-                value = per_window(value, (
-                    cols.reshape(-1, cols.shape[-1]) @ w2).reshape(
-                    cols.shape[:-1] + w2.shape[1:]) + layer_params["b"],
-                    spec.kernel)
-            else:
-                value = cols @ w2 + layer_params["b"]
+            lhs = cols.reshape(-1, cols.shape[-1]) if idx == 0 else cols
+            value = place((lhs @ w2).reshape(cols.shape[:-1] + w2.shape[1:])
+                          + layer_params["b"])
         elif kind == LayerKind.RELU:
             value = relu(value)
             keep(("relu", value))
@@ -210,10 +228,9 @@ def forward(graph: ModelGraph, x: np.ndarray) -> np.ndarray:
 
 def forward_collect(graph: ModelGraph, x) -> list[np.ndarray]:
     """Like :func:`forward`, but returns [input, out_0, out_1, ...] for
-    activation-range calibration. ``x`` may also be a checked
-    ``model_ir.FrameBlock``; its input is returned stacked."""
-    batch, single = ((x, False) if isinstance(x, FrameBlock)
-                     else window_batch(x, graph.input_shape))
-    acts = [per_window(batch, frames_of(batch)),
-            *layer_outputs(graph, graph.float64_params, batch)]
+    activation-range calibration. ``x`` may also be a ``model_ir.FrameBlock``
+    that ``map_blocks`` checked; its input is its :func:`windows`."""
+    x, single = (window_batch(x, graph.input_shape)
+                 if isinstance(x, np.ndarray) else (x, False))
+    acts = [windows(x), *layer_outputs(graph, graph.float64_params, x)]
     return [a[0] for a in acts] if single else acts

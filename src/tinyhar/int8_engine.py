@@ -8,16 +8,16 @@ storage, float cell math, requantized output.
 The kernels take each layer's packed form (``QLayer.packed``), built once
 per model: float32 weights, a conv's as ``float_engine.conv_matrix``, and
 an int64 bias with the input zero point folded in, b - zp_in * sum(w)
-(Jacob et al. 2018, eqs. 7-8). A conv's rows are ``float_engine.rows``
-of the int8 input itself, copied to float32, and ``q @ w + bias`` equals
-sum((q - zp_in) * w) + b. The product runs in float32 BLAS, one GEMM per
-chunk of weight rows, and is exact: a raw input has |q| <= 128, so every
-product and partial sum within a chunk is an integer of magnitude at
-most 128 * sum|w| over the chunk's rows of its column, which packing
-keeps below 2**24. Float32 holds every such integer, so no summation
-order, with or without FMA, rounds. The chunks are added in int64 to
-the bias, and the result is the integer the int32 accumulator holds
-(``QuantizedModel`` checks sum|w| * 255 + |b| < 2**31 when it is built).
+(Jacob et al. 2018, eqs. 7-8). A conv's rows, ``float_engine.window_rows``
+of the int8 input itself, are copied to float32, and ``q @ w + bias``
+equals sum((q - zp_in) * w) + b. The product runs in float32 BLAS, one
+GEMM per chunk of weight rows, and is exact: a raw input has |q| <= 128,
+so every product and partial sum within a chunk is an integer of
+magnitude at most 128 * sum|w| over the chunk's rows of its column, which
+packing keeps below 2**24. Float32 holds every such integer, so no
+summation order, with or without FMA, rounds. The chunks are added in
+int64 to the bias, and the result is the integer the int32 accumulator
+holds (``QuantizedModel`` checks sum|w| * 255 + |b| < 2**31 when built).
 An LSTM's packed form is its dequantized float64 weights and bias.
 
 On int8 data a ReLU is a fixed map of the 256 int8 values, set by its
@@ -28,11 +28,9 @@ parameter set (Jacob et al. 2018, arXiv 1712.05877).
 Kernels take leading batch axes, as TFLite's int8 kernels do, so one
 ``run_quantized`` call classifies a whole batch of windows, bit for bit
 as one call per window would. As in TFLite Micro, they trust the shapes
-the model checked once, when it was built. A block of sliding windows
-(a ``model_ir.FrameBlock``) quantizes each distinct frame row once, and
-its first conv accumulates and requantizes each row of those frames once;
-each window gathers its rows before saturation. The accumulators are
-exact integers, so each window's are the same bits as when stacked.
+the model checked once, when it was built. The input is a
+``model_ir.FrameBlock`` or a batch; the accumulators are exact, so a
+window's bits do not depend on the windows it shares rows with.
 """
 from __future__ import annotations
 
@@ -43,8 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import float_engine
-from .model_ir import (LayerKind, frames_of, map_blocks, per_window,
-                       with_frames)
+from .model_ir import FrameBlock, LayerKind, map_blocks
 from .quantizer import (FixedPointMultiplier, PackedLinear, PackedLSTM,
                         QuantParams, QuantizedModel, dequantize,
                         quantize_tensor)
@@ -111,14 +108,13 @@ def _accumulate(cols: np.ndarray, packed: PackedLinear) -> np.ndarray:
 def conv1d_int8(q_in, packed: PackedLinear, mult: FixedPointMultiplier,
                 out_qp: QuantParams,
                 audit: SaturationAudit | None = None) -> np.ndarray:
-    """q_in: (..., T, C) int8, or a ``model_ir.FrameBlock`` of int8 frames,
-    whose distinct rows are accumulated and requantized once each and
-    gathered per window before saturation, so ``audit`` counts each
-    window's elements; ``packed`` holds (K * C, F) weights."""
-    cols = float_engine.rows(frames_of(q_in), packed.kernel).astype(
-        np.float32, order="C")
-    acc = requantize(_accumulate(cols, packed), mult) + out_qp.zero_point
-    return _saturate(per_window(q_in, acc, packed.kernel), audit)
+    """q_in: (..., T, C) int8 or a ``model_ir.FrameBlock`` of int8 frames,
+    whose ``float_engine.window_rows`` run once each and are placed per
+    window before saturation and ``audit``; ``packed`` is (K * C, F)."""
+    cols, place = float_engine.window_rows(q_in, packed.kernel)
+    acc = requantize(_accumulate(cols.astype(np.float32, order="C"), packed),
+                     mult) + out_qp.zero_point
+    return _saturate(place(acc), audit)
 
 
 def dense_int8(q_in: np.ndarray, packed: PackedLinear,
@@ -182,12 +178,11 @@ def softmax_int8(q_logits: np.ndarray, in_qp: QuantParams,
 
 def run_layers(model: QuantizedModel, q_value,
                audit: SaturationAudit | None = None) -> np.ndarray:
-    """Runs a quantized (N, T, C) batch, or a ``model_ir.FrameBlock`` of
-    quantized frames, through every layer; returns the (N, K) int8 output.
-    A FrameBlock's first conv runs once per distinct row; a model that does
-    not open with a conv stacks the block's windows."""
+    """Runs a ``model_ir.FrameBlock`` of quantized frames, or a quantized
+    (N, T, C) batch, through every layer; returns the (N, K) int8 output.
+    A model that does not open with a conv stacks the block's windows."""
     if model.layers[0].spec.kind != LayerKind.CONV1D:
-        q_value = per_window(q_value, frames_of(q_value))
+        q_value = float_engine.windows(q_value)
     for ql in model.layers:
         kind = ql.spec.kind
         if kind == LayerKind.CONV1D:
@@ -218,9 +213,8 @@ def run_quantized(model: QuantizedModel, x,
     """Integer inference on one real-valued (T, C) window array, returning
     (probability vector, class), or on N windows, returning ((N, K)
     probabilities, (N,) classes): an (N, T, C) array, a sequence of (T, C)
-    windows or a ``datapipe.Windows``, run by ``model_ir.map_blocks``.
-    A ``Windows`` block quantizes each distinct frame row once, and its
-    first conv runs once per row; the results are the same bits.
+    windows or a ``datapipe.Windows``, run by ``model_ir.map_blocks``; a
+    frame row that a block's windows share is quantized once.
 
     Argmax ties break toward the lowest class index. Non-finite input
     raises ``NonFiniteInputError``.
@@ -228,8 +222,8 @@ def run_quantized(model: QuantizedModel, x,
     single = isinstance(x, np.ndarray) and x.ndim == 2
 
     def run(block):
-        q_in = with_frames(block, quantize_tensor(frames_of(block),
-                                                  model.input_qp))
+        q_in = FrameBlock(quantize_tensor(block.frames, model.input_qp),
+                          block.index)
         return dequantize(run_layers(model, q_in, audit),
                           model.layers[-1].out_qp)
 

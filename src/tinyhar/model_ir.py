@@ -1,6 +1,6 @@
 """Layer-graph model representation: layer specs, the two network builders,
-the input check and block loop the executors share, the check of a model's
-normalization statistics, and parameter accounting.
+the input check, block type and block loop the executors share, the check
+of a model's normalization statistics, and parameter accounting.
 
 A model is a plain ordered list of layers. There is no general computation
 graph: the only supported topologies are the conv->pool->dense classifier
@@ -63,13 +63,11 @@ def window_batch(x: np.ndarray,
 
 @dataclass(frozen=True)
 class FrameBlock:
-    """A block of windows that share frames, as :func:`map_blocks` hands
-    one of a ``datapipe.Windows``: window ``i`` at step ``t`` is row
-    ``index[i, t]`` of ``frames``, the (R, C) distinct frame rows the
-    block's windows cover, in frame order. A window's steps are
-    consecutive rows of ``frames``, and so are its rows of a valid conv
-    over them, so each conv row runs once however many windows cover it
-    (Rybakov et al. 2020, arXiv 2005.06720, on streaming convolutions)."""
+    """The windows :func:`map_blocks` hands every executor: window ``i`` at
+    step ``t`` is row ``index[i, t]`` of ``frames``, so a window's steps,
+    and its rows of a valid conv, are consecutive rows. A
+    :func:`frame_block` runs a row its windows share once (Rybakov et al.
+    2020, arXiv 2005.06720); an array block's frames are the array's rows."""
 
     frames: np.ndarray  # (R, C), float64 as checked, int8 once quantized
     index: np.ndarray   # (N, T)
@@ -77,28 +75,6 @@ class FrameBlock:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.index.shape + self.frames.shape[1:]
-
-
-def frames_of(block) -> np.ndarray:
-    """The rows a block's input stage and first conv run over: a
-    :class:`FrameBlock`'s distinct frames, or an (N, T, C) batch itself."""
-    return block.frames if isinstance(block, FrameBlock) else block
-
-
-def with_frames(block, frames: np.ndarray):
-    """``block`` with its :func:`frames_of` replaced by ``frames``."""
-    return FrameBlock(frames, block.index) if isinstance(
-        block, FrameBlock) else frames
-
-
-def per_window(block, out: np.ndarray, kernel: int = 1) -> np.ndarray:
-    """``out``, computed row by row over ``frames_of(block)`` by a valid
-    conv of ``kernel`` steps (1: the frames themselves), as the (N,
-    T - kernel + 1, ...) rows of each window: gathered by a
-    :class:`FrameBlock`'s index, a batch's ``out`` as it is."""
-    if not isinstance(block, FrameBlock):
-        return out
-    return out[block.index[:, :block.index.shape[1] - kernel + 1]]
 
 
 def frame_block(windows: Windows,
@@ -121,14 +97,14 @@ def frame_block(windows: Windows,
 
 
 def map_blocks(fn, x, input_shape: tuple[int, int]) -> np.ndarray:
-    """``fn`` of each block of at most BLOCK_WINDOWS windows of ``x``,
-    concatenated. ``x`` is an (N, T, C) array, a sequence of (T, C) windows
-    or a ``datapipe.Windows`` (one (T, C) array is one window). A block of
-    a ``Windows`` is its :func:`frame_block`, so the executors run their
-    input stage and first conv once per distinct frame row; any other block
-    is stacked to float64 and checked by :func:`window_batch`, with no
-    further copy. Each block is built in its turn, so memory does not grow
-    with N; an empty input makes one empty block."""
+    """``fn`` of the :class:`FrameBlock` of each block of at most
+    BLOCK_WINDOWS windows of ``x``, concatenated. ``x`` is an (N, T, C)
+    array, a sequence of (T, C) windows or a ``datapipe.Windows`` (one
+    (T, C) array is one window). A ``Windows`` block is its
+    :func:`frame_block`; another is stacked to float64, checked by
+    :func:`window_batch` and its rows made its frames, a view: window
+    ``i``'s step ``t`` is row ``i * T + t``. Each block is built in its
+    turn, so memory does not grow with N; no window makes one empty block."""
     if isinstance(x, np.ndarray) and x.ndim == 2:
         x = x[None]
     results = []
@@ -143,6 +119,8 @@ def map_blocks(fn, x, input_shape: tuple[int, int]) -> np.ndarray:
                 raise ShapeMismatchError(f"the windows are not all "
                                          f"{tuple(input_shape)}") from None
             block = window_batch(block, input_shape)[0]
+            block = FrameBlock(block.reshape(-1, block.shape[2]), np.arange(
+                len(block) * block.shape[1]).reshape(block.shape[:2]))
         results.append(fn(block))
         del block  # freed before the next block is built
     return np.concatenate(results)

@@ -5,7 +5,7 @@ loss, and a central finite-difference gradient checker. The forward pass
 of training steps, of the per-epoch accuracies and of ``predict_*`` is
 ``float_engine.layer_outputs``, the float reference's own layer loop,
 stopped before the final softmax and given the trainer's dropout and
-backward caches. Convolutions are ``float_engine.im2col`` rows times
+backward caches. Convolutions are ``float_engine.window_rows`` times
 ``conv_matrix`` weights in both directions: the conv weight gradient is
 ``cols.T @ dout`` over all windows and time steps, and so is the
 input-gradient product. Backpropagation stops at the first layer's
@@ -169,16 +169,15 @@ class _Adam:
 
 def _inference_logits(graph: ModelGraph, params, x) -> np.ndarray:
     """Logits of the windows ``x``, one float64 inference pass per
-    ``model_ir.map_blocks`` block (an array or a ``FrameBlock``)."""
+    ``model_ir.map_blocks`` block, a ``model_ir.FrameBlock``."""
     return map_blocks(partial(_logits, graph, params), x, graph.input_shape)
 
 
 def predict_proba(graph: ModelGraph, x) -> np.ndarray:
     """Class probabilities (inference mode, float64) of N windows: an
-    (N, T, C) array, a sequence of (T, C) windows or a ``datapipe.Windows``,
-    whose blocks run their first conv once per distinct frame row. Each
-    array block's rows equal ``float_engine.forward`` of that block, bit
-    for bit, as the softmax treats each row on its own."""
+    (N, T, C) array, a sequence of (T, C) windows or a ``datapipe.Windows``.
+    Each array block's rows equal ``float_engine.forward`` of that block,
+    bit for bit, as the softmax treats each row on its own."""
     return float_engine.softmax(
         _inference_logits(graph, graph.float64_params, x))
 

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tinyhar import benchlab, cli, mcu, modelfile
 from tinyhar.cli import main
@@ -14,6 +15,14 @@ from tinyhar.quantizer import QuantizedModel
 
 def run(*argv):
     return main(list(argv))
+
+
+def _is_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
 
 
 @pytest.fixture(scope="module")
@@ -366,6 +375,76 @@ class TestFlags:
         assert echo["subjects"] == 1       # explicit flag wins
         assert echo["duration_s"] == 10.0  # config value applied
         assert echo["seed"] == 99
+
+    @pytest.mark.parametrize("command, config, named", [
+        ("synth", {"func": 1}, "'func'"),
+        ("synth", {"config": "other.json"}, "'config'"),
+        ("synth", {"command": "train"}, "'command'"),
+        ("synth", {"subject": 2}, "'subject'"),  # misspelt
+        ("synth", {"seed": "x"}, "'seed'"),
+        ("synth", {"duration_s": None}, "'duration_s'"),
+        ("synth", [1, 2], "cfg.json holds no JSON object"),
+        ("train", {"epochs": True}, "'epochs'"),
+        ("train", {"epochs": 1.5}, "'epochs'"),
+        ("train", {"epochs": "five"}, "'epochs'"),
+        ("train", {"epoch": 5}, "'epoch'"),
+        ("train", {"group": 42}, "'group'"),
+        ("sweep", {"measure_host_latency": 1}, "'measure_host_latency'"),
+    ])
+    def test_bad_config_file_exits_one_naming_the_key(
+            self, tmp_path, capsys, command, config, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        data = ["--data", str(tmp_path)] if command != "synth" else []
+        assert run(command, *data, "--config", str(cfg),
+                   "--out", str(tmp_path / "o")) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()  # rejected before any work
+
+    def test_config_file_equals_its_flags(self, tmp_path):
+        config = {"subjects": 1, "sessions": 1, "duration_s": 12.0,
+                  "seed": 4}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        by_file, by_flags = tmp_path / "file", tmp_path / "flags"
+        assert run("synth", "--config", str(cfg), "--out", str(by_file)) == 0
+        assert run("synth", "--subjects", "1", "--sessions", "1",
+                   "--duration-s", "12.0", "--seed", "4",
+                   "--out", str(by_flags)) == 0
+        for path in sorted(by_file.iterdir()):
+            text = path.read_text().replace(str(by_file), str(by_flags))
+            assert text == (by_flags / path.name).read_text(), path.name
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(config=st.dictionaries(
+        st.sampled_from(["seed", "epochs", "batch_size", "filters",
+                         "window_len", "stride", "held_out_session",
+                         "group"]),
+        st.one_of(st.booleans(), st.none(), st.floats(),
+                  st.text().filter(lambda t: not _is_int(t)),
+                  st.lists(st.integers(), max_size=2),
+                  st.dictionaries(st.text(max_size=2), st.integers(),
+                                  max_size=1)),
+        min_size=1))
+    def test_wrong_typed_config_values_exit_one(self, tmp_path, capsys,
+                                                config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run("train", "--data", str(tmp_path), "--config", str(cfg),
+                   "--out", str(tmp_path / "o")) == 1
+        assert repr(next(iter(config))) in capsys.readouterr().err
+
+    def test_config_switches_take_true_or_false(self, tmp_path):
+        for value in (True, False):
+            cfg = tmp_path / f"{value}.json"
+            cfg.write_text(json.dumps({"measure_host_latency": value}))
+            out = tmp_path / f"o{value}"
+            # no dataset: the run stops after the config echo
+            assert run("sweep", "--data", str(tmp_path), "--config",
+                       str(cfg), "--out", str(out)) == 1
+            echo = json.loads((out / "config.json").read_text())
+            assert echo["measure_host_latency"] is value
 
     @pytest.mark.parametrize("command, window_len", [("eval", "99"),
                                                      ("quantize", "5")])

@@ -155,6 +155,11 @@ class TestGraphImmutability:
                     arr.tobytes()
 
 
+def stacked(block):
+    """The (N, T, C) windows of a FrameBlock, gathered by its index."""
+    return block.frames[block.index]
+
+
 class TestMapBlocks:
     def test_blocks_cover_the_windows_in_order(self):
         x = np.random.default_rng(0).normal(size=(9, 4, 2)).astype(np.float32)
@@ -162,22 +167,47 @@ class TestMapBlocks:
 
         def record(block):
             blocks.append(block)
-            return block
+            return stacked(block)
 
         with mock.patch.object(model_ir, "BLOCK_WINDOWS", 4):
             out = model_ir.map_blocks(record, x, (4, 2))
-        assert [len(b) for b in blocks] == [4, 4, 1]
-        assert all(b.dtype == np.float64 for b in blocks)
+        assert all(isinstance(b, model_ir.FrameBlock) for b in blocks)
+        assert [b.shape for b in blocks] == [(4, 4, 2), (4, 4, 2), (1, 4, 2)]
+        assert all(b.frames.dtype == np.float64 for b in blocks)
         assert np.array_equal(out, x)
 
-    def test_one_window_and_no_window(self):
+    @pytest.mark.parametrize("x, shape", [
+        (np.ones((4, 2)), (1, 4, 2)),          # one window
+        (np.zeros((0, 4, 2)), (0, 4, 2)),      # no window
+        ([np.ones((4, 2)), np.zeros((4, 2))], (2, 4, 2)),  # a sequence
+        (np.ones((3, 4, 2)), (3, 4, 2)),       # an array
+    ])
+    def test_every_input_is_a_frame_block(self, x, shape):
         def shape_of(block):
+            assert isinstance(block, model_ir.FrameBlock)
+            assert block.frames.dtype == np.float64
+            assert np.array_equal(stacked(block),
+                                  np.reshape(x, (-1, 4, 2)))
             return np.array([block.shape])
 
-        assert model_ir.map_blocks(shape_of, np.ones((4, 2)),
-                                   (4, 2)).tolist() == [[1, 4, 2]]
-        assert model_ir.map_blocks(shape_of, np.zeros((0, 4, 2)),
-                                   (4, 2)).tolist() == [[0, 4, 2]]
+        assert model_ir.map_blocks(shape_of, x, (4, 2)).tolist() == \
+            [list(shape)]
+
+    def test_an_array_block_is_a_view_with_an_arithmetic_index(self):
+        x = np.random.default_rng(1).normal(size=(5, 4, 2))
+        blocks = []
+
+        def record(block):
+            blocks.append(block)
+            return np.zeros(len(block.index))
+
+        with mock.patch.object(np, "unique",
+                               side_effect=AssertionError("np.unique")):
+            model_ir.map_blocks(record, x, (4, 2))
+        [block] = blocks
+        assert np.shares_memory(block.frames, x)
+        assert block.frames.shape == (20, 2)
+        assert block.index.tolist() == np.arange(20).reshape(5, 4).tolist()
 
     @pytest.mark.parametrize("x", [np.zeros((0, 4, 3)), np.zeros((2, 4)),
                                    [np.zeros((4, 2)), np.zeros((3, 2))]])
