@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 validation error (bad flags, missing or malformed
 inputs), 2 runtime failure. Every run writes a config echo JSON capturing
 the effective flag values into its output directory. All outputs are
-deterministic given --seed (host latency measurements excepted).
+deterministic given --seed at a fixed BLAS thread count (host latency
+measurements excepted): a GEMM's summation order, and so a float
+result's last bits, can follow the thread count.
 """
 from __future__ import annotations
 

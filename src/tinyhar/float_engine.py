@@ -1,14 +1,18 @@
-"""Float executor: the one float64 layer loop, and the float reference.
+"""Float executor: the one float layer loop, and the float reference.
 
 :func:`layer_outputs` runs a ``ModelGraph`` over a batch of windows, for
 the float reference (:func:`forward`, :func:`forward_collect`: the int8
 engine's oracle and calibration) and for :mod:`tinyhar.training`, with its
 own parameters, dropout and backward caches. Each kernel takes leading
 batch axes and trusts the shapes the graph checked when it was built.
+The loop computes in the dtype of its operands: the reference feeds
+float64 frames and ``float64_params``, so it runs in float64, and the
+trainer feeds float32 windows and parameters, so it runs in float32.
 The input is a ``model_ir.FrameBlock``, or a batch: its windows stacked.
 A conv multiplies the :func:`window_rows` of its input, the rows some
-window reads, each once, by :func:`conv_matrix`: one float64 copy of the
-read-only row view :func:`rows`, which the int8 engine copies to float32.
+window reads, each once, by :func:`conv_matrix`: one contiguous copy of
+the read-only row view :func:`rows`, which the int8 engine copies to
+float32.
 Conv and dense products are GEMMs, whose summation order can depend on
 their shape, so a window's bits can depend on its batch; only the LSTM
 runs one GEMV per row, so that the int8 engine's hybrid LSTM gives a
@@ -72,7 +76,7 @@ def col2im(cols: np.ndarray, steps: int) -> np.ndarray:
     (..., steps, C) input step it was read from."""
     out_steps = cols.shape[-2]
     taps = cols.reshape(cols.shape[:-1] + (steps - out_steps + 1, -1))
-    x = np.zeros(cols.shape[:-2] + (steps, taps.shape[-1]))
+    x = np.zeros(cols.shape[:-2] + (steps, taps.shape[-1]), cols.dtype)
     for k in range(taps.shape[-2]):
         x[..., k:k + out_steps, :] += taps[..., k, :]
     return x
@@ -179,7 +183,7 @@ def layer_outputs(graph: ModelGraph, params, x, *,
         if kind == LayerKind.CONV1D:
             w2 = conv_matrix(layer_params["w"])
             cols, place = window_rows(value, spec.kernel)
-            cols = np.ascontiguousarray(cols, np.float64)
+            cols = np.ascontiguousarray(cols)
             keep(("conv", cols, w2, value.shape))
             # One GEMM for all rows where its bits match one per window:
             # not so for N2's conv 1, (20, 768) @ (768, 64), from N = 2.

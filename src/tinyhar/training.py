@@ -1,7 +1,15 @@
 """Backprop trainer for the conv/dense model family.
 
-Backward kernels (float64), the Adam optimizer, categorical cross-entropy
-loss, and a central finite-difference gradient checker. The forward pass
+Backward kernels, the Adam optimizer, categorical cross-entropy loss, and
+a central finite-difference gradient checker. Training runs in float32,
+the dtype a graph stores its parameters in: parameters, Adam moments,
+training windows, activations and gradients, as every array the backward
+pass makes takes the dtype of the gradient flowing into it. The
+per-epoch accuracies and ``predict_*`` stack their windows to float64, as
+the float reference does, and :func:`grad_check` runs in float64. The
+trained parameters are those of the last step, so the last epoch's
+accuracy pass and ``predict_*`` on the trained graph compute the same
+logits, bit for bit. The forward pass
 of training steps, of the per-epoch accuracies and of ``predict_*`` is
 ``float_engine.layer_outputs``, the float reference's own layer loop,
 stopped before the final softmax and given the trainer's dropout and
@@ -107,7 +115,7 @@ def _backward_batch(graph: ModelGraph, params, caches, dlogits: np.ndarray):
         if tag == "dense":
             dvalue = dvalue @ params[idx]["w"].T
             if len(cache[2]) == 3:  # only the last time step was read
-                dseq = np.zeros(cache[2])
+                dseq = np.zeros(cache[2], dvalue.dtype)
                 dseq[:, -1] = dvalue
                 dvalue = dseq
         elif tag == "conv":
@@ -118,7 +126,7 @@ def _backward_batch(graph: ModelGraph, params, caches, dlogits: np.ndarray):
         elif tag == "flatten":
             dvalue = dvalue.reshape(cache[1])
         elif tag == "pool":
-            dx, pool = np.zeros(cache[1]), cache[2]
+            dx, pool = np.zeros(cache[1], dvalue.dtype), cache[2]
             float_engine.pool_groups(dx, pool)[...] = dvalue[:, :, None] / pool
             dvalue = dx
         elif tag == "dropout":
@@ -189,23 +197,25 @@ def predict_batch(graph: ModelGraph, x) -> np.ndarray:
 
 
 def train(graph: ModelGraph, train_set, val_set, cfg: TrainConfig):
-    """Train on (X, y) arrays; returns (trained graph, per-epoch history).
+    """Train on (X, y) arrays in float32; returns (trained graph,
+    per-epoch history).
 
     History entries are dicts with epoch, loss, train_acc, val_acc. The
     accuracies, one inference pass per split and epoch, run exactly when
     ``val_set`` is given (its X any window set :func:`predict_batch`
     takes); with None both are NaN. The trained parameters are the same
-    either way, and deterministic given cfg.seed.
+    either way, and deterministic given cfg.seed at a fixed BLAS thread
+    count.
     """
     _check_trainable(graph)
     x_train, y_train = train_set
-    params = [{k: v.astype(np.float64) for k, v in p.items()}
+    params = [{k: v.astype(np.float32) for k, v in p.items()}
               for p in graph.params]
     rng = np.random.default_rng(cfg.seed)
     opt = _Adam(cfg.learning_rate)
     n = x_train.shape[0]
     entries = []
-    x_train = x_train.astype(np.float64)
+    x_train = x_train.astype(np.float32)
 
     def accuracy(split) -> float:  # NaN without validation, or if empty
         if val_set is None or not len(split[0]):
@@ -224,13 +234,11 @@ def train(graph: ModelGraph, train_set, val_set, cfg: TrainConfig):
             loss, dlogits = _loss_and_dlogits(logits, yb)
             grads = _backward_batch(graph, params, caches, dlogits)
             opt.step(params, grads)
-            epoch_loss += loss * len(idx)
+            epoch_loss += float(loss) * len(idx)
         entries.append({"epoch": epoch, "loss": epoch_loss / n,
-                        "train_acc": accuracy((x_train, y_train)),
+                        "train_acc": accuracy(train_set),
                         "val_acc": accuracy(val_set)})
-    trained = tuple({k: v.astype(np.float32) for k, v in p.items()}
-                    for p in params)
-    return graph.with_params(trained), entries
+    return graph.with_params(tuple(params)), entries
 
 
 def history_to_csv(history) -> str:

@@ -132,13 +132,17 @@ class TestConvGemmBits:
                     dout0.sum(axis=(0, 1)).tobytes()
 
 
+def dense_after_sequence_graph():
+    layers = (conv1d(4, 8, 3), relu(), dense(8, 15), softmax())
+    return ModelGraph(layers, init_params(layers, 3), (10, 4), 15)
+
+
 class TestDenseAfterSequence:
     """A dense layer fed a (T, D) sequence reads its last time step."""
 
     @pytest.fixture
     def graph(self):
-        layers = (conv1d(4, 8, 3), relu(), dense(8, 15), softmax())
-        return ModelGraph(layers, init_params(layers, 3), (10, 4), 15)
+        return dense_after_sequence_graph()
 
     def test_predict_matches_float_executor(self, graph):
         x = np.random.default_rng(4).normal(size=(5, 10, 4))
@@ -382,3 +386,130 @@ class TestKernelOracles:
             for name in p1:
                 assert p1[name].dtype == np.float32
                 assert p1[name].tobytes() == p2[name].tobytes()
+
+
+def arrays_of(cache):
+    """The arrays a layer cache holds (its shapes and scales are not)."""
+    return [v for v in cache[1:] if isinstance(v, np.ndarray)]
+
+
+class TestFloat32Training:
+    """``train`` runs every step in float32, the dtype of graph params."""
+
+    @pytest.fixture(params=["mc_cnn", "dense_after_sequence"])
+    def graph(self, request):
+        if request.param == "mc_cnn":
+            return build_mc_cnn(4, 10, 8, dense_width=6, num_classes=15,
+                                seed=3)
+        return dense_after_sequence_graph()
+
+    def test_every_cache_gradient_and_moment_is_float32(self, graph,
+                                                        monkeypatch):
+        seen = {"caches": 0, "grads": 0, "moments": 0}
+        backward, step = training._backward_batch, training._Adam.step
+
+        def checked_backward(graph_, params, caches, dlogits):
+            assert dlogits.dtype == np.float32
+            tags = {c[0] for c in caches}
+            assert {"conv", "dense", "relu"} <= tags
+            for cache in caches:
+                for arr in arrays_of(cache):
+                    if arr.dtype != bool:  # dropout's keep mask
+                        assert arr.dtype == np.float32, cache[0]
+                        seen["caches"] += 1
+            grads = backward(graph_, params, caches, dlogits)
+            for layer_grads in grads:
+                for g in layer_grads.values():
+                    assert g.dtype == np.float32
+                    seen["grads"] += 1
+            return grads
+
+        def checked_step(opt, params, grads):
+            step(opt, params, grads)
+            for arr in [*opt.m.values(), *opt.v.values(),
+                        *(v for p in params for v in p.values())]:
+                assert arr.dtype == np.float32
+                seen["moments"] += 1
+
+        monkeypatch.setattr(training, "_backward_batch", checked_backward)
+        monkeypatch.setattr(training._Adam, "step", checked_step)
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(20,) + graph.input_shape)  # float64 windows
+        y = rng.integers(0, 15, size=20)
+        trained, _ = train(graph, (x, y), None,
+                           TrainConfig(epochs=2, batch_size=8))
+        assert all(seen.values())
+        assert all(v.dtype == np.float32
+                   for p in trained.params for v in p.values())
+
+    def test_float32_gradients_match_float64_ones(self, graph):
+        # the same float32 parameters and windows, and the same dropout
+        # masks, backpropagated at both precisions: the float32 error,
+        # about 2e-7 of the largest gradient entry here and 5e-7 at the
+        # sweep's 23ch, 128-filter shapes, stays within 1e-5 of it
+        x = np.random.default_rng(9).normal(
+            size=(16,) + graph.input_shape).astype(np.float32)
+        labels = np.arange(16) % graph.num_classes
+        grads = {}
+        for dtype in (np.float32, np.float64):
+            params = [{k: v.astype(dtype) for k, v in p.items()}
+                      for p in graph.params]
+            caches = []
+            logits = training._logits(graph, params, x.astype(dtype),
+                                      rng=np.random.default_rng(0),
+                                      keep=caches.append)
+            _, dlogits = training._loss_and_dlogits(logits, labels)
+            grads[dtype] = training._backward_batch(graph, params, caches,
+                                                    dlogits)
+        for got, want in zip(grads[np.float32], grads[np.float64],
+                             strict=True):
+            assert sorted(got) == sorted(want)
+            for name, ref in want.items():
+                assert got[name].dtype == np.float32
+                assert np.abs(got[name] - ref).max() <= \
+                    1e-5 * np.abs(ref).max()
+
+    def test_grad_check_stays_float64(self, graph, monkeypatch):
+        backward = training._backward_batch
+        dtypes = set()
+
+        def spy(graph_, params, caches, dlogits):
+            grads = backward(graph_, params, caches, dlogits)
+            dtypes.update(g.dtype for p in grads for g in p.values())
+            return grads
+
+        monkeypatch.setattr(training, "_backward_batch", spy)
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(20,) + graph.input_shape)
+        y = rng.integers(0, 15, size=20)
+        trained, _ = train(graph, (x, y), None,
+                           TrainConfig(epochs=2, batch_size=8))
+        dtypes.clear()
+        # criterion 5's bound, on a graph trained in float32
+        assert grad_check(trained, x[0], int(y[0]), seed=1) <= 1e-3
+        assert dtypes == {np.dtype(np.float64)}
+
+
+class TestEpochAccuracyIsPredictBatch:
+    def test_last_val_pass_equals_predict_batch(self, monkeypatch):
+        # the trainer's parameters are float32 at every step, so the last
+        # epoch's val_acc pass runs the returned graph's parameters
+        passes = []
+        inference = training._inference_logits
+
+        def recorded(graph, params, x):
+            passes.append(inference(graph, params, x))
+            return passes[-1]
+
+        monkeypatch.setattr(training, "_inference_logits", recorded)
+        x, y = separable_toy_set(n=80, seed=3)
+        x_val, y_val = separable_toy_set(n=40, seed=4)
+        g = build_mc_cnn(2, 8, 8, dense_width=8, num_classes=2, seed=5)
+        trained, history = train(g, (x, y), (x_val, y_val),
+                                 TrainConfig(epochs=3, batch_size=16))
+        val_logits = passes[-1]  # each epoch runs train, then val
+        preds = training.predict_batch(trained, x_val)
+        assert len(passes) == 2 * len(history) + 1
+        assert passes[-1].tobytes() == val_logits.tobytes()
+        assert preds.tolist() == val_logits.argmax(axis=1).tolist()
+        assert history[-1]["val_acc"] == float((preds == y_val).mean())
