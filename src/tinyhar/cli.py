@@ -42,9 +42,12 @@ def _write_config_echo(outdir: Path, args: argparse.Namespace) -> None:
         json.dumps(effective, indent=2, default=str) + "\n")
 
 
-def _iter_sessions(data_dir: str, keep=lambda session: True):
+def _iter_sessions(data_dir: str, keep=lambda session: True,
+                   group: ChannelGroup = ChannelGroup.G791,
+                   max_rows=lambda: None):
     """The recordings of the manifest's sessions whose id passes ``keep``,
-    in manifest order, each CSV read only when its turn comes."""
+    in manifest order, each CSV read only when its turn comes: ``group``'s
+    channels from at most ``max_rows()`` rows (all when None)."""
     manifest_path = Path(data_dir) / "manifest.json"
     if not manifest_path.is_file():
         raise CliError(f"no manifest.json in {data_dir}; "
@@ -56,7 +59,7 @@ def _iter_sessions(data_dir: str, keep=lambda session: True):
         path = Path(data_dir) / entry["path"]
         if not path.is_file():
             raise CliError(f"dataset file missing: {path}")
-        timestamps, frames, labels = ingest_csv(path)
+        timestamps, frames, labels = ingest_csv(path, group, max_rows())
         yield SessionRecording(subject=entry["subject"],
                                session=entry["session"],
                                timestamps=timestamps, frames=frames,
@@ -142,11 +145,19 @@ def cmd_quantize(args) -> int:
     if not isinstance(model, ModelGraph):
         raise CliError(f"{args.model} is already quantized")
     _require_stats(model, args.model)
+    if args.rep_windows < 1:
+        raise CliError(f"--rep-windows must be at least 1, got "
+                       f"{args.rep_windows}")
     # the first --rep-windows training windows, read session by session
     sessions, count = [], 0
-    window_len = model.input_shape[0]
+    window_len, channels = model.input_shape
+
+    def rows():  # the rows that the windows still to find cover
+        return (args.rep_windows - count - 1) * args.stride + window_len
+
     for rec in _iter_sessions(args.data,
-                              lambda s: s != args.held_out_session):
+                              lambda s: s != args.held_out_session,
+                              ChannelGroup.from_width(channels), rows):
         sessions.append(rec)
         count += len(range(0, len(rec.labels) - window_len + 1, args.stride))
         if count >= args.rep_windows:
@@ -182,7 +193,8 @@ def cmd_eval(args) -> int:
         raise CliError("eval supports trained MC-CNN models only")
     group = ChannelGroup.from_width(model.input_shape[1])
     test_set = _windows(model, list(_iter_sessions(
-        args.data, lambda s: s == args.held_out_session)), args.stride)
+        args.data, lambda s: s == args.held_out_session, group)),
+        args.stride)
     if not test_set:
         raise CliError(f"held-out session {args.held_out_session} "
                        f"produced no windows")

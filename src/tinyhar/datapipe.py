@@ -13,9 +13,9 @@ Channel layout (791 columns, fixed order):
 CSV files carry 793 columns: timestamp_ms, the 791 channels, label.
 
 The pipeline works on whole arrays. ``ingest_csv`` is the one CSV parser:
-it reads a file with one ``np.loadtxt`` call, validates it in one
-vectorised pass and names the line of the first error from those arrays.
-``make_windows``
+it reads a file, or the rows and channel group a command uses, with one
+``np.loadtxt`` call, validates the cells it read in one vectorised pass
+and names the line of the first error from those arrays. ``make_windows``
 returns :class:`Windows`: every window is a read-only row view over one
 array of channel-selected frames, and indexing keeps the old list
 semantics. ``normalize`` z-scores each frame row that some window covers
@@ -26,6 +26,7 @@ windows first.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -109,7 +110,7 @@ class SessionRecording:
     subject: int
     session: int
     timestamps: np.ndarray  # (N,) ms
-    frames: np.ndarray      # (N, 791)
+    frames: np.ndarray      # (N, 791), or (N, width) of one channel group
     labels: np.ndarray      # (N,) int in 0..14
 
 
@@ -137,50 +138,93 @@ class SensorStream:
     values: np.ndarray      # (n, width)
 
 
-def _rows(lines: list[str]):
-    """``lines`` as one (N, 793) array in a single ``np.loadtxt`` call, or
-    None when some line is not a row of 793 numeric cells."""
+def _lines(path, max_rows: int | None) -> tuple[str, list[str]]:
+    """The header of ``path`` and its next ``max_rows`` lines (all when
+    None). A line ends where universal newlines end one: at "\\n", "\\r\\n"
+    or a lone "\\r"."""
+    with open(path, newline="") as fh:  # splits so, and translates nothing
+        lines = [line.rstrip("\r\n") for line in itertools.islice(
+            fh, None if max_rows is None else max_rows + 1)]
+    return (lines[0] if lines else ""), lines[1:]
+
+
+def _low_rate_cells(line: str, columns: list[int]) -> str | None:
+    """Cells ``columns`` of a 793-cell line, all among its first 24, and
+    its label, as a line of their own; None when ``line`` holds another
+    number of cells or a quote left open (it would run on into the next
+    line). A kept cell that held a comma or a quote fails to parse."""
+    if '"' not in line:
+        if line.count(",") != len(CSV_HEADER) - 1:
+            return None
+        head = line.split(",", THERMAL.start + 1)
+        return ",".join([head[i] for i in columns]
+                        + [line[line.rindex(",") + 1:]])
+    cells = next(csv.reader([line]))
+    if line.count('"') % 2 or len(cells) != len(CSV_HEADER):
+        return None
+    kept = ",".join([cells[i] for i in columns] + cells[-1:])
+    return None if '"' in kept else kept  # "" quoted a quote
+
+
+def _rows(lines: list, width: int):
+    """``lines``, rows of ``width`` cells that end in a label, as one array
+    from a single ``np.loadtxt`` call; None when some line is None or not
+    such a row."""
     if not lines:
-        return np.empty((0, len(CSV_HEADER)))
-    if "" in lines:  # loadtxt skips blank lines, and warns if none is left
+        return np.empty((0, width))
+    # loadtxt skips blank lines, and warns if none is left
+    if None in lines or "" in lines:
         return None
     try:
         # labels go through int(), so "3.0" fails
         data = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"',
-                          ndmin=2, converters={len(CSV_HEADER) - 1: int})
+                          ndmin=2, converters={width - 1: int})
     except ValueError:
         return None
-    return data if data.shape == (len(lines), len(CSV_HEADER)) else None
+    return data if data.shape == (len(lines), width) else None
 
 
-def ingest_csv(path):
-    """Parse one recording CSV into (timestamps, frames, labels).
+def ingest_csv(path, group: ChannelGroup = ChannelGroup.G791,
+               max_rows: int | None = None):
+    """Parse one recording CSV into (timestamps, frames, labels): the
+    first ``max_rows`` rows (all when None), with ``group``'s channels.
 
     The grammar is ``np.loadtxt``'s: 793 comma-separated cells per line,
     any of them quoted with ``"``; the timestamp and the 791 channels are
     ASCII decimal, ``nan`` or ``inf`` numbers (no ``_`` digit separator),
     and the label is an integer as ``int()`` reads it. Validates the
-    header, finite values, strictly increasing timestamps and labels in
-    0..14. Each error names its line, the header being line 1: the first
-    row that fails a check (within a row: non-finite, then timestamp, then
-    label), or else the first line that is not a full row.
+    header, the cell count of every row read, and the grammar and value
+    of every cell read: finite values, strictly increasing timestamps and
+    labels in 0..14. The cells read are the timestamp, the label and the
+    group's channels for the 17 and 23 low-rate groups, and every cell
+    for the 768 and 791 groups. ``train`` and ``sweep`` read every cell of
+    every row; ``eval`` and ``quantize`` pass their model's group, and
+    ``quantize`` the rows its representative windows cover, so a bad cell
+    they do not read passes. Each error names its line, the header being
+    line 1: the first row that fails a check (within a row: non-finite,
+    then timestamp, then label), or else the first line that is not a
+    full row.
     """
-    with open(path) as fh:  # universal newlines split rows as csv does
-        header_line, _, body = fh.read().partition("\n")
-    if next(csv.reader([header_line]), None) != CSV_HEADER:
+    header, lines = _lines(path, max_rows)
+    if next(csv.reader([header]), None) != CSV_HEADER:
         raise HeaderMismatchError(
             f"{path}: header does not match the documented "
             f"{len(CSV_HEADER)}-column layout")
-    lines = body.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    data = _rows(lines)
+    # loadtxt scans a whole line to read a few of its cells (usecols), so
+    # a low-rate read cuts them out first; a thermal group reads every cell
+    width = len(CSV_HEADER)
+    if group.width <= THERMAL.start:
+        columns = [0, *(group.indices() + 1).tolist()]
+        lines = [_low_rate_cells(line, columns) for line in lines]
+        width = len(columns) + 1
+    data = _rows(lines, width)
     readable = len(lines)
     if data is None:  # check the rows before the first unreadable line
         # a quote left open on one line runs on into the next
         readable = next(i for i, line in enumerate(lines)
-                        if line.count('"') % 2 or _rows([line]) is None)
-        data = _rows(lines[:readable])
+                        if _rows([line], width) is None
+                        or line.count('"') % 2)
+        data = _rows(lines[:readable], width)
     timestamps, labels = data[:, 0], data[:, -1]
     failed = np.stack([~np.isfinite(data).all(axis=1),
                        np.diff(timestamps, prepend=-np.inf) <= 0,
@@ -199,7 +243,8 @@ def ingest_csv(path):
     if readable < len(lines):
         raise RowParseError(f"{path}:{readable + 2}: not a row of "
                             f"{len(CSV_HEADER)} numeric cells")
-    return (timestamps.copy(), np.ascontiguousarray(data[:, 1:-1]),
+    return (timestamps.copy(),
+            np.ascontiguousarray(select_channels(data[:, 1:-1], group)),
             labels.astype(np.int64))
 
 
@@ -248,7 +293,10 @@ def synchronize(streams: list[SensorStream]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def select_channels(frames: np.ndarray, group: ChannelGroup) -> np.ndarray:
-    """Project full-width frames (..., 791) onto a channel group."""
+    """Project full-width frames (..., 791) onto a channel group; frames
+    already the group's width are its channels."""
+    if frames.shape[-1] == group.width:
+        return frames
     if frames.shape[-1] != NUM_CHANNELS:
         raise DatapipeError(
             f"expected {NUM_CHANNELS}-wide frames, got {frames.shape[-1]}")

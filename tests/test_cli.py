@@ -1,3 +1,4 @@
+import inspect
 import json
 from pathlib import Path
 
@@ -108,6 +109,16 @@ class TestQuantize:
                    "--out", str(tmp_path / "q2")) == 1
 
 
+    @pytest.mark.parametrize("rep", [0, -1])
+    def test_rep_windows_below_one_exits_one(self, dataset, trained,
+                                             tmp_path, capsys, rep):
+        assert run("quantize", "--model", str(trained), "--data",
+                   str(dataset), "--held-out-session", "2",
+                   "--rep-windows", str(rep), "--out", str(tmp_path)) == 1
+        assert "--rep-windows must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "model_int8.thar").exists()
+
+
 class TestEval:
     def test_report_files(self, dataset, trained, tmp_path):
         out = tmp_path / "eval"
@@ -151,6 +162,45 @@ class TestEval:
                    "--out", str(tmp_path / "o")) == 1
 
 
+class TestUnreadCells:
+    """eval and quantize check only the cells they read: the timestamp,
+    label and model channels of the rows they use. train checks all."""
+
+    @pytest.fixture(scope="class", params=["nan", "x"])
+    def bad_data(self, request, dataset, tmp_path_factory):
+        bad = tmp_path_factory.mktemp("unread")
+        for path in dataset.iterdir():
+            lines = path.read_text().splitlines(keepends=True)
+            # a thermal pixel in each session, and the barometer in a
+            # row of training session 1 past the 8 windows quantize reads
+            for row, column in ((5, 24), (200, 10)):
+                if path.suffix == ".csv" and (
+                        row == 5 or path.name.endswith("session1.csv")):
+                    cells = lines[row].split(",")
+                    cells[column] = request.param
+                    lines[row] = ",".join(cells)
+            (bad / path.name).write_text("".join(lines))
+        return bad
+
+    def test_eval_and_quantize_exit_zero(self, trained, bad_data, tmp_path):
+        for precision, model in (("float", trained),
+                                 ("int8", tmp_path / "model_int8.thar")):
+            if precision == "int8":
+                assert run("quantize", "--model", str(trained), "--data",
+                           str(bad_data), "--held-out-session", "2",
+                           "--rep-windows", "8", "--stride", "12",
+                           "--out", str(tmp_path)) == 0
+            assert run("eval", "--model", str(model), "--data",
+                       str(bad_data), "--held-out-session", "2",
+                       "--out", str(tmp_path / precision)) == 0
+
+    def test_train_exits_one(self, bad_data, tmp_path, capsys):
+        assert run("train", "--data", str(bad_data), "--group", "17",
+                   "--filters", "8", "--epochs", "1", "--window-len", "12",
+                   "--held-out-session", "2", "--out", str(tmp_path)) == 1
+        assert "session1.csv:6: " in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def long_dataset(tmp_path_factory):
     """Three 150 s sessions: each holds 75 windows of 12 steps at stride
@@ -167,16 +217,21 @@ def session_csv(data, session):
 
 @pytest.fixture
 def ingested(monkeypatch):
-    """The paths the CLI ingests, in order."""
-    paths = []
+    """The CLI's ``ingest_csv`` calls, in order, as (path, group, max_rows)
+    with the defaults filled in."""
+    calls = []
     ingest = cli.ingest_csv
+    signature = inspect.signature(ingest)
 
-    def recording(path):
-        paths.append(Path(path))
-        return ingest(path)
+    def recording(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        path, group, max_rows = bound.arguments.values()
+        calls.append((Path(path), group, max_rows))
+        return ingest(*args, **kwargs)
 
     monkeypatch.setattr(cli, "ingest_csv", recording)
-    return paths
+    return calls
 
 
 def captured(monkeypatch, module, name, arg):
@@ -207,13 +262,34 @@ class TestStoredStats:
         assert run("eval", "--model", str(trained), "--data",
                    str(long_dataset), "--held-out-session", "2",
                    "--out", str(tmp_path / "e")) == 0
-        assert ingested == [session_csv(long_dataset, 2)]
+        # the model's 17 channels, from every row
+        assert ingested == [(session_csv(long_dataset, 2), ChannelGroup.G17,
+                             None)]
 
     def test_quantize_at_defaults_reads_only_the_first_training_csv(
             self, long_dataset, trained, tmp_path, ingested):
         assert run("quantize", "--model", str(trained), "--data",
                    str(long_dataset), "--out", str(tmp_path / "q")) == 0
-        assert ingested == [session_csv(long_dataset, 1)]
+        # the 768 of 900 rows that 64 windows of 12 steps at stride 12 cover
+        assert ingested == [(session_csv(long_dataset, 1), ChannelGroup.G17,
+                             63 * 12 + 12)]
+
+    def test_quantize_reads_what_the_remaining_windows_cover(
+            self, long_dataset, trained, tmp_path, ingested):
+        assert run("quantize", "--model", str(trained), "--data",
+                   str(long_dataset), "--held-out-session", "3",
+                   "--rep-windows", "100", "--out", str(tmp_path / "q")) == 0
+        # session 1 holds 75 windows; 25 more cover 24 * 12 + 12 rows
+        assert ingested == [
+            (session_csv(long_dataset, 1), ChannelGroup.G17, 99 * 12 + 12),
+            (session_csv(long_dataset, 2), ChannelGroup.G17, 24 * 12 + 12)]
+
+    def test_train_reads_every_cell(self, long_dataset, tmp_path, ingested):
+        assert run("train", "--data", str(long_dataset), "--group", "17",
+                   "--filters", "8", "--epochs", "1", "--window-len", "12",
+                   "--held-out-session", "3", "--out", str(tmp_path)) == 0
+        assert ingested == [(session_csv(long_dataset, s), ChannelGroup.G791,
+                             None) for s in (1, 2, 3)]
 
     def test_stats_round_trip_through_float_and_int8_files(
             self, dataset, trained, prepared, tmp_path):

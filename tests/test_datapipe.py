@@ -308,6 +308,169 @@ class TestIngestOracle:
         assert labels.shape == (0,)
 
 
+def _clean_rows(path, n, seed):
+    """Write an ``n``-row CSV of random values; return its rows' cells."""
+    rng = np.random.default_rng(seed)
+    frames = rng.normal(size=(n, dp.NUM_CHANNELS)) * 10.0 ** rng.integers(
+        -4, 6, size=dp.NUM_CHANNELS)
+    dp.write_csv(path, np.arange(n) * dp.GRID_STEP_MS, frames,
+                 rng.integers(0, dp.NUM_CLASSES, size=n))
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+def _write_rows(path, rows):
+    path.write_text("\n".join([",".join(dp.CSV_HEADER)]
+                              + [",".join(r) for r in rows]) + "\n")
+
+
+def _reads_cell(group, max_rows, row, column):
+    """Whether ``ingest_csv(path, group, max_rows)`` reads the cell of data
+    row ``row`` in CSV column ``column`` (1..791: the channels)."""
+    in_rows = max_rows is None or row < max_rows
+    return in_rows and (group.width > dp.THERMAL.start
+                        or column - 1 in group.indices())
+
+
+# cell edits; a quote left open breaks its line wherever it is
+_BAD_CELLS = ["nan", "x", "", '"1,5"', "1_0", '"""5"""', '"0']
+
+
+class TestNarrowIngest:
+    """``ingest_csv(path, group, max_rows)`` reads the timestamp, the label
+    and the group's channels of the first ``max_rows`` rows: the full
+    read's bits and errors, and no check of a cell it does not read."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(group=st.sampled_from(list(dp.ChannelGroup)),
+           max_rows=st.none() | st.integers(0, 7),
+           bad=st.sampled_from(_BAD_CELLS),
+           row=st.integers(0, 4), column=st.integers(1, dp.NUM_CHANNELS),
+           seed=st.integers(0, 2**16))
+    def test_equals_the_full_reads_rows_and_columns(
+            self, group, max_rows, bad, row, column, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rec.csv"
+            rows = _clean_rows(path, 5, seed)
+            ts, frames, labels = dp.ingest_csv(path)
+            want = (ts[:max_rows], frames[:max_rows, group.indices()],
+                    labels[:max_rows])
+            rows[row][column] = bad
+            _write_rows(path, rows)
+            got = _parse(lambda p: dp.ingest_csv(p, group, max_rows), path)
+            if _reads_cell(group if bad != '"0' else dp.ChannelGroup.G791,
+                           max_rows, row, column):
+                want = _parse(dp.ingest_csv, path)
+        assert len(got) == len(want)
+        if len(want) == 2:  # (error type, line)
+            assert got == want
+            return
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.flags.c_contiguous
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("group", list(dp.ChannelGroup))
+    @pytest.mark.parametrize("bad", _BAD_CELLS)
+    def test_a_bad_cell_it_reads_names_its_line(self, tmp_path, group, bad):
+        path = tmp_path / "rec.csv"
+        rows = _clean_rows(path, 5, 0)
+        column = int(group.indices()[-1]) + 1
+        rows[3][column] = bad
+        _write_rows(path, rows)
+        with pytest.raises(dp.RowParseError, match=r"\.csv:5: "):
+            dp.ingest_csv(path, group, 4)
+        dp.ingest_csv(path, group, 3)
+
+    @pytest.mark.parametrize("group", list(dp.ChannelGroup))
+    @pytest.mark.parametrize("cells", [792, 794])
+    def test_wrong_cell_count_names_its_line(self, tmp_path, group, cells):
+        path = tmp_path / "rec.csv"
+        rows = _clean_rows(path, 5, 1)
+        if cells == 792:
+            del rows[2][500]  # a thermal pixel
+        else:  # a valid label where the label belongs, and one after it
+            rows[2].insert(-1, "3")
+        _write_rows(path, rows)
+        with pytest.raises(dp.RowParseError,
+                           match=r"\.csv:4: not a row of 793 numeric cells"):
+            dp.ingest_csv(path, group, 4)
+        assert len(dp.ingest_csv(path, group, 2)[2]) == 2  # not read
+
+    @pytest.mark.parametrize("group", list(dp.ChannelGroup))
+    def test_a_quote_left_open_on_a_label_names_its_line(self, tmp_path,
+                                                         group):
+        path = tmp_path / "rec.csv"
+        rows = _clean_rows(path, 5, 6)
+        rows[2][-1] = '"' + rows[2][-1]
+        _write_rows(path, rows)
+        with pytest.raises(dp.RowParseError, match=r"\.csv:4: not a row"):
+            dp.ingest_csv(path, group)
+
+    @pytest.mark.parametrize("group", list(dp.ChannelGroup))
+    def test_quoted_cells_load(self, tmp_path, group):
+        path = tmp_path / "rec.csv"
+        rows = _clean_rows(path, 3, 2)
+        want = dp.ingest_csv(path)
+        for cells in rows:
+            cells[0] = f'"{cells[0]}"'
+            column = int(group.indices()[0]) + 1
+            cells[column] = f'"{cells[column]}"'
+        if group.width <= dp.THERMAL.start:  # a comma inside an unread cell
+            rows[1][100] = '"1,5"'
+        _write_rows(path, rows)
+        got = dp.ingest_csv(path, group)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1][:, group.indices()].tobytes()
+        assert got[2].tobytes() == want[2].tobytes()
+
+
+class TestNewlines:
+    """Rows end where universal newlines end lines: at "\\r\\n", "\\n" and a
+    lone "\\r", whatever mix a file holds."""
+
+    ENDS = {"crlf": [b"\r\n"], "lf": [b"\n"], "cr": [b"\r"],
+            "mixed": [b"\n", b"\r\n", b"\r"]}
+
+    @pytest.mark.parametrize("ends", sorted(ENDS))
+    @pytest.mark.parametrize("group, max_rows", [
+        (dp.ChannelGroup.G791, None), (dp.ChannelGroup.G23, None),
+        (dp.ChannelGroup.G17, 3), (dp.ChannelGroup.G768, 0)])
+    def test_any_newline_ends_a_row(self, tmp_path, ends, group, max_rows):
+        path = tmp_path / "rec.csv"
+        _clean_rows(path, 5, 3)
+        want = dp.ingest_csv(path, group, max_rows)
+        lines = path.read_bytes().split(b"\r\n")[:-1]
+        path.write_bytes(b"".join(
+            line + self.ENDS[ends][i % len(self.ENDS[ends])]
+            for i, line in enumerate(lines)))
+        for got, w in zip(dp.ingest_csv(path, group, max_rows), want):
+            assert got.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("group", [dp.ChannelGroup.G791,
+                                       dp.ChannelGroup.G17])
+    def test_a_lone_cr_before_crlf_is_a_blank_line(self, tmp_path, group):
+        path = tmp_path / "rec.csv"
+        _clean_rows(path, 5, 4)
+        lines = path.read_bytes().split(b"\r\n")
+        lines[2] += b"\r"  # row 2 (line 3), then a blank line 4
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(dp.RowParseError, match=r"\.csv:4: not a row"):
+            dp.ingest_csv(path, group)
+        assert len(dp.ingest_csv(path, group, 2)[2]) == 2
+
+    def test_a_non_ascii_cell_it_does_not_read_passes(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        rows = _clean_rows(path, 3, 5)
+        want = dp.ingest_csv(path, dp.ChannelGroup.G23)
+        rows[1][500] = "\u00e9"  # a thermal pixel
+        _write_rows(path, rows)
+        got = dp.ingest_csv(path, dp.ChannelGroup.G23)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        with pytest.raises(dp.RowParseError, match=r"\.csv:3: "):
+            dp.ingest_csv(path)
+
+
 def _stream(name, start_col, rate_hz, duration_s, fn):
     """Helper: stream whose value at time t (s) is fn(t), one column."""
     n = int(duration_s * rate_hz) + 1
@@ -403,6 +566,19 @@ class TestWindows:
         rec = _session([0] * 6)
         wins = dp.make_windows([rec], 3, 3, group=dp.ChannelGroup.G23)
         assert wins[0].window.shape == (3, 23)
+
+    def test_frames_of_the_groups_width_are_its_channels(self):
+        full = _session(np.arange(30) % 4)
+        narrow = dp.SessionRecording(
+            subject=0, session=0, timestamps=full.timestamps,
+            frames=full.frames[:, dp.ChannelGroup.G23.indices()],
+            labels=full.labels)
+        want = dp.make_windows([full], 8, 4, dp.ChannelGroup.G23)
+        got = dp.make_windows([narrow], 8, 4, dp.ChannelGroup.G23)
+        assert got.x.tobytes() == want.x.tobytes()
+        assert np.array_equal(got.y, want.y)
+        with pytest.raises(dp.DatapipeError):
+            dp.make_windows([narrow], 8, 4, dp.ChannelGroup.G17)
 
     def test_invalid_geometry(self):
         with pytest.raises(dp.DatapipeError):
