@@ -42,6 +42,33 @@ def _write_config_echo(outdir: Path, args: argparse.Namespace) -> None:
         json.dumps(effective, indent=2, default=str) + "\n")
 
 
+# the keys of a manifest entry, and the JSON type each takes
+_ENTRY_KEYS = {"subject": (int, "an integer"), "session": (int, "an integer"),
+               "path": (str, "a string")}
+
+
+def _manifest_entries(manifest_path: Path) -> list[dict]:
+    """The ``sessions`` entries of a dataset's manifest, each checked to
+    hold an integer ``subject`` and ``session`` and a string ``path``."""
+    manifest = json.loads(manifest_path.read_text())
+    if not isinstance(manifest, dict):
+        raise CliError(f"{manifest_path} holds no JSON object")
+    entries = manifest.get("sessions")
+    if not isinstance(entries, list):
+        raise CliError(f"{manifest_path}: key 'sessions' must be a list of "
+                       f"session entries")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise CliError(f"{manifest_path}: sessions[{i}] is not an object")
+        for key, (kind, name) in _ENTRY_KEYS.items():
+            value = entry.get(key)
+            # a JSON true or false is a bool, which is an int in Python
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise CliError(f"{manifest_path}: sessions[{i}]: key "
+                               f"{key!r} must be {name}")
+    return entries
+
+
 def _iter_sessions(data_dir: str, keep=lambda session: True,
                    group: ChannelGroup = ChannelGroup.G791,
                    max_rows=lambda: None):
@@ -52,8 +79,7 @@ def _iter_sessions(data_dir: str, keep=lambda session: True,
     if not manifest_path.is_file():
         raise CliError(f"no manifest.json in {data_dir}; "
                        f"generate a dataset with `tinyhar synth` first")
-    manifest = json.loads(manifest_path.read_text())
-    for entry in manifest["sessions"]:
+    for entry in _manifest_entries(manifest_path):
         if not keep(entry["session"]):
             continue
         path = Path(data_dir) / entry["path"]

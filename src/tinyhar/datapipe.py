@@ -15,20 +15,29 @@ CSV files carry 793 columns: timestamp_ms, the 791 channels, label.
 The pipeline works on whole arrays. ``ingest_csv`` is the one CSV parser:
 it reads a file, or the rows and channel group a command uses, with one
 ``np.loadtxt`` call, validates the cells it read in one vectorised pass
-and names the line of the first error from those arrays. ``make_windows``
-returns :class:`Windows`: every window is a read-only row view over one
-array of channel-selected frames, and indexing keeps the old list
-semantics. ``normalize`` z-scores each frame row that some window covers
-once, and ``fit_stats`` sums window rows block by block in the order of
-the stacked windows, so every value is bit-identical to stacking the
-windows first.
+and names the line of the first error from those arrays. A read of every
+cell of every row keeps the parsed rows in a sidecar ``.npz`` beside the
+CSV, with the SHA-256 of the CSV bytes each chunk of rows came from, and
+a later read whose bytes still match loads them instead of parsing.
+``make_windows`` returns :class:`Windows`: every window is a read-only
+row view over one array of channel-selected frames, and indexing keeps
+the old list semantics. ``normalize`` z-scores each frame row that some
+window covers once, and ``fit_stats`` sums window rows block by block in
+the order of the stacked windows, so every value is bit-identical to
+stacking the windows first.
 """
 from __future__ import annotations
 
 import csv
+import hashlib
 import itertools
+import os
+import tempfile
+import zipfile
+import zlib
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
@@ -138,14 +147,13 @@ class SensorStream:
     values: np.ndarray      # (n, width)
 
 
-def _lines(path, max_rows: int | None) -> tuple[str, list[str]]:
+def _lines(path, max_rows: int | None) -> list[str]:
     """The header of ``path`` and its next ``max_rows`` lines (all when
-    None). A line ends where universal newlines end one: at "\\n", "\\r\\n"
-    or a lone "\\r"."""
+    None), each with its line end. A line ends where universal newlines
+    end one: at "\\n", "\\r\\n" or a lone "\\r"."""
     with open(path, newline="") as fh:  # splits so, and translates nothing
-        lines = [line.rstrip("\r\n") for line in itertools.islice(
-            fh, None if max_rows is None else max_rows + 1)]
-    return (lines[0] if lines else ""), lines[1:]
+        return list(itertools.islice(
+            fh, None if max_rows is None else max_rows + 1))
 
 
 def _low_rate_cells(line: str, columns: list[int]) -> str | None:
@@ -184,6 +192,167 @@ def _rows(lines: list, width: int):
     return data if data.shape == (len(lines), width) else None
 
 
+def _failed_checks(data: np.ndarray) -> np.ndarray:
+    """(3, rows) flags of the rows of ``data`` (timestamp, cells, label)
+    that hold a non-finite value, a timestamp that does not increase, and
+    a label outside 0..14."""
+    timestamps, labels = data[:, 0], data[:, -1]
+    return np.stack([~np.isfinite(data).all(axis=1),
+                     np.diff(timestamps, prepend=-np.inf) <= 0,
+                     (labels < 0) | (labels >= NUM_CLASSES)])
+
+
+# Rows per sidecar chunk: a read hashes and loads the chunks that hold its
+# rows, so a row-limited read costs in proportion to its rows.
+SIDECAR_CHUNK_ROWS = 256
+_DIGEST_BYTES = hashlib.sha256().digest_size
+# A chunk keeps its rows as two blocks of columns, so that a low-rate read
+# loads 25 of the 793: the timestamp, the 23 low-rate channels and the
+# label ("low"), and the 768 thermal pixels ("thermal").
+_LOW_COLUMNS = [*range(THERMAL.start + 1), len(CSV_HEADER) - 1]
+_THERMAL_COLUMNS = slice(THERMAL.start + 1, THERMAL.stop + 1)
+
+
+def _low_rate_columns(group: ChannelGroup) -> list[int]:
+    """The row's timestamp and ``group``'s channels, for a low-rate group:
+    the cells a read of it parses, ahead of the label."""
+    return [0, *(group.indices() + 1).tolist()]
+
+
+def sidecar_path(path) -> Path:
+    """Where :func:`ingest_csv` keeps the parsed rows of the CSV ``path``:
+    a hidden ``.npz`` beside it."""
+    path = Path(path)
+    return path.with_name(f".{path.name}.rows.npz")
+
+
+def _chunk_digests(lines: list[str]):
+    """The byte offset where each sidecar chunk of the CSV whose header
+    and rows are ``lines`` (each with its line end) ends, and the SHA-256
+    of its bytes; chunk ``i`` holds rows ``i * SIDECAR_CHUNK_ROWS``
+    onwards, and chunk 0's bytes start with the header. None when a line
+    is not ASCII: only then is a character a byte."""
+    rows = len(lines) - 1
+    row_ends = [*range(SIDECAR_CHUNK_ROWS, rows, SIDECAR_CHUNK_ROWS), rows]
+    digests = []
+    for start, end in zip([0, *row_ends[:-1]], row_ends):
+        # line r + 1 holds row r
+        text = "".join(lines[start + 1 if start else 0:end + 1])
+        if not text.isascii():
+            return None
+        digests.append(hashlib.sha256(text.encode("ascii")).digest())
+    return (np.cumsum([len(line) for line in lines])[row_ends],
+            np.frombuffer(b"".join(digests), np.uint8)
+            .reshape(-1, _DIGEST_BYTES))
+
+
+def _write_sidecar(path, ends: np.ndarray, digests: np.ndarray,
+                   data: np.ndarray) -> None:
+    """Store ``data``, every cell of every row of ``path``, beside it, in
+    the chunks that end at byte offsets ``ends`` and whose bytes hash to
+    ``digests``, each as its low and its thermal columns. Written through
+    a temporary file and ``os.replace``; a failed write leaves no file."""
+    chunks = {}
+    for i in range(len(ends)):
+        rows = data[i * SIDECAR_CHUNK_ROWS:(i + 1) * SIDECAR_CHUNK_ROWS]
+        chunks[f"low{i}"] = rows[:, _LOW_COLUMNS]
+        chunks[f"thermal{i}"] = rows[:, _THERMAL_COLUMNS]
+    target = sidecar_path(path)
+    temporary = None
+    try:
+        with tempfile.NamedTemporaryFile(dir=target.parent, delete=False,
+                                         prefix=target.name,
+                                         suffix=".tmp") as fh:
+            temporary = fh.name
+            # the CSV's permissions, not the temporary file's owner-only
+            os.chmod(temporary, os.stat(path).st_mode & 0o777)
+            np.savez(fh, size=np.int64(ends[-1]), ends=ends,
+                     digests=digests, **chunks)
+        os.replace(temporary, target)
+    except OSError:  # a read-only directory, a full disk: parse next time
+        if temporary is not None:
+            try:
+                os.remove(temporary)
+            except OSError:
+                pass
+
+
+def _read_sidecar(path, group: ChannelGroup, max_rows: int | None):
+    """The stored first ``max_rows`` rows of ``path`` (all when None), as
+    :func:`_parse` reads them for ``group``; None when the sidecar is
+    missing, malformed or holds rows that fail a check, or when the CSV
+    bytes of the chunks that hold those rows, and the file size if the
+    read reaches the last row, are not what it stored."""
+    low_rate = group.width <= THERMAL.start
+    blocks = ["low"] if low_rate else ["low", "thermal"]
+    try:
+        with zipfile.ZipFile(sidecar_path(path)) as npz:
+            def member(name):
+                with npz.open(f"{name}.npy") as fh:
+                    return np.lib.format.read_array(fh, allow_pickle=False)
+
+            size, ends, digests = member("size"), member("ends"), \
+                member("digests")
+            count = ends.size
+            if not (size.shape == () and size.dtype == np.int64
+                    and ends.dtype == np.int64 and ends.shape == (count,)
+                    and count > 0 and (np.diff(ends, prepend=0) > 0).all()
+                    and ends[-1] == size
+                    and digests.dtype == np.uint8
+                    and digests.shape == (count, _DIGEST_BYTES)
+                    and (max_rows is None or max_rows >= 0)
+                    and npz.namelist() == ["size.npy", "ends.npy",
+                                           "digests.npy"]
+                    + [f"{block}{i}.npy" for i in range(count)
+                       for block in ("low", "thermal")]):
+                return None
+            needed = count if max_rows is None else min(
+                count, max(1, -(-max_rows // SIDECAR_CHUNK_ROWS)))
+            chunks = [[member(f"{block}{i}") for block in blocks]
+                      for i in range(needed)]
+    # a zip error, or a member that is no array; a member that needs a
+    # password or an unknown compression raises the last two
+    except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile,
+            zlib.error, RuntimeError, NotImplementedError):
+        return None
+    # every chunk but the last holds SIDECAR_CHUNK_ROWS rows
+    widths = [len(_LOW_COLUMNS), THERMAL.stop - THERMAL.start]
+    if any(block.dtype != np.float64
+           or block.shape != (len(chunk[0]), width)
+           or not (len(block) == SIDECAR_CHUNK_ROWS or i == count - 1
+                   and len(block) < SIDECAR_CHUNK_ROWS)
+           for i, chunk in enumerate(chunks)
+           for block, width in zip(chunk, widths)):
+        return None
+    stored = (needed - 1) * SIDECAR_CHUNK_ROWS + len(chunks[-1][0])
+    last = needed == count and (max_rows is None or max_rows >= stored)
+    end = int(ends[needed - 1])
+    try:
+        with open(path, "rb") as fh:
+            if last and os.fstat(fh.fileno()).st_size != size:
+                return None
+            raw = memoryview(fh.read(end))
+    except OSError:
+        return None
+    if len(raw) != end or any(
+            hashlib.sha256(raw[start:stop]).digest() != digest.tobytes()
+            for start, stop, digest in zip([0, *ends[:needed - 1]],
+                                           ends[:needed], digests)):
+        return None
+    if max_rows is not None:
+        keep = max_rows - (needed - 1) * SIDECAR_CHUNK_ROWS
+        chunks[-1] = [block[:keep] for block in chunks[-1]]
+    low = np.concatenate([chunk[0] for chunk in chunks])
+    if low_rate:  # the cells the narrow parse reads
+        data = low[:, _low_rate_columns(group) + [-1]]
+    else:
+        data = np.empty((len(low), len(CSV_HEADER)))
+        data[:, _LOW_COLUMNS] = low
+        np.concatenate([chunk[1] for chunk in chunks],
+                       out=data[:, _THERMAL_COLUMNS])
+    return None if _failed_checks(data).any() else data
+
+
 def ingest_csv(path, group: ChannelGroup = ChannelGroup.G791,
                max_rows: int | None = None):
     """Parse one recording CSV into (timestamps, frames, labels): the
@@ -204,31 +373,61 @@ def ingest_csv(path, group: ChannelGroup = ChannelGroup.G791,
     line 1: the first row that fails a check (within a row: non-finite,
     then timestamp, then label), or else the first line that is not a
     full row.
+
+    A read that parses and checks every cell of every row of an ASCII
+    file keeps the parsed rows in :func:`sidecar_path`, and any later
+    read of the same bytes returns slices of them: the same arrays, bit
+    for bit, without parsing. Before use it hashes the CSV bytes of the
+    sidecar's chunks that hold the rows it returns (and checks the file
+    size when it returns the last row), so a changed, extended or
+    truncated CSV, or a missing, stale or malformed sidecar, is parsed
+    as if there were none, and a failed write only costs the next read
+    its parse. Deleting a sidecar is always safe.
     """
-    header, lines = _lines(path, max_rows)
+    data = _read_sidecar(path, group, max_rows)
+    if data is None:
+        data = _parse(path, group, max_rows)
+    return (data[:, 0].copy(),
+            np.ascontiguousarray(select_channels(data[:, 1:-1], group)),
+            data[:, -1].astype(np.int64))
+
+
+def _parse(path, group: ChannelGroup, max_rows: int | None) -> np.ndarray:
+    """The checked rows :func:`ingest_csv` reads, parsed from the CSV:
+    the timestamp, the cells it reads and the label of each; a read of
+    every cell of every row stores them in a sidecar."""
+    lines = _lines(path, max_rows)
+    header = lines[0].rstrip("\r\n") if lines else ""
     if next(csv.reader([header]), None) != CSV_HEADER:
         raise HeaderMismatchError(
             f"{path}: header does not match the documented "
             f"{len(CSV_HEADER)}-column layout")
+    # a read of every cell of every row is kept: hash its lines while
+    # they have their ends, which then go in place, so that the file's
+    # text is held once
+    kept = (_chunk_digests(lines) if max_rows is None
+            and group.width > THERMAL.start else None)
+    rows = lines[1:]
+    del lines
+    for i, line in enumerate(rows):
+        rows[i] = line.rstrip("\r\n")
     # loadtxt scans a whole line to read a few of its cells (usecols), so
     # a low-rate read cuts them out first; a thermal group reads every cell
     width = len(CSV_HEADER)
     if group.width <= THERMAL.start:
-        columns = [0, *(group.indices() + 1).tolist()]
-        lines = [_low_rate_cells(line, columns) for line in lines]
+        columns = _low_rate_columns(group)
+        rows = [_low_rate_cells(line, columns) for line in rows]
         width = len(columns) + 1
-    data = _rows(lines, width)
-    readable = len(lines)
+    data = _rows(rows, width)
+    readable = len(rows)
     if data is None:  # check the rows before the first unreadable line
         # a quote left open on one line runs on into the next
-        readable = next(i for i, line in enumerate(lines)
+        readable = next(i for i, line in enumerate(rows)
                         if _rows([line], width) is None
                         or line.count('"') % 2)
-        data = _rows(lines[:readable], width)
+        data = _rows(rows[:readable], width)
     timestamps, labels = data[:, 0], data[:, -1]
-    failed = np.stack([~np.isfinite(data).all(axis=1),
-                       np.diff(timestamps, prepend=-np.inf) <= 0,
-                       (labels < 0) | (labels >= NUM_CLASSES)])
+    failed = _failed_checks(data)
     if failed.any():
         row = int(failed.any(axis=0).argmax())
         where = f"{path}:{row + 2}:"
@@ -240,12 +439,12 @@ def ingest_csv(path, group: ChannelGroup = ChannelGroup.G791,
                 f"past {timestamps[row - 1]}")
         raise RowParseError(f"{where} label {int(labels[row])} outside "
                             f"0..{NUM_CLASSES - 1}")
-    if readable < len(lines):
+    if readable < len(rows):
         raise RowParseError(f"{path}:{readable + 2}: not a row of "
                             f"{len(CSV_HEADER)} numeric cells")
-    return (timestamps.copy(),
-            np.ascontiguousarray(select_channels(data[:, 1:-1], group)),
-            labels.astype(np.int64))
+    if kept is not None:
+        _write_sidecar(path, *kept, data)
+    return data
 
 
 # one CSV row: timestamp, the 791 channels, label

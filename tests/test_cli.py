@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tinyhar import benchlab, cli, mcu, modelfile
+from tinyhar import benchlab, cli, datapipe, mcu, modelfile
 from tinyhar.cli import main
 from tinyhar.datapipe import (ChannelGroup, make_windows, normalize,
                               split_by_session)
@@ -24,6 +24,11 @@ def _is_int(text: str) -> bool:
     except ValueError:
         return False
     return True
+
+
+def _dataset_files(data):
+    """A dataset's manifest and CSVs, without the sidecars beside them."""
+    return [data / "manifest.json", *sorted(data.glob("*.csv"))]
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +90,40 @@ class TestTrain:
                 in capsys.readouterr().err)
 
 
+_ENTRY = {"subject": 1, "session": 1, "path": "subject01_session1.csv"}
+
+
+class TestManifest:
+    """A malformed manifest.json is a validation error naming the file and
+    the key."""
+
+    @pytest.mark.parametrize("manifest, named", [
+        ([], "holds no JSON object"),
+        ({"session": []}, "key 'sessions' must be a list"),
+        ({"sessions": {}}, "key 'sessions' must be a list"),
+        ({"sessions": [1]}, "sessions[0] is not an object"),
+        *[({"sessions": [_ENTRY, {k: v for k, v in _ENTRY.items()
+                                  if k != key}]},
+           f"sessions[1]: key {key!r} must be") for key in _ENTRY],
+        ({"sessions": [{**_ENTRY, "subject": "1"}]},
+         "sessions[0]: key 'subject' must be an integer"),
+        ({"sessions": [{**_ENTRY, "session": True}]},
+         "sessions[0]: key 'session' must be an integer"),
+        ({"sessions": [{**_ENTRY, "path": 3}]},
+         "sessions[0]: key 'path' must be a string")])
+    def test_malformed_manifest_exits_one(self, dataset, tmp_path, capsys,
+                                          manifest, named):
+        data = tmp_path / "data"
+        data.mkdir()
+        for path in _dataset_files(dataset):
+            (data / path.name).write_bytes(path.read_bytes())
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        assert run("train", "--data", str(data), "--group", "17",
+                   "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert str(data / "manifest.json") in err and named in err
+
+
 class TestQuantize:
     def test_produces_int8_model(self, dataset, trained, tmp_path):
         out = tmp_path / "q"
@@ -144,7 +183,7 @@ class TestEval:
             model = tmp_path / "q" / "model_int8.thar"
         bad = tmp_path / "bad_data"
         bad.mkdir()
-        for path in dataset.iterdir():
+        for path in _dataset_files(dataset):
             lines = path.read_text().splitlines(keepends=True)
             if "session2" in path.name:  # the held-out session
                 row = lines[5].split(",")
@@ -169,7 +208,7 @@ class TestUnreadCells:
     @pytest.fixture(scope="class", params=["nan", "x"])
     def bad_data(self, request, dataset, tmp_path_factory):
         bad = tmp_path_factory.mktemp("unread")
-        for path in dataset.iterdir():
+        for path in _dataset_files(dataset):
             lines = path.read_text().splitlines(keepends=True)
             # a thermal pixel in each session, and the barometer in a
             # row of training session 1 past the 8 windows quantize reads
@@ -358,6 +397,53 @@ class TestStoredStats:
                    "--held-out-session", "2", "--out", str(tmp_path)) == 1
         err = capsys.readouterr().err
         assert "file version 1" in err and "tinyhar train" in err
+
+
+class TestSidecars:
+    """train, quantize and eval write the same bytes whether the CSVs'
+    sidecars are there or not."""
+
+    OUTPUTS = ["train/model_float.thar", "train/history.csv",
+               "q/model_int8.thar", "int8/report.csv", "int8/report.md",
+               "float/report.csv", "float/report.md"]
+
+    @pytest.mark.parametrize("group", ["17", "768"])
+    def test_outputs_are_byte_identical(self, tmp_path, monkeypatch, group):
+        monkeypatch.setattr(datapipe, "SIDECAR_CHUNK_ROWS", 50)
+        data = tmp_path / "data"
+        assert run("synth", "--seed", "3", "--subjects", "1", "--sessions",
+                   "2", "--duration-s", "40", "--out", str(data)) == 0
+        parses = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: parses.append(1)
+                            or loadtxt(*a, **k))
+
+        def chain(out, delete):
+            split = ["--data", data, "--stride", "12",
+                     "--held-out-session", "2"]
+            steps = [
+                ["train", "--group", group, "--filters", "8", "--epochs",
+                 "1", "--window-len", "12", "--out", out / "train"],
+                ["quantize", "--model", out / "train" / "model_float.thar",
+                 "--rep-windows", "8", "--out", out / "q"],
+                ["eval", "--model", out / "q" / "model_int8.thar",
+                 "--out", out / "int8"],
+                ["eval", "--model", out / "train" / "model_float.thar",
+                 "--out", out / "float"]]
+            for step in steps:
+                if delete:
+                    for sidecar in data.glob(".*.rows.npz"):
+                        sidecar.unlink()
+                parses.clear()
+                assert run(*map(str, step + split)) == 0
+                # train parses every cell and keeps it; the others hit
+                assert bool(parses) == (delete or step[0] == "train")
+                if step[0] == "train":
+                    assert len(list(data.glob(".*.rows.npz"))) == 2
+            return {name: (out / name).read_bytes() for name in self.OUTPUTS}
+
+        assert chain(tmp_path / "kept", False) == chain(tmp_path / "deleted",
+                                                        True)
 
 
 class TestBench:

@@ -2,6 +2,7 @@ import csv
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -470,6 +471,227 @@ class TestNewlines:
         with pytest.raises(dp.RowParseError, match=r"\.csv:3: "):
             dp.ingest_csv(path)
 
+
+
+def _no_parse(*args, **kwargs):
+    raise AssertionError("np.loadtxt called")
+
+
+def _assert_same(got, want):
+    """``got`` is ``want``: the same arrays bit for bit, or the same error
+    type naming the same line."""
+    assert len(got) == len(want)
+    if len(want) == 2:  # (error type, line)
+        assert got == want
+        return
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.flags.c_contiguous and g.flags.writeable
+        assert g.tobytes() == w.tobytes()
+
+
+def _parsed(path, group=dp.ChannelGroup.G791, max_rows=None):
+    """What ``ingest_csv`` parses from a copy of ``path`` with no sidecar
+    beside it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / path.name
+        copy.write_bytes(path.read_bytes())
+        return _parse(lambda p: dp.ingest_csv(p, group, max_rows), copy)
+
+
+class TestSidecar:
+    """A read of every cell of every row keeps the parsed rows beside the
+    CSV; a later read of the same bytes returns them without parsing, and
+    anything else is parsed as if there were no sidecar."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(dp, "SIDECAR_CHUNK_ROWS", 3)
+
+    @pytest.fixture
+    def stored(self, tmp_path):
+        """A 7-row CSV (chunks of rows 0-2, 3-5 and 6) and its sidecar."""
+        path = tmp_path / "rec.csv"
+        _clean_rows(path, 7, 9)
+        dp.ingest_csv(path)
+        assert dp.sidecar_path(path).is_file()
+        return path
+
+    @settings(max_examples=60, deadline=None)
+    @given(group=st.sampled_from(list(dp.ChannelGroup)),
+           max_rows=st.none() | st.integers(0, 11), rows=st.integers(0, 9),
+           chunk=st.integers(1, 4), seed=st.integers(0, 2**16))
+    def test_a_hit_is_the_parse_without_parsing(self, group, max_rows, rows,
+                                                chunk, seed):
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(dp, "SIDECAR_CHUNK_ROWS", chunk):
+            path = Path(tmp) / "rec.csv"
+            _clean_rows(path, rows, seed)
+            want = dp.ingest_csv(path, group, max_rows)
+            dp.ingest_csv(path)
+            with mock.patch.object(np, "loadtxt", _no_parse):
+                got = dp.ingest_csv(path, group, max_rows)
+        _assert_same(got, want)
+
+    @pytest.mark.parametrize("group", [dp.ChannelGroup.G791,
+                                       dp.ChannelGroup.G17])
+    @pytest.mark.parametrize("max_rows", [None, 2, 5])
+    @pytest.mark.parametrize("edit", ["other value", "nan", "appended row",
+                                      "cut mid-row", "cut after a row"])
+    def test_a_changed_csv_is_parsed(self, stored, monkeypatch, group,
+                                     max_rows, edit):
+        lines = stored.read_bytes().split(b"\r\n")
+        if edit in ("other value", "nan"):  # a covered cell of row 1
+            cells = lines[2].split(b",")
+            cells[10] = b"12.5" if edit == "other value" else b"nan"
+            lines[2] = b",".join(cells)
+        elif edit == "appended row":
+            lines.insert(-1, lines[-2].replace(lines[-2].split(b",")[0],
+                                               b"999999", 1))
+        data = b"\r\n".join(lines)
+        if edit == "cut mid-row":
+            data = data[:len(data) - len(lines[-2]) // 2]
+        elif edit == "cut after a row":
+            data = data[:len(data) - len(lines[-2]) - 2]
+        stored.write_bytes(data)
+        want = _parsed(stored, group, max_rows)
+        loadtxt = np.loadtxt
+        calls = []
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1)
+                            or loadtxt(*a, **k))
+        _assert_same(_parse(lambda p: dp.ingest_csv(p, group, max_rows),
+                            stored), want)
+        # a cut or an appended row changes only the last chunk, which a
+        # read of rows 0-1 or 0-4 does not need
+        assert bool(calls) == (edit in ("other value", "nan")
+                               or max_rows is None)
+
+    def test_a_byte_past_the_chunks_read_is_not_checked(self, stored,
+                                                        monkeypatch):
+        want = dp.ingest_csv(stored, dp.ChannelGroup.G23, 3)
+        lines = stored.read_bytes().split(b"\r\n")
+        cells = lines[4].split(b",")  # row 3, in the second chunk
+        cells[10] = b"nan"
+        lines[4] = b",".join(cells)
+        stored.write_bytes(b"\r\n".join(lines))
+        monkeypatch.setattr(np, "loadtxt", _no_parse)
+        _assert_same(dp.ingest_csv(stored, dp.ChannelGroup.G23, 3), want)
+
+    def test_a_low_rate_read_loads_no_thermal_block(self, stored,
+                                                     monkeypatch):
+        sidecar = dp.sidecar_path(stored)
+        with np.load(sidecar) as npz:
+            arrays = dict(npz)
+        arrays["thermal0"] = arrays["thermal0"][:1]  # malformed
+        with open(sidecar, "wb") as fh:
+            np.savez(fh, **arrays)
+        want = _parsed(stored, dp.ChannelGroup.G17)
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "loadtxt", _no_parse)
+            _assert_same(dp.ingest_csv(stored, dp.ChannelGroup.G17), want)
+            with pytest.raises(AssertionError, match="loadtxt called"):
+                dp.ingest_csv(stored, dp.ChannelGroup.G768)
+
+    @pytest.mark.parametrize("damage", [
+        "garbage", "empty", "truncated", "wide rows", "short chunk",
+        "short thermal block", "digest shape", "missing key", "extra key",
+        "nan pixel", "falling timestamps", "label 15", "a npy file",
+        "a password", "unknown compression"])
+    def test_a_bad_sidecar_is_parsed_and_replaced(self, stored, monkeypatch,
+                                                  damage):
+        sidecar = dp.sidecar_path(stored)
+        good = sidecar.read_bytes()
+        with np.load(sidecar) as npz:
+            arrays = dict(npz)
+        low0, thermal0 = arrays["low0"].copy(), arrays["thermal0"].copy()
+        if damage == "garbage":
+            sidecar.write_bytes(bytes(range(256)) * 8)
+        elif damage == "empty":
+            sidecar.write_bytes(b"")
+        elif damage == "truncated":
+            sidecar.write_bytes(good[:len(good) // 2])
+        elif damage in ("a password", "unknown compression"):
+            # the first member's flags (bit 0: encrypted) or its method,
+            # in its local and its central header
+            damaged = bytearray(good)
+            for magic, at in ((b"PK\x03\x04", 6), (b"PK\x01\x02", 8)):
+                field = damaged.find(magic) + at
+                if damage == "a password":
+                    damaged[field] |= 1
+                else:
+                    damaged[field + 2] = 99
+            sidecar.write_bytes(bytes(damaged))
+        elif damage == "a npy file":
+            np.save(sidecar.with_suffix(".npy"), low0)
+            sidecar.with_suffix(".npy").replace(sidecar)
+        else:
+            if damage == "wide rows":
+                arrays["low0"] = np.hstack([low0, low0[:, :1]])
+            elif damage == "short chunk":
+                arrays["low0"], arrays["thermal0"] = low0[:2], thermal0[:2]
+            elif damage == "short thermal block":
+                arrays["thermal0"] = thermal0[:2]
+            elif damage == "digest shape":
+                arrays["digests"] = arrays["digests"][:, :16]
+            elif damage == "missing key":
+                del arrays["size"]
+            elif damage == "extra key":
+                arrays["low3"] = low0
+            elif damage == "nan pixel":
+                thermal0[1, 5] = np.nan
+                arrays["thermal0"] = thermal0
+            else:
+                low0[1, {"falling timestamps": 0, "label 15": -1}[damage]] \
+                    = {"falling timestamps": -1.0, "label 15": 15.0}[damage]
+                arrays["low0"] = low0
+            with open(sidecar, "wb") as fh:
+                np.savez(fh, **arrays)
+        want = _parsed(stored)
+        _assert_same(dp.ingest_csv(stored), want)
+        assert sidecar.read_bytes() == good  # written again
+        monkeypatch.setattr(np, "loadtxt", _no_parse)
+        _assert_same(dp.ingest_csv(stored), want)
+
+    def test_a_failed_write_is_ignored(self, tmp_path, monkeypatch):
+        path = tmp_path / "rec.csv"
+        _clean_rows(path, 7, 10)
+        want = _parsed(path)
+
+        def refuse(src, dst):
+            raise PermissionError(13, "read-only directory", dst)
+
+        monkeypatch.setattr(dp.os, "replace", refuse)
+        _assert_same(dp.ingest_csv(path), want)
+        assert [p.name for p in tmp_path.iterdir()] == ["rec.csv"]
+
+    @pytest.mark.parametrize("group", [dp.ChannelGroup.G791,
+                                       dp.ChannelGroup.G768])
+    def test_only_a_read_of_every_cell_of_every_row_writes(self, tmp_path,
+                                                           group):
+        path = tmp_path / "rec.csv"
+        rows = _clean_rows(path, 7, 11)
+        for g, max_rows in ((dp.ChannelGroup.G23, None), (group, 6)):
+            dp.ingest_csv(path, g, max_rows)
+            assert not dp.sidecar_path(path).exists()
+        rows[4][3] = "nan"
+        _write_rows(path, rows)
+        with pytest.raises(dp.RowParseError, match=r"\.csv:6: "):
+            dp.ingest_csv(path, group)
+        assert [p.name for p in tmp_path.iterdir()] == ["rec.csv"]
+        rows[4][3] = "0.5"
+        _write_rows(path, rows)
+        path.chmod(0o640)
+        dp.ingest_csv(path, group)
+        # it holds what the CSV holds, readable by whom the CSV is
+        assert dp.sidecar_path(path).stat().st_mode & 0o777 == 0o640
+
+    def test_a_non_ascii_file_keeps_no_sidecar(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        rows = _clean_rows(path, 3, 12)
+        rows[1][-1] = "\u0663"  # int() reads the Arabic-Indic digit 3
+        _write_rows(path, rows)
+        assert dp.ingest_csv(path)[2][1] == 3
+        assert not dp.sidecar_path(path).exists()
 
 def _stream(name, start_col, rate_hz, duration_s, fn):
     """Helper: stream whose value at time t (s) is fn(t), one column."""
