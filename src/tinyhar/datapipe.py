@@ -13,12 +13,13 @@ Channel layout (791 columns, fixed order):
 CSV files carry 793 columns: timestamp_ms, the 791 channels, label.
 
 The pipeline works on whole arrays. ``ingest_csv`` is the one CSV parser:
-it reads a file, or the rows and channel group a command uses, with one
-``np.loadtxt`` call, validates the cells it read in one vectorised pass
-and names the line of the first error from those arrays. A read of every
-cell of every row keeps the parsed rows in a sidecar ``.npz`` beside the
-CSV, with the SHA-256 of the CSV bytes each chunk of rows came from, and
-a later read whose bytes still match loads them instead of parsing.
+it reads a file, or its first rows, with one ``np.loadtxt`` call,
+validates every cell of the rows it read in one vectorised pass, names
+the line of the first error from those arrays, and then takes the
+channel group a command uses. A read of every row keeps the parsed rows
+in a sidecar ``.npz`` beside the CSV, with the SHA-256 of the CSV bytes
+each chunk of rows came from, and a later read whose bytes still match
+loads them instead of parsing.
 ``make_windows`` returns :class:`Windows`: every window is a read-only
 row view over one array of channel-selected frames, and indexing keeps
 the old list semantics. ``normalize`` z-scores each frame row that some
@@ -91,14 +92,16 @@ class ChannelGroup(Enum):
     G23 = 23    # everything except thermal
     G17 = 17    # G23 minus accelerometer and gyroscope
 
+    @property
+    def channels(self) -> slice:
+        """The group's channels: one contiguous run of the 791, ending
+        with the thermal array or, for a low-rate group, with the optical
+        channels."""
+        stop = NUM_CHANNELS if self.width > THERMAL.start else THERMAL.start
+        return slice(stop - self.width, stop)
+
     def indices(self) -> np.ndarray:
-        if self is ChannelGroup.G791:
-            return np.arange(NUM_CHANNELS)
-        if self is ChannelGroup.G768:
-            return np.arange(THERMAL.start, THERMAL.stop)
-        if self is ChannelGroup.G23:
-            return np.arange(0, THERMAL.start)
-        return np.arange(GYRO.stop, THERMAL.start)  # G17
+        return np.arange(NUM_CHANNELS)[self.channels]
 
     @property
     def width(self) -> int:
@@ -156,32 +159,14 @@ def _lines(path, max_rows: int | None) -> list[str]:
             fh, None if max_rows is None else max_rows + 1))
 
 
-def _low_rate_cells(line: str, columns: list[int]) -> str | None:
-    """Cells ``columns`` of a 793-cell line, all among its first 24, and
-    its label, as a line of their own; None when ``line`` holds another
-    number of cells or a quote left open (it would run on into the next
-    line). A kept cell that held a comma or a quote fails to parse."""
-    if '"' not in line:
-        if line.count(",") != len(CSV_HEADER) - 1:
-            return None
-        head = line.split(",", THERMAL.start + 1)
-        return ",".join([head[i] for i in columns]
-                        + [line[line.rindex(",") + 1:]])
-    cells = next(csv.reader([line]))
-    if line.count('"') % 2 or len(cells) != len(CSV_HEADER):
-        return None
-    kept = ",".join([cells[i] for i in columns] + cells[-1:])
-    return None if '"' in kept else kept  # "" quoted a quote
-
-
-def _rows(lines: list, width: int):
-    """``lines``, rows of ``width`` cells that end in a label, as one array
-    from a single ``np.loadtxt`` call; None when some line is None or not
-    such a row."""
+def _rows(lines: list):
+    """``lines``, rows of the 793 CSV cells, as one array from a single
+    ``np.loadtxt`` call; None when some line is not such a row."""
+    width = len(CSV_HEADER)
     if not lines:
         return np.empty((0, width))
     # loadtxt skips blank lines, and warns if none is left
-    if None in lines or "" in lines:
+    if "" in lines:
         return None
     try:
         # labels go through int(), so "3.0" fails
@@ -211,12 +196,6 @@ _DIGEST_BYTES = hashlib.sha256().digest_size
 # label ("low"), and the 768 thermal pixels ("thermal").
 _LOW_COLUMNS = [*range(THERMAL.start + 1), len(CSV_HEADER) - 1]
 _THERMAL_COLUMNS = slice(THERMAL.start + 1, THERMAL.stop + 1)
-
-
-def _low_rate_columns(group: ChannelGroup) -> list[int]:
-    """The row's timestamp and ``group``'s channels, for a low-rate group:
-    the cells a read of it parses, ahead of the label."""
-    return [0, *(group.indices() + 1).tolist()]
 
 
 def sidecar_path(path) -> Path:
@@ -279,10 +258,12 @@ def _write_sidecar(path, ends: np.ndarray, digests: np.ndarray,
 
 def _read_sidecar(path, group: ChannelGroup, max_rows: int | None):
     """The stored first ``max_rows`` rows of ``path`` (all when None), as
-    :func:`_parse` reads them for ``group``; None when the sidecar is
-    missing, malformed or holds rows that fail a check, or when the CSV
-    bytes of the chunks that hold those rows, and the file size if the
-    read reaches the last row, are not what it stored."""
+    :func:`_parse` reads them, or only their low block (the timestamp,
+    the 23 low-rate channels and the label) for a low-rate ``group``;
+    None when the sidecar is missing, malformed or holds rows that fail a
+    check, or when the CSV bytes of the chunks that hold those rows, and
+    the file size if the read reaches the last row, are not what it
+    stored."""
     low_rate = group.width <= THERMAL.start
     blocks = ["low"] if low_rate else ["low", "thermal"]
     try:
@@ -343,8 +324,8 @@ def _read_sidecar(path, group: ChannelGroup, max_rows: int | None):
         keep = max_rows - (needed - 1) * SIDECAR_CHUNK_ROWS
         chunks[-1] = [block[:keep] for block in chunks[-1]]
     low = np.concatenate([chunk[0] for chunk in chunks])
-    if low_rate:  # the cells the narrow parse reads
-        data = low[:, _low_rate_columns(group) + [-1]]
+    if low_rate:
+        data = low
     else:
         data = np.empty((len(low), len(CSV_HEADER)))
         data[:, _LOW_COLUMNS] = low
@@ -362,70 +343,56 @@ def ingest_csv(path, group: ChannelGroup = ChannelGroup.G791,
     any of them quoted with ``"``; the timestamp and the 791 channels are
     ASCII decimal, ``nan`` or ``inf`` numbers (no ``_`` digit separator),
     and the label is an integer as ``int()`` reads it. Validates the
-    header, the cell count of every row read, and the grammar and value
-    of every cell read: finite values, strictly increasing timestamps and
-    labels in 0..14. The cells read are the timestamp, the label and the
-    group's channels for the 17 and 23 low-rate groups, and every cell
-    for the 768 and 791 groups. ``train`` and ``sweep`` read every cell of
-    every row; ``eval`` and ``quantize`` pass their model's group, and
-    ``quantize`` the rows its representative windows cover, so a bad cell
-    they do not read passes. Each error names its line, the header being
-    line 1: the first row that fails a check (within a row: non-finite,
-    then timestamp, then label), or else the first line that is not a
-    full row.
+    header and every cell of every row read, whatever the group: finite
+    values, strictly increasing timestamps and labels in 0..14; a row
+    past ``max_rows`` is not read. Each error names its line, the header
+    being line 1: the first row that fails a check (within a row:
+    non-finite, then timestamp, then label), or else the first line that
+    is not a full row.
 
-    A read that parses and checks every cell of every row of an ASCII
-    file keeps the parsed rows in :func:`sidecar_path`, and any later
-    read of the same bytes returns slices of them: the same arrays, bit
-    for bit, without parsing. Before use it hashes the CSV bytes of the
-    sidecar's chunks that hold the rows it returns (and checks the file
-    size when it returns the last row), so a changed, extended or
-    truncated CSV, or a missing, stale or malformed sidecar, is parsed
-    as if there were none, and a failed write only costs the next read
-    its parse. Deleting a sidecar is always safe.
+    A read of every row of an ASCII file keeps the parsed rows in
+    :func:`sidecar_path`, and any later read of the same bytes returns
+    slices of them: the same arrays, bit for bit, without parsing; a
+    low-rate group loads only the low-rate columns. Before use it hashes
+    the CSV bytes of the sidecar's chunks that hold the rows it returns
+    (and checks the file size when it returns the last row), so a
+    changed, extended or truncated CSV, or a missing, stale or malformed
+    sidecar, is parsed as if there were none, and a failed write only
+    costs the next read its parse. Deleting a sidecar is always safe.
     """
     data = _read_sidecar(path, group, max_rows)
     if data is None:
-        data = _parse(path, group, max_rows)
+        data = _parse(path, max_rows)
+    # the 23 low-rate channels lead the 791, so a low-rate group's slice
+    # takes its channels from a sidecar's low block too
     return (data[:, 0].copy(),
-            np.ascontiguousarray(select_channels(data[:, 1:-1], group)),
+            np.ascontiguousarray(data[:, 1:-1][:, group.channels]),
             data[:, -1].astype(np.int64))
 
 
-def _parse(path, group: ChannelGroup, max_rows: int | None) -> np.ndarray:
-    """The checked rows :func:`ingest_csv` reads, parsed from the CSV:
-    the timestamp, the cells it reads and the label of each; a read of
-    every cell of every row stores them in a sidecar."""
+def _parse(path, max_rows: int | None) -> np.ndarray:
+    """The first ``max_rows`` rows of the CSV (all when None), every cell
+    parsed and checked; a read of every row stores them in a sidecar."""
     lines = _lines(path, max_rows)
     header = lines[0].rstrip("\r\n") if lines else ""
     if next(csv.reader([header]), None) != CSV_HEADER:
         raise HeaderMismatchError(
             f"{path}: header does not match the documented "
             f"{len(CSV_HEADER)}-column layout")
-    # a read of every cell of every row is kept: hash its lines while
-    # they have their ends, which then go in place, so that the file's
-    # text is held once
-    kept = (_chunk_digests(lines) if max_rows is None
-            and group.width > THERMAL.start else None)
+    # a read of every row is kept: hash its lines while they have their
+    # ends, which then go in place, so that the file's text is held once
+    kept = _chunk_digests(lines) if max_rows is None else None
     rows = lines[1:]
     del lines
     for i, line in enumerate(rows):
         rows[i] = line.rstrip("\r\n")
-    # loadtxt scans a whole line to read a few of its cells (usecols), so
-    # a low-rate read cuts them out first; a thermal group reads every cell
-    width = len(CSV_HEADER)
-    if group.width <= THERMAL.start:
-        columns = _low_rate_columns(group)
-        rows = [_low_rate_cells(line, columns) for line in rows]
-        width = len(columns) + 1
-    data = _rows(rows, width)
+    data = _rows(rows)
     readable = len(rows)
     if data is None:  # check the rows before the first unreadable line
         # a quote left open on one line runs on into the next
         readable = next(i for i, line in enumerate(rows)
-                        if _rows([line], width) is None
-                        or line.count('"') % 2)
-        data = _rows(rows[:readable], width)
+                        if _rows([line]) is None or line.count('"') % 2)
+        data = _rows(rows[:readable])
     timestamps, labels = data[:, 0], data[:, -1]
     failed = _failed_checks(data)
     if failed.any():
@@ -492,14 +459,15 @@ def synchronize(streams: list[SensorStream]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def select_channels(frames: np.ndarray, group: ChannelGroup) -> np.ndarray:
-    """Project full-width frames (..., 791) onto a channel group; frames
-    already the group's width are its channels."""
+    """Project full-width frames (..., 791) onto a channel group, as a
+    view of its slice of channels; frames already the group's width are
+    its channels."""
     if frames.shape[-1] == group.width:
         return frames
     if frames.shape[-1] != NUM_CHANNELS:
         raise DatapipeError(
             f"expected {NUM_CHANNELS}-wide frames, got {frames.shape[-1]}")
-    return frames[..., group.indices()]
+    return frames[..., group.channels]
 
 
 # size of the buffer fit_stats gathers window rows into. Kept small enough

@@ -28,6 +28,14 @@ INT8_CYCLES_PER_MAC = 1.0
 FLOAT32_CYCLES_PER_MAC = 4.0
 
 
+_PROFILE_FIELDS = ("clock_hz", "flash_bytes", "sram_bytes", "power_float_w",
+                   "power_int8_w", "core_factor")
+
+
+class ProfileError(ValueError):
+    """A malformed profile registry file."""
+
+
 @dataclass(frozen=True)
 class McuProfile:
     name: str
@@ -39,10 +47,13 @@ class McuProfile:
     core_factor: float  # relative MAC throughput (M7-class = 1.0)
 
     def __post_init__(self):
-        for field_name in ("clock_hz", "flash_bytes", "sram_bytes",
-                           "power_float_w", "power_int8_w", "core_factor"):
-            if getattr(self, field_name) <= 0:
-                raise ValueError(f"{field_name} must be positive")
+        for field_name in _PROFILE_FIELDS:
+            value = getattr(self, field_name)
+            # a JSON true or false is a bool, which is an int in Python
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value) or value <= 0):
+                raise ValueError(f"key {field_name!r} must be a finite "
+                                 f"positive number")
 
 
 # nRF52840 float power: the float model does not fit on this part, so no
@@ -63,12 +74,30 @@ def load_profiles(path) -> dict[str, McuProfile]:
     """Read a profile registry from a JSON file.
 
     Format: {"name": {"clock_hz": ..., "flash_bytes": ..., "sram_bytes": ...,
-    "power_float_w": ..., "power_int8_w": ..., "core_factor": ...}, ...}
+    "power_float_w": ..., "power_int8_w": ..., "core_factor": ...}, ...},
+    each value a finite positive number; a registry of another shape
+    raises :class:`ProfileError` naming the file, the profile and the key.
     """
     with open(path) as fh:
         raw = json.load(fh)
-    return {name: McuProfile(name=name, **fields)
-            for name, fields in raw.items()}
+    if not isinstance(raw, dict):
+        raise ProfileError(f"{path} holds no JSON object")
+    profiles = {}
+    for name, fields in raw.items():
+        where = f"{path}: profile {name!r}"
+        if not isinstance(fields, dict):
+            raise ProfileError(f"{where} is not an object")
+        for key in fields:
+            if key not in _PROFILE_FIELDS:
+                raise ProfileError(f"{where}: unknown key {key!r}")
+        for key in _PROFILE_FIELDS:
+            if key not in fields:
+                raise ProfileError(f"{where}: missing key {key!r}")
+        try:
+            profiles[name] = McuProfile(name=name, **fields)
+        except ValueError as exc:
+            raise ProfileError(f"{where}: {exc}") from None
+    return profiles
 
 
 @dataclass(frozen=True)

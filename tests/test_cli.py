@@ -202,8 +202,9 @@ class TestEval:
 
 
 class TestUnreadCells:
-    """eval and quantize check only the cells they read: the timestamp,
-    label and model channels of the rows they use. train checks all."""
+    """eval and quantize check every cell of the rows they read, whatever
+    their model's channels, and quantize reads no row past the ones its
+    representative windows cover. train checks all."""
 
     @pytest.fixture(scope="class", params=["nan", "x"])
     def bad_data(self, request, dataset, tmp_path_factory):
@@ -221,16 +222,40 @@ class TestUnreadCells:
             (bad / path.name).write_text("".join(lines))
         return bad
 
-    def test_eval_and_quantize_exit_zero(self, trained, bad_data, tmp_path):
+    def _quantize(self, model, data, out):
+        return run("quantize", "--model", str(model), "--data", str(data),
+                   "--held-out-session", "2", "--rep-windows", "8",
+                   "--stride", "12", "--out", str(out))
+
+    def test_eval_and_quantize_exit_one(self, dataset, trained, bad_data,
+                                        tmp_path, capsys):
+        assert self._quantize(trained, dataset, tmp_path) == 0
+        assert self._quantize(trained, bad_data, tmp_path / "bad") == 1
+        assert "session1.csv:6: " in capsys.readouterr().err
         for precision, model in (("float", trained),
                                  ("int8", tmp_path / "model_int8.thar")):
-            if precision == "int8":
-                assert run("quantize", "--model", str(trained), "--data",
-                           str(bad_data), "--held-out-session", "2",
-                           "--rep-windows", "8", "--stride", "12",
-                           "--out", str(tmp_path)) == 0
             assert run("eval", "--model", str(model), "--data",
                        str(bad_data), "--held-out-session", "2",
+                       "--out", str(tmp_path / precision)) == 1
+            assert "session2.csv:6: " in capsys.readouterr().err
+
+    def test_a_row_quantize_does_not_read_passes(self, dataset, trained,
+                                                 bad_data, tmp_path):
+        """The bad data with row 5 of each session restored: only the
+        barometer past quantize's rows is bad."""
+        data = tmp_path / "data"
+        data.mkdir()
+        for path in _dataset_files(bad_data):
+            lines = path.read_text().splitlines(keepends=True)
+            if path.suffix == ".csv":
+                lines[5] = (dataset / path.name).read_text().splitlines(
+                    keepends=True)[5]
+            (data / path.name).write_text("".join(lines))
+        assert self._quantize(trained, data, tmp_path) == 0
+        for precision, model in (("float", trained),
+                                 ("int8", tmp_path / "model_int8.thar")):
+            assert run("eval", "--model", str(model), "--data", str(data),
+                       "--held-out-session", "2",
                        "--out", str(tmp_path / precision)) == 0
 
     def test_train_exits_one(self, bad_data, tmp_path, capsys):
@@ -470,16 +495,43 @@ class TestMcuCheck:
         assert run("mcu-check", "--model", str(trained), "--profile",
                    "esp32", "--out", str(tmp_path / "o")) == 1
 
+    HUGE = {"clock_hz": 1e9, "flash_bytes": 64 * 2**20,
+            "sram_bytes": 16 * 2**20, "power_float_w": 1.0,
+            "power_int8_w": 1.0, "core_factor": 1.0}
+
     def test_custom_profile_registry(self, trained, tmp_path):
         registry = tmp_path / "profiles.json"
-        registry.write_text(json.dumps({"huge": {
-            "clock_hz": 1e9, "flash_bytes": 64 * 2**20,
-            "sram_bytes": 16 * 2**20, "power_float_w": 1.0,
-            "power_int8_w": 1.0, "core_factor": 1.0}}))
+        registry.write_text(json.dumps({"huge": self.HUGE}))
         out = tmp_path / "o"
         assert run("mcu-check", "--model", str(trained), "--profiles",
                    str(registry), "--profile", "huge", "--out", str(out)) == 0
         assert "huge,1,1" in (out / "feasibility.csv").read_text()
+
+    @pytest.mark.parametrize("edit, named", [
+        ("a list", None), ("not an object", "'huge'"),
+        ("unknown key", "'oops'"), ("missing key", "'sram_bytes'"),
+        ("a string", "'clock_hz'"), ("nan", "'clock_hz'"),
+        ("a bool", "'clock_hz'")])
+    def test_malformed_registry_exits_one(self, trained, tmp_path, capsys,
+                                          edit, named):
+        huge = dict(self.HUGE)
+        if edit == "unknown key":
+            huge["oops"] = 1.0
+        elif edit == "missing key":
+            del huge["sram_bytes"]
+        else:
+            huge["clock_hz"] = {"a string": "fast", "nan": float("nan"),
+                                "a bool": True}.get(edit)
+        registry = {"a list": [huge], "not an object": {"huge": 5}}.get(
+            edit, {"huge": huge})
+        path = tmp_path / "profiles.json"
+        path.write_text(json.dumps(registry))
+        assert run("mcu-check", "--model", str(trained), "--profiles",
+                   str(path), "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}" in err
+        if named is not None:
+            assert "profile 'huge'" in err and named in err
 
 
 class TestLoadedModelSize:

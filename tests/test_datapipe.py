@@ -324,12 +324,11 @@ def _write_rows(path, rows):
                               + [",".join(r) for r in rows]) + "\n")
 
 
-def _reads_cell(group, max_rows, row, column):
-    """Whether ``ingest_csv(path, group, max_rows)`` reads the cell of data
-    row ``row`` in CSV column ``column`` (1..791: the channels)."""
-    in_rows = max_rows is None or row < max_rows
-    return in_rows and (group.width > dp.THERMAL.start
-                        or column - 1 in group.indices())
+def _reads_cell(max_rows, row):
+    """Whether ``ingest_csv(path, group, max_rows)`` reads the cells of
+    data row ``row``: a read parses every cell of each row it reads,
+    whatever the group."""
+    return max_rows is None or row < max_rows
 
 
 # cell edits; a quote left open breaks its line wherever it is
@@ -337,9 +336,9 @@ _BAD_CELLS = ["nan", "x", "", '"1,5"', "1_0", '"""5"""', '"0']
 
 
 class TestNarrowIngest:
-    """``ingest_csv(path, group, max_rows)`` reads the timestamp, the label
-    and the group's channels of the first ``max_rows`` rows: the full
-    read's bits and errors, and no check of a cell it does not read."""
+    """``ingest_csv(path, group, max_rows)`` returns the full read's first
+    ``max_rows`` rows with the group's channels, or the full read's error
+    when the bad cell lies in a row it reads."""
 
     @settings(max_examples=80, deadline=None)
     @given(group=st.sampled_from(list(dp.ChannelGroup)),
@@ -358,8 +357,7 @@ class TestNarrowIngest:
             rows[row][column] = bad
             _write_rows(path, rows)
             got = _parse(lambda p: dp.ingest_csv(p, group, max_rows), path)
-            if _reads_cell(group if bad != '"0' else dp.ChannelGroup.G791,
-                           max_rows, row, column):
+            if _reads_cell(max_rows, row):
                 want = _parse(dp.ingest_csv, path)
         assert len(got) == len(want)
         if len(want) == 2:  # (error type, line)
@@ -416,8 +414,6 @@ class TestNarrowIngest:
             cells[0] = f'"{cells[0]}"'
             column = int(group.indices()[0]) + 1
             cells[column] = f'"{cells[column]}"'
-        if group.width <= dp.THERMAL.start:  # a comma inside an unread cell
-            rows[1][100] = '"1,5"'
         _write_rows(path, rows)
         got = dp.ingest_csv(path, group)
         assert got[0].tobytes() == want[0].tobytes()
@@ -459,17 +455,14 @@ class TestNewlines:
             dp.ingest_csv(path, group)
         assert len(dp.ingest_csv(path, group, 2)[2]) == 2
 
-    def test_a_non_ascii_cell_it_does_not_read_passes(self, tmp_path):
+    def test_a_non_ascii_cell_names_its_line(self, tmp_path):
         path = tmp_path / "rec.csv"
         rows = _clean_rows(path, 3, 5)
-        want = dp.ingest_csv(path, dp.ChannelGroup.G23)
         rows[1][500] = "\u00e9"  # a thermal pixel
         _write_rows(path, rows)
-        got = dp.ingest_csv(path, dp.ChannelGroup.G23)
-        for g, w in zip(got, want):
-            assert g.tobytes() == w.tobytes()
-        with pytest.raises(dp.RowParseError, match=r"\.csv:3: "):
-            dp.ingest_csv(path)
+        for group in (dp.ChannelGroup.G23, dp.ChannelGroup.G791):
+            with pytest.raises(dp.RowParseError, match=r"\.csv:3: "):
+                dp.ingest_csv(path, group)
 
 
 
@@ -670,9 +663,11 @@ class TestSidecar:
                                                            group):
         path = tmp_path / "rec.csv"
         rows = _clean_rows(path, 7, 11)
-        for g, max_rows in ((dp.ChannelGroup.G23, None), (group, 6)):
-            dp.ingest_csv(path, g, max_rows)
-            assert not dp.sidecar_path(path).exists()
+        dp.ingest_csv(path, group, 6)
+        assert not dp.sidecar_path(path).exists()
+        dp.ingest_csv(path, dp.ChannelGroup.G23)
+        assert dp.sidecar_path(path).is_file()
+        dp.sidecar_path(path).unlink()
         rows[4][3] = "nan"
         _write_rows(path, rows)
         with pytest.raises(dp.RowParseError, match=r"\.csv:6: "):
@@ -684,6 +679,21 @@ class TestSidecar:
         dp.ingest_csv(path, group)
         # it holds what the CSV holds, readable by whom the CSV is
         assert dp.sidecar_path(path).stat().st_mode & 0o777 == 0o640
+
+    @pytest.mark.parametrize("group", [dp.ChannelGroup.G17,
+                                       dp.ChannelGroup.G23])
+    def test_a_low_rate_read_of_every_row_writes(self, tmp_path,
+                                                 monkeypatch, group):
+        path = tmp_path / "rec.csv"
+        _clean_rows(path, 7, 13)
+        reads = [(g, max_rows) for g in dp.ChannelGroup
+                 for max_rows in (None, 0, 2, 3, 5, 7, 9)]
+        want = {read: _parsed(path, *read) for read in reads}
+        _assert_same(dp.ingest_csv(path, group), want[group, None])
+        assert dp.sidecar_path(path).is_file()
+        monkeypatch.setattr(np, "loadtxt", _no_parse)
+        for read in reads:
+            _assert_same(dp.ingest_csv(path, *read), want[read])
 
     def test_a_non_ascii_file_keeps_no_sidecar(self, tmp_path):
         path = tmp_path / "rec.csv"

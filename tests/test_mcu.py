@@ -72,6 +72,11 @@ class TestBuiltinProfiles:
         with pytest.raises(ValueError):
             mcu.McuProfile("bad", 0.0, 1, 1, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("clock_hz", [float("nan"), float("inf"), True])
+    def test_rejects_non_finite_and_bool_fields(self, clock_hz):
+        with pytest.raises(ValueError, match="'clock_hz'"):
+            mcu.McuProfile("bad", clock_hz, 1, 1, 1.0, 1.0, 1.0)
+
     def test_load_profiles_round_trip(self, tmp_path):
         path = tmp_path / "profiles.json"
         payload = {name: {"clock_hz": p.clock_hz,
