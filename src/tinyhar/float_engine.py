@@ -39,11 +39,6 @@ def rows(x: np.ndarray, kernel: int) -> np.ndarray:
                                            writeable=False)
 
 
-def im2col(x: np.ndarray, kernel: int) -> np.ndarray:
-    """:func:`rows` copied once to a C-contiguous float64 array."""
-    return rows(x, kernel).astype(np.float64, order="C")
-
-
 def window_rows(x, kernel: int = 1):
     """The :func:`rows` of a valid conv of ``kernel`` steps (1: the frames)
     that some window of ``x``, a ``model_ir.FrameBlock`` or a (..., T, C)
@@ -72,7 +67,7 @@ def windows(x) -> np.ndarray:
 
 
 def col2im(cols: np.ndarray, steps: int) -> np.ndarray:
-    """The adjoint of :func:`im2col`: sums each row entry back onto the
+    """The adjoint of :func:`rows`: sums each row entry back onto the
     (..., steps, C) input step it was read from."""
     out_steps = cols.shape[-2]
     taps = cols.reshape(cols.shape[:-1] + (steps - out_steps + 1, -1))
@@ -90,15 +85,6 @@ def conv_matrix(w: np.ndarray) -> np.ndarray:
 def conv_weights(matrix: np.ndarray, channels: int) -> np.ndarray:
     """The inverse of :func:`conv_matrix`: (K * C, F) back to (C, K, F)."""
     return matrix.reshape(-1, channels, matrix.shape[1]).transpose(1, 0, 2)
-
-
-def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Valid (unpadded) 1D convolution, one float64 GEMM per window, as
-    :func:`layer_outputs` runs every conv but the first.
-    x: (..., time_steps, in_channels); w: (in_channels, kernel, out_filters);
-    b: (out_filters,). Output: (..., time_steps - kernel + 1, out_filters).
-    """
-    return im2col(x, w.shape[1]) @ conv_matrix(w) + b
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -76,10 +76,14 @@ def load_profiles(path) -> dict[str, McuProfile]:
     Format: {"name": {"clock_hz": ..., "flash_bytes": ..., "sram_bytes": ...,
     "power_float_w": ..., "power_int8_w": ..., "core_factor": ...}, ...},
     each value a finite positive number; a registry of another shape
-    raises :class:`ProfileError` naming the file, the profile and the key.
+    raises :class:`ProfileError` naming the file, the profile and the key,
+    and so does a file that cannot be read or is not JSON.
     """
-    with open(path) as fh:
-        raw = json.load(fh)
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:  # a decode error is a ValueError
+        raise ProfileError(f"{path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ProfileError(f"{path} holds no JSON object")
     profiles = {}

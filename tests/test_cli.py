@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from tinyhar import benchlab, cli, datapipe, mcu, modelfile
+from tinyhar import benchlab, cli, mcu, modelfile
 from tinyhar.cli import main
 from tinyhar.datapipe import (ChannelGroup, make_windows, normalize,
                               split_by_session)
@@ -434,7 +434,6 @@ class TestSidecars:
 
     @pytest.mark.parametrize("group", ["17", "768"])
     def test_outputs_are_byte_identical(self, tmp_path, monkeypatch, group):
-        monkeypatch.setattr(datapipe, "SIDECAR_CHUNK_ROWS", 50)
         data = tmp_path / "data"
         assert run("synth", "--seed", "3", "--subjects", "1", "--sessions",
                    "2", "--duration-s", "40", "--out", str(data)) == 0
@@ -457,14 +456,14 @@ class TestSidecars:
                  "--out", out / "float"]]
             for step in steps:
                 if delete:
-                    for sidecar in data.glob(".*.rows.npz"):
+                    for sidecar in data.glob(".*.rows.npy"):
                         sidecar.unlink()
                 parses.clear()
                 assert run(*map(str, step + split)) == 0
                 # train parses every cell and keeps it; the others hit
                 assert bool(parses) == (delete or step[0] == "train")
                 if step[0] == "train":
-                    assert len(list(data.glob(".*.rows.npz"))) == 2
+                    assert len(list(data.glob(".*.rows.npy"))) == 2
             return {name: (out / name).read_bytes() for name in self.OUTPUTS}
 
         assert chain(tmp_path / "kept", False) == chain(tmp_path / "deleted",
@@ -532,6 +531,20 @@ class TestMcuCheck:
         assert f"error: {path}" in err
         if named is not None:
             assert "profile 'huge'" in err and named in err
+
+    @pytest.mark.parametrize("kind", ["missing", "a directory", "not JSON",
+                                      "not UTF-8"])
+    def test_unreadable_registry_exits_one(self, trained, tmp_path, capsys,
+                                           kind):
+        path = tmp_path / "profiles.json"
+        if kind == "a directory":
+            path.mkdir()
+        elif kind != "missing":
+            path.write_bytes({"not JSON": b'{"huge": ',
+                              "not UTF-8": b'{"\xff": {}}'}[kind])
+        assert run("mcu-check", "--model", str(trained), "--profiles",
+                   str(path), "--out", str(tmp_path / "o")) == 1
+        assert f"error: {path}: " in capsys.readouterr().err
 
 
 class TestLoadedModelSize:

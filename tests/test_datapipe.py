@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import re
 import tempfile
 from pathlib import Path
@@ -492,32 +493,46 @@ def _parsed(path, group=dp.ChannelGroup.G791, max_rows=None):
         return _parse(lambda p: dp.ingest_csv(p, group, max_rows), copy)
 
 
+def _sidecar(path):
+    """The sidecar :func:`dp.ingest_csv` keeps for the bytes ``path``
+    holds now."""
+    return dp.sidecar_path(path, hashlib.sha256(path.read_bytes()).hexdigest())
+
+
+def _sidecars(path):
+    return sorted(path.parent.glob(f".{path.name}.*.rows.npy"))
+
+
 class TestSidecar:
     """A read of every cell of every row keeps the parsed rows beside the
-    CSV; a later read of the same bytes returns them without parsing, and
-    anything else is parsed as if there were no sidecar."""
-
-    @pytest.fixture(autouse=True)
-    def small_chunks(self, monkeypatch):
-        monkeypatch.setattr(dp, "SIDECAR_CHUNK_ROWS", 3)
+    CSV, named by the SHA-256 of its bytes; a later read of the same bytes
+    returns them without parsing, and anything else is parsed as if there
+    were no sidecar."""
 
     @pytest.fixture
     def stored(self, tmp_path):
-        """A 7-row CSV (chunks of rows 0-2, 3-5 and 6) and its sidecar."""
+        """A 7-row CSV and its sidecar."""
         path = tmp_path / "rec.csv"
         _clean_rows(path, 7, 9)
         dp.ingest_csv(path)
-        assert dp.sidecar_path(path).is_file()
+        assert _sidecars(path) == [_sidecar(path)]
         return path
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """The ``np.loadtxt`` calls made since the test began."""
+        loadtxt, calls = np.loadtxt, []
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1)
+                            or loadtxt(*a, **k))
+        return calls
 
     @settings(max_examples=60, deadline=None)
     @given(group=st.sampled_from(list(dp.ChannelGroup)),
            max_rows=st.none() | st.integers(0, 11), rows=st.integers(0, 9),
-           chunk=st.integers(1, 4), seed=st.integers(0, 2**16))
+           seed=st.integers(0, 2**16))
     def test_a_hit_is_the_parse_without_parsing(self, group, max_rows, rows,
-                                                chunk, seed):
-        with tempfile.TemporaryDirectory() as tmp, \
-                mock.patch.object(dp, "SIDECAR_CHUNK_ROWS", chunk):
+                                                seed):
+        with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "rec.csv"
             _clean_rows(path, rows, seed)
             want = dp.ingest_csv(path, group, max_rows)
@@ -529,15 +544,17 @@ class TestSidecar:
     @pytest.mark.parametrize("group", [dp.ChannelGroup.G791,
                                        dp.ChannelGroup.G17])
     @pytest.mark.parametrize("max_rows", [None, 2, 5])
-    @pytest.mark.parametrize("edit", ["other value", "nan", "appended row",
+    @pytest.mark.parametrize("edit", ["other value", "nan", "last row",
+                                      "lone CR", "appended row",
                                       "cut mid-row", "cut after a row"])
-    def test_a_changed_csv_is_parsed(self, stored, monkeypatch, group,
-                                     max_rows, edit):
+    def test_a_changed_csv_is_parsed(self, stored, parses, group, max_rows,
+                                     edit):
         lines = stored.read_bytes().split(b"\r\n")
-        if edit in ("other value", "nan"):  # a covered cell of row 1
-            cells = lines[2].split(b",")
-            cells[10] = b"12.5" if edit == "other value" else b"nan"
-            lines[2] = b",".join(cells)
+        if edit in ("other value", "nan", "last row"):  # a cell of row 1 or 6
+            row = 7 if edit == "last row" else 2
+            cells = lines[row].split(b",")
+            cells[10] = b"nan" if edit == "nan" else b"12.5"
+            lines[row] = b",".join(cells)
         elif edit == "appended row":
             lines.insert(-1, lines[-2].replace(lines[-2].split(b",")[0],
                                                b"999999", 1))
@@ -546,104 +563,102 @@ class TestSidecar:
             data = data[:len(data) - len(lines[-2]) // 2]
         elif edit == "cut after a row":
             data = data[:len(data) - len(lines[-2]) - 2]
+        elif edit == "lone CR":  # the same rows from other bytes
+            data = data[:-1]
         stored.write_bytes(data)
         want = _parsed(stored, group, max_rows)
-        loadtxt = np.loadtxt
-        calls = []
-        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1)
-                            or loadtxt(*a, **k))
+        parses.clear()
         _assert_same(_parse(lambda p: dp.ingest_csv(p, group, max_rows),
                             stored), want)
-        # a cut or an appended row changes only the last chunk, which a
-        # read of rows 0-1 or 0-4 does not need
-        assert bool(calls) == (edit in ("other value", "nan")
-                               or max_rows is None)
+        # the whole file is hashed, so rows past max_rows count too
+        assert parses
 
-    def test_a_byte_past_the_chunks_read_is_not_checked(self, stored,
-                                                        monkeypatch):
-        want = dp.ingest_csv(stored, dp.ChannelGroup.G23, 3)
-        lines = stored.read_bytes().split(b"\r\n")
-        cells = lines[4].split(b",")  # row 3, in the second chunk
-        cells[10] = b"nan"
-        lines[4] = b",".join(cells)
-        stored.write_bytes(b"\r\n".join(lines))
-        monkeypatch.setattr(np, "loadtxt", _no_parse)
-        _assert_same(dp.ingest_csv(stored, dp.ChannelGroup.G23, 3), want)
-
-    def test_a_low_rate_read_loads_no_thermal_block(self, stored,
-                                                     monkeypatch):
-        sidecar = dp.sidecar_path(stored)
-        with np.load(sidecar) as npz:
-            arrays = dict(npz)
-        arrays["thermal0"] = arrays["thermal0"][:1]  # malformed
+    def test_a_low_rate_read_reads_no_thermal_column(self, stored,
+                                                      monkeypatch):
+        sidecar = _sidecar(stored)
+        good = sidecar.read_bytes()
+        rows = np.load(sidecar)
+        rows[1, 500] = np.nan  # a thermal pixel
         with open(sidecar, "wb") as fh:
-            np.savez(fh, **arrays)
+            np.save(fh, rows)
         want = _parsed(stored, dp.ChannelGroup.G17)
         with monkeypatch.context() as patch:
             patch.setattr(np, "loadtxt", _no_parse)
             _assert_same(dp.ingest_csv(stored, dp.ChannelGroup.G17), want)
             with pytest.raises(AssertionError, match="loadtxt called"):
                 dp.ingest_csv(stored, dp.ChannelGroup.G768)
+        dp.ingest_csv(stored, dp.ChannelGroup.G768)
+        assert sidecar.read_bytes() == good
+
+    # same-size edits of the header that leave the rows readable as stored
+    HEADER_EDITS = {"C order": (b"True, 'shape'", b"False,'shape'"),
+                    "int64": (b"'<f8'", b"'<i8'"),
+                    "version 2": (b"NUMPY\x01", b"NUMPY\x02"),
+                    "shape": (b"(7, 793)", b"(7, 792)")}
 
     @pytest.mark.parametrize("damage", [
-        "garbage", "empty", "truncated", "wide rows", "short chunk",
-        "short thermal block", "digest shape", "missing key", "extra key",
-        "nan pixel", "falling timestamps", "label 15", "a npy file",
-        "a password", "unknown compression"])
-    def test_a_bad_sidecar_is_parsed_and_replaced(self, stored, monkeypatch,
-                                                  damage):
-        sidecar = dp.sidecar_path(stored)
+        "garbage", "empty", "cut in the header", "truncated",
+        "an extra byte", *HEADER_EDITS, "wide rows", "one dimension",
+        "float32", "big-endian", "nan pixel", "nan label",
+        "falling timestamps", "label 15"])
+    def test_a_bad_sidecar_is_parsed_and_replaced(self, stored, parses,
+                                                  monkeypatch, damage):
+        sidecar = _sidecar(stored)
         good = sidecar.read_bytes()
-        with np.load(sidecar) as npz:
-            arrays = dict(npz)
-        low0, thermal0 = arrays["low0"].copy(), arrays["thermal0"].copy()
-        if damage == "garbage":
-            sidecar.write_bytes(bytes(range(256)) * 8)
-        elif damage == "empty":
-            sidecar.write_bytes(b"")
-        elif damage == "truncated":
-            sidecar.write_bytes(good[:len(good) // 2])
-        elif damage in ("a password", "unknown compression"):
-            # the first member's flags (bit 0: encrypted) or its method,
-            # in its local and its central header
-            damaged = bytearray(good)
-            for magic, at in ((b"PK\x03\x04", 6), (b"PK\x01\x02", 8)):
-                field = damaged.find(magic) + at
-                if damage == "a password":
-                    damaged[field] |= 1
-                else:
-                    damaged[field + 2] = 99
-            sidecar.write_bytes(bytes(damaged))
-        elif damage == "a npy file":
-            np.save(sidecar.with_suffix(".npy"), low0)
-            sidecar.with_suffix(".npy").replace(sidecar)
+        rows = np.load(sidecar)
+        assert rows.flags.f_contiguous and not rows.flags.c_contiguous
+        if damage in self.HEADER_EDITS:
+            old, new = self.HEADER_EDITS[damage]
+            assert good[:128].count(old) == 1
+            sidecar.write_bytes(good.replace(old, new, 1))
+        elif damage in ("garbage", "empty", "cut in the header",
+                        "truncated", "an extra byte"):
+            sidecar.write_bytes({
+                "garbage": bytes(range(256)) * 8, "empty": b"",
+                "cut in the header": good[:40],
+                "truncated": good[:len(good) - 8],
+                "an extra byte": good + b"\0"}[damage])
         else:
             if damage == "wide rows":
-                arrays["low0"] = np.hstack([low0, low0[:, :1]])
-            elif damage == "short chunk":
-                arrays["low0"], arrays["thermal0"] = low0[:2], thermal0[:2]
-            elif damage == "short thermal block":
-                arrays["thermal0"] = thermal0[:2]
-            elif damage == "digest shape":
-                arrays["digests"] = arrays["digests"][:, :16]
-            elif damage == "missing key":
-                del arrays["size"]
-            elif damage == "extra key":
-                arrays["low3"] = low0
-            elif damage == "nan pixel":
-                thermal0[1, 5] = np.nan
-                arrays["thermal0"] = thermal0
+                rows = np.asfortranarray(np.hstack([rows, rows[:, :1]]))
+            elif damage == "one dimension":
+                rows = rows.T.ravel()
+            elif damage in ("float32", "big-endian"):
+                rows = rows.astype({"float32": "<f4", "big-endian": ">f8"}[
+                    damage])
             else:
-                low0[1, {"falling timestamps": 0, "label 15": -1}[damage]] \
-                    = {"falling timestamps": -1.0, "label 15": 15.0}[damage]
-                arrays["low0"] = low0
+                cell = {"nan pixel": (1, 500), "nan label": (1, -1),
+                        "falling timestamps": (1, 0), "label 15": (1, -1)}
+                rows[cell[damage]] = {"falling timestamps": -1.0,
+                                      "label 15": 15.0}.get(damage, np.nan)
             with open(sidecar, "wb") as fh:
-                np.savez(fh, **arrays)
+                np.save(fh, rows)
         want = _parsed(stored)
+        parses.clear()
         _assert_same(dp.ingest_csv(stored), want)
-        assert sidecar.read_bytes() == good  # written again
+        assert parses and sidecar.read_bytes() == good  # written again
         monkeypatch.setattr(np, "loadtxt", _no_parse)
         _assert_same(dp.ingest_csv(stored), want)
+
+    @pytest.mark.parametrize("cut", [8, 5])
+    def test_a_sidecar_cut_after_its_size_is_read_is_a_miss(
+            self, stored, parses, monkeypatch, cut):
+        sidecar = _sidecar(stored)
+        good = sidecar.read_bytes()
+        sidecar.write_bytes(good[:-cut])
+        want = _parsed(stored)
+        parses.clear()
+        with monkeypatch.context() as patch:  # the size it had when checked
+            patch.setattr(dp.os, "fstat",
+                          lambda fd: mock.Mock(st_size=len(good)))
+            _assert_same(dp.ingest_csv(stored), want)
+        assert parses and sidecar.read_bytes() == good
+
+    def test_a_negative_row_limit_reads_as_without_a_sidecar(self, stored):
+        want = _parsed(stored, dp.ChannelGroup.G23, -1)
+        assert want[0] is dp.HeaderMismatchError
+        assert _parse(lambda p: dp.ingest_csv(p, dp.ChannelGroup.G23, -1),
+                      stored) == want
 
     def test_a_failed_write_is_ignored(self, tmp_path, monkeypatch):
         path = tmp_path / "rec.csv"
@@ -657,6 +672,50 @@ class TestSidecar:
         _assert_same(dp.ingest_csv(path), want)
         assert [p.name for p in tmp_path.iterdir()] == ["rec.csv"]
 
+    def test_a_write_removes_the_csvs_other_sidecars(self, stored, parses):
+        first, old = _sidecar(stored), stored.read_bytes()
+        legacy = stored.with_name(".rec.csv.rows.npz")  # an older layout
+        legacy.write_bytes(b"PK")
+        other = stored.with_name("other.csv")
+        other.write_bytes(old)
+        dp.ingest_csv(other)
+        lines = old.split(b"\r\n")
+        cells = lines[4].split(b",")
+        cells[10] = b"12.5"
+        lines[4] = b",".join(cells)
+        stored.write_bytes(b"\r\n".join(lines))
+        parses.clear()
+        want = _parsed(stored, dp.ChannelGroup.G23, 2)
+        _assert_same(dp.ingest_csv(stored, dp.ChannelGroup.G23, 2), want)
+        assert parses and _sidecars(stored) == [first]  # no write
+        dp.ingest_csv(stored)
+        assert _sidecars(stored) == [_sidecar(stored)] != [first]
+        assert not legacy.exists() and _sidecars(other) == [_sidecar(other)]
+        stored.write_bytes(old)  # reverted: parsed, and kept again
+        parses.clear()
+        dp.ingest_csv(stored)
+        assert parses and _sidecars(stored) == [first]
+
+    def test_the_csv_is_opened_once_per_read(self, stored, monkeypatch):
+        opened = []
+        real = open
+
+        def counting(file, *args, **kwargs):
+            opened.append(Path(file) == stored)
+            return real(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting)
+        for group, max_rows, delete in [
+                (dp.ChannelGroup.G791, None, False),
+                (dp.ChannelGroup.G17, 3, False),
+                (dp.ChannelGroup.G768, 3, True),
+                (dp.ChannelGroup.G23, None, True)]:
+            if delete:
+                _sidecar(stored).unlink(missing_ok=True)
+            opened.clear()
+            dp.ingest_csv(stored, group, max_rows)
+            assert sum(opened) == 1
+
     @pytest.mark.parametrize("group", [dp.ChannelGroup.G791,
                                        dp.ChannelGroup.G768])
     def test_only_a_read_of_every_cell_of_every_row_writes(self, tmp_path,
@@ -664,10 +723,10 @@ class TestSidecar:
         path = tmp_path / "rec.csv"
         rows = _clean_rows(path, 7, 11)
         dp.ingest_csv(path, group, 6)
-        assert not dp.sidecar_path(path).exists()
+        assert not _sidecars(path)
         dp.ingest_csv(path, dp.ChannelGroup.G23)
-        assert dp.sidecar_path(path).is_file()
-        dp.sidecar_path(path).unlink()
+        assert _sidecars(path) == [_sidecar(path)]
+        _sidecar(path).unlink()
         rows[4][3] = "nan"
         _write_rows(path, rows)
         with pytest.raises(dp.RowParseError, match=r"\.csv:6: "):
@@ -678,7 +737,7 @@ class TestSidecar:
         path.chmod(0o640)
         dp.ingest_csv(path, group)
         # it holds what the CSV holds, readable by whom the CSV is
-        assert dp.sidecar_path(path).stat().st_mode & 0o777 == 0o640
+        assert _sidecar(path).stat().st_mode & 0o777 == 0o640
 
     @pytest.mark.parametrize("group", [dp.ChannelGroup.G17,
                                        dp.ChannelGroup.G23])
@@ -690,7 +749,7 @@ class TestSidecar:
                  for max_rows in (None, 0, 2, 3, 5, 7, 9)]
         want = {read: _parsed(path, *read) for read in reads}
         _assert_same(dp.ingest_csv(path, group), want[group, None])
-        assert dp.sidecar_path(path).is_file()
+        assert _sidecars(path) == [_sidecar(path)]
         monkeypatch.setattr(np, "loadtxt", _no_parse)
         for read in reads:
             _assert_same(dp.ingest_csv(path, *read), want[read])
@@ -701,7 +760,7 @@ class TestSidecar:
         rows[1][-1] = "\u0663"  # int() reads the Arabic-Indic digit 3
         _write_rows(path, rows)
         assert dp.ingest_csv(path)[2][1] == 3
-        assert not dp.sidecar_path(path).exists()
+        assert not _sidecars(path)
 
 def _stream(name, start_col, rate_hz, duration_s, fn):
     """Helper: stream whose value at time t (s) is fn(t), one column."""

