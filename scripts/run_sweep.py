@@ -27,12 +27,15 @@ def main() -> int:
     parser.add_argument("--out", default="runs/sweep")
     args = parser.parse_args()
 
+    try:
+        cfg = benchlab.SweepConfig(seed=args.seed, train_epochs=args.epochs,
+                                   max_eval_windows=args.max_eval_windows,
+                                   measure_host_latency=args.host_latency,
+                                   jobs=args.jobs)
+    except ValueError as exc:
+        parser.error(str(exc))
     sessions = synth_generate(args.seed, subjects=2, sessions_per_subject=5,
                               duration_s=args.duration_s)
-    cfg = benchlab.SweepConfig(seed=args.seed, train_epochs=args.epochs,
-                               max_eval_windows=args.max_eval_windows,
-                               measure_host_latency=args.host_latency,
-                               jobs=args.jobs)
     started = time.monotonic()
     reports = benchlab.sweep(sessions, cfg)
     elapsed = time.monotonic() - started

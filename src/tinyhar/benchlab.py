@@ -53,6 +53,11 @@ class SweepConfig:
     measure_host_latency: bool = False  # keeps sweep output deterministic
     jobs: int = 1
 
+    def __post_init__(self):
+        for name in ("rep_windows", "max_eval_windows"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+
 
 @dataclass
 class McuResult:

@@ -70,11 +70,10 @@ def _manifest_entries(manifest_path: Path) -> list[dict]:
 
 
 def _iter_sessions(data_dir: str, keep=lambda session: True,
-                   group: ChannelGroup = ChannelGroup.G791,
-                   max_rows=lambda: None):
+                   group: ChannelGroup = ChannelGroup.G791):
     """The recordings of the manifest's sessions whose id passes ``keep``,
-    in manifest order, each CSV read only when its turn comes: ``group``'s
-    channels from at most ``max_rows()`` rows (all when None)."""
+    in manifest order, each CSV read only when its turn comes, with
+    ``group``'s channels."""
     manifest_path = Path(data_dir) / "manifest.json"
     if not manifest_path.is_file():
         raise CliError(f"no manifest.json in {data_dir}; "
@@ -85,7 +84,7 @@ def _iter_sessions(data_dir: str, keep=lambda session: True,
         path = Path(data_dir) / entry["path"]
         if not path.is_file():
             raise CliError(f"dataset file missing: {path}")
-        timestamps, frames, labels = ingest_csv(path, group, max_rows())
+        timestamps, frames, labels = ingest_csv(path, group)
         yield SessionRecording(subject=entry["subject"],
                                session=entry["session"],
                                timestamps=timestamps, frames=frames,
@@ -134,15 +133,15 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     outdir = Path(args.out)
+    cfg = training.TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
+                               learning_rate=args.learning_rate,
+                               seed=args.seed)
     sessions = _load_dataset(args.data)
     group = ChannelGroup.from_width(args.group)
     train_set, test_set, stats = benchlab.prepared_windows(
         sessions, group, args.window_len, args.stride, args.held_out_session)
     graph = build_mc_cnn(group.width, args.window_len,
                          first_filters=args.filters, seed=args.seed)
-    cfg = training.TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
-                               learning_rate=args.learning_rate,
-                               seed=args.seed)
     graph, history = training.train(graph, stack_windows(train_set),
                                     (test_set, test_set.y), cfg)
     graph = dataclasses.replace(graph, stats=stats)
@@ -177,13 +176,9 @@ def cmd_quantize(args) -> int:
     # the first --rep-windows training windows, read session by session
     sessions, count = [], 0
     window_len, channels = model.input_shape
-
-    def rows():  # the rows that the windows still to find cover
-        return (args.rep_windows - count - 1) * args.stride + window_len
-
     for rec in _iter_sessions(args.data,
                               lambda s: s != args.held_out_session,
-                              ChannelGroup.from_width(channels), rows):
+                              ChannelGroup.from_width(channels)):
         sessions.append(rec)
         count += len(range(0, len(rec.labels) - window_len + 1, args.stride))
         if count >= args.rep_windows:
@@ -250,7 +245,6 @@ def cmd_bench(args) -> int:
 
 def cmd_sweep(args) -> int:
     outdir = Path(args.out)
-    sessions = _load_dataset(args.data)
     cfg = SweepConfig(window_len=args.window_len, stride=args.stride,
                       held_out_session=args.held_out_session, seed=args.seed,
                       train_epochs=args.epochs, batch_size=args.batch_size,
@@ -258,7 +252,7 @@ def cmd_sweep(args) -> int:
                       max_eval_windows=args.max_eval_windows,
                       measure_host_latency=args.measure_host_latency,
                       jobs=args.jobs)
-    reports = benchlab.sweep(sessions, cfg)
+    reports = benchlab.sweep(_load_dataset(args.data), cfg)
     benchlab.render_report(reports, outdir)
     failures = [r.config_id for r in reports if r.error]
     print(f"{len(reports)} reports written to {outdir}"

@@ -13,13 +13,12 @@ Channel layout (791 columns, fixed order):
 CSV files carry 793 columns: timestamp_ms, the 791 channels, label.
 
 The pipeline works on whole arrays. ``ingest_csv`` is the one CSV parser:
-it reads a file, or its first rows, with one ``np.loadtxt`` call,
-validates every cell of the rows it read in one vectorised pass, names
-the line of the first error from those arrays, and then takes the
-channel group a command uses. Every read hashes the whole file. A read
-of every row keeps the parsed rows in one sidecar ``.npy`` beside the
-CSV, named by that SHA-256, and a later read of the same bytes loads the
-columns and rows it returns from that file instead of parsing.
+it reads a whole file with one ``np.loadtxt`` call, validates every cell
+in one vectorised pass, names the line of the first error from those
+arrays, and then takes the channel group a command uses. Every read
+hashes the file and keeps the parsed rows in one sidecar ``.npy`` beside
+the CSV, named by that SHA-256, and a later read of the same bytes loads
+the columns it returns from that file instead of parsing.
 ``make_windows`` returns :class:`Windows`: every window is a read-only
 row view over one array of channel-selected frames, and indexing keeps
 the old list semantics. ``normalize`` z-scores each frame row that some
@@ -34,7 +33,6 @@ import csv
 import glob
 import hashlib
 import io
-import itertools
 import os
 import tempfile
 from dataclasses import dataclass
@@ -101,9 +99,6 @@ class ChannelGroup(Enum):
         stop = NUM_CHANNELS if self.width > THERMAL.start else THERMAL.start
         return slice(stop - self.width, stop)
 
-    def indices(self) -> np.ndarray:
-        return np.arange(NUM_CHANNELS)[self.channels]
-
     @property
     def width(self) -> int:
         return self.value
@@ -151,14 +146,13 @@ class SensorStream:
     values: np.ndarray      # (n, width)
 
 
-def _lines(raw: bytes, max_rows: int | None) -> list[str]:
-    """The header of the CSV bytes ``raw`` and its next ``max_rows`` lines
-    (all when None), without their line ends. A line ends where universal
-    newlines end one: at "\\n", "\\r\\n" or a lone "\\r"."""
+def _lines(raw: bytes) -> list[str]:
+    """The lines of the CSV bytes ``raw``, without their line ends. A line
+    ends where universal newlines end one: at "\\n", "\\r\\n" or a lone
+    "\\r"."""
     # splits so, and translates nothing
     with io.TextIOWrapper(io.BytesIO(raw), newline="") as fh:
-        return [line.rstrip("\r\n") for line in itertools.islice(
-            fh, None if max_rows is None else max_rows + 1)]
+        return [line.rstrip("\r\n") for line in fh]
 
 
 def _rows(lines: list):
@@ -223,13 +217,12 @@ def _write_sidecar(path, digest: str, data: np.ndarray) -> None:
                 os.remove(temporary)
 
 
-def _read_sidecar(path, digest: str, group: ChannelGroup,
-                  max_rows: int | None):
-    """The timestamps, ``group``'s channels and the labels of the first
-    ``max_rows`` rows (all when None) stored for the CSV bytes ``digest``,
-    read by offset; None when there is no such file, when it is not the
-    ``.npy`` of a (rows, 793) float64 array in Fortran order, of just that
-    size, or when the rows fail a check."""
+def _read_sidecar(path, digest: str, group: ChannelGroup):
+    """The timestamps, ``group``'s channels and the labels of the rows
+    stored for the CSV bytes ``digest``, read by offset; None when there is
+    no such file, when it is not the ``.npy`` of a (rows, 793) float64
+    array in Fortran order, of just that size, or when the rows fail a
+    check."""
     cells = len(CSV_HEADER)
     try:
         with open(sidecar_path(path, digest), "rb") as fh:
@@ -243,11 +236,9 @@ def _read_sidecar(path, digest: str, group: ChannelGroup,
                     and dtype == np.float64 and os.fstat(fh.fileno()).st_size
                     == start + rows * cells * 8):
                 return None
-            # a negative max_rows is a ValueError of np.empty, so a miss
-            keep = rows if max_rows is None else min(rows, max_rows)
 
             def columns(first, stop):
-                out = np.empty((keep, stop - first))
+                out = np.empty((rows, stop - first))
                 # by 32: on a 2-core Xeon, 3x as fast as by 1 (1,800 rows)
                 for i in range(0, stop - first, 32):
                     part = out[:, i:i + 32]
@@ -255,7 +246,7 @@ def _read_sidecar(path, digest: str, group: ChannelGroup,
                     fh.seek(start + (first + i) * rows * 8)
                     # a file cut since its size was read fails the reshape
                     part[...] = np.frombuffer(fh.read(size * 8)).reshape(
-                        part.shape[1], rows)[:, :keep].T
+                        part.shape[1], rows).T
                 return out
 
             timestamps, labels = columns(0, 1)[:, 0], \
@@ -268,37 +259,35 @@ def _read_sidecar(path, digest: str, group: ChannelGroup,
     return timestamps, frames, labels.astype(np.int64)
 
 
-def ingest_csv(path, group: ChannelGroup = ChannelGroup.G791,
-               max_rows: int | None = None):
-    """Parse one recording CSV into (timestamps, frames, labels): the
-    first ``max_rows`` rows (all when None), with ``group``'s channels.
+def ingest_csv(path, group: ChannelGroup = ChannelGroup.G791):
+    """Parse one recording CSV into (timestamps, frames, labels), with
+    ``group``'s channels.
 
     The grammar is ``np.loadtxt``'s: 793 comma-separated cells per line,
     any of them quoted with ``"``; the timestamp and the 791 channels are
     ASCII decimal, ``nan`` or ``inf`` numbers (no ``_`` digit separator),
     and the label is an integer as ``int()`` reads it. Validates the
-    header and every cell of every row read, whatever the group: finite
-    values, strictly increasing timestamps and labels in 0..14; a row
-    past ``max_rows`` is not parsed. Each error names its line, the header
-    being line 1: the first row that fails a check (within a row:
-    non-finite, then timestamp, then label), or else the first line that
-    is not a full row.
+    header and every cell of every row, whatever the group: finite values,
+    strictly increasing timestamps and labels in 0..14. Each error names
+    its line, the header being line 1: the first row that fails a check
+    (within a row: non-finite, then timestamp, then label), or else the
+    first line that is not a full row.
 
-    Every read, a row-limited one too, hashes the whole file. A read of
-    every row of an ASCII file keeps the parsed rows in the sidecar
-    :func:`sidecar_path` names by that SHA-256 (removing the CSV's others),
-    and a later read of the same bytes takes its cells from it, checked
-    as a parse checks them: the same arrays, bit for bit. Other bytes, or
-    a missing, malformed or failing sidecar, parse as if there were none.
+    Every read hashes the file. A read of an ASCII file keeps the parsed
+    rows in the sidecar :func:`sidecar_path` names by that SHA-256
+    (removing the CSV's others), and a later read of the same bytes takes
+    its cells from it, checked as a parse checks them: the same arrays,
+    bit for bit. Other bytes, or a missing, malformed or failing sidecar,
+    parse as if there were none.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     digest = hashlib.sha256(raw).hexdigest()
-    hit = _read_sidecar(path, digest, group, max_rows)
+    hit = _read_sidecar(path, digest, group)
     if hit is not None:
         return hit
-    store = max_rows is None and raw.isascii()
-    lines = _lines(raw, max_rows)
+    store = raw.isascii()
+    lines = _lines(raw)
     del raw  # the file's text is held once, and only while parsed
     data = _parse(path, lines)
     del lines
@@ -310,7 +299,7 @@ def ingest_csv(path, group: ChannelGroup = ChannelGroup.G791,
 
 
 def _parse(path, lines: list[str]) -> np.ndarray:
-    """The rows of the CSV ``path`` whose header and first rows are
+    """The rows of the CSV ``path`` whose lines, header first, are
     ``lines``, every cell parsed and checked."""
     header = lines[0] if lines else ""
     if next(csv.reader([header]), None) != CSV_HEADER:

@@ -50,6 +50,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if not 0.0 < self.learning_rate < 1.0:
             raise ValueError("learning_rate must be in (0, 1)")
 

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 from pathlib import Path
@@ -9,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from tinyhar import benchlab, cli, mcu, modelfile
 from tinyhar.cli import main
 from tinyhar.datapipe import (ChannelGroup, make_windows, normalize,
-                              split_by_session)
+                              sidecar_path, split_by_session)
 from tinyhar.model_ir import ModelGraph, build_mc_cnn
 from tinyhar.quantizer import QuantizedModel
 
@@ -51,6 +52,15 @@ def trained(dataset, tmp_path_factory):
     return out / "model_float.thar"
 
 
+@pytest.fixture
+def unread(monkeypatch):
+    """A command that reads its dataset fails with a runtime failure."""
+    def load(data_dir):
+        raise AssertionError("dataset read")
+
+    monkeypatch.setattr(cli, "_load_dataset", load)
+
+
 class TestSynth:
     def test_outputs(self, dataset):
         manifest = json.loads((dataset / "manifest.json").read_text())
@@ -88,6 +98,16 @@ class TestTrain:
                    "--out", str(tmp_path / "out")) == 1
         assert ("no training windows left after holding out session 1"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("batch_size", ["0", "-4"])
+    def test_batch_size_below_one_exits_one(self, dataset, tmp_path, capsys,
+                                            unread, batch_size):
+        assert run("train", "--data", str(dataset), "--group", "17",
+                   "--filters", "8", "--epochs", "1", "--window-len", "12",
+                   "--held-out-session", "2", "--batch-size", batch_size,
+                   "--out", str(tmp_path)) == 1
+        assert "batch_size must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "model_float.thar").exists()
 
 
 _ENTRY = {"subject": 1, "session": 1, "path": "subject01_session1.csv"}
@@ -202,17 +222,17 @@ class TestEval:
 
 
 class TestUnreadCells:
-    """eval and quantize check every cell of the rows they read, whatever
-    their model's channels, and quantize reads no row past the ones its
-    representative windows cover. train checks all."""
+    """train, eval and quantize check every cell of every row of each CSV
+    they read, whatever their model's channels."""
 
     @pytest.fixture(scope="class", params=["nan", "x"])
     def bad_data(self, request, dataset, tmp_path_factory):
         bad = tmp_path_factory.mktemp("unread")
         for path in _dataset_files(dataset):
             lines = path.read_text().splitlines(keepends=True)
-            # a thermal pixel in each session, and the barometer in a
-            # row of training session 1 past the 8 windows quantize reads
+            # a thermal pixel in each session, and the barometer in a row
+            # of training session 1 past the rows that quantize's 8
+            # representative windows cover
             for row, column in ((5, 24), (200, 10)):
                 if path.suffix == ".csv" and (
                         row == 5 or path.name.endswith("session1.csv")):
@@ -239,10 +259,11 @@ class TestUnreadCells:
                        "--out", str(tmp_path / precision)) == 1
             assert "session2.csv:6: " in capsys.readouterr().err
 
-    def test_a_row_quantize_does_not_read_passes(self, dataset, trained,
-                                                 bad_data, tmp_path):
+    def test_a_row_past_the_representative_windows_is_checked(
+            self, dataset, trained, bad_data, tmp_path, capsys):
         """The bad data with row 5 of each session restored: only the
-        barometer past quantize's rows is bad."""
+        barometer past the rows of quantize's windows is bad, in a session
+        eval does not read."""
         data = tmp_path / "data"
         data.mkdir()
         for path in _dataset_files(bad_data):
@@ -251,7 +272,9 @@ class TestUnreadCells:
                 lines[5] = (dataset / path.name).read_text().splitlines(
                     keepends=True)[5]
             (data / path.name).write_text("".join(lines))
-        assert self._quantize(trained, data, tmp_path) == 0
+        assert self._quantize(trained, data, tmp_path / "bad") == 1
+        assert "session1.csv:201: " in capsys.readouterr().err
+        assert self._quantize(trained, dataset, tmp_path) == 0
         for precision, model in (("float", trained),
                                  ("int8", tmp_path / "model_int8.thar")):
             assert run("eval", "--model", str(model), "--data", str(data),
@@ -281,8 +304,8 @@ def session_csv(data, session):
 
 @pytest.fixture
 def ingested(monkeypatch):
-    """The CLI's ``ingest_csv`` calls, in order, as (path, group, max_rows)
-    with the defaults filled in."""
+    """The CLI's ``ingest_csv`` calls, in order, as (path, group) with the
+    default filled in."""
     calls = []
     ingest = cli.ingest_csv
     signature = inspect.signature(ingest)
@@ -290,8 +313,8 @@ def ingested(monkeypatch):
     def recording(*args, **kwargs):
         bound = signature.bind(*args, **kwargs)
         bound.apply_defaults()
-        path, group, max_rows = bound.arguments.values()
-        calls.append((Path(path), group, max_rows))
+        path, group = bound.arguments.values()
+        calls.append((Path(path), group))
         return ingest(*args, **kwargs)
 
     monkeypatch.setattr(cli, "ingest_csv", recording)
@@ -326,34 +349,31 @@ class TestStoredStats:
         assert run("eval", "--model", str(trained), "--data",
                    str(long_dataset), "--held-out-session", "2",
                    "--out", str(tmp_path / "e")) == 0
-        # the model's 17 channels, from every row
-        assert ingested == [(session_csv(long_dataset, 2), ChannelGroup.G17,
-                             None)]
+        # the model's 17 channels
+        assert ingested == [(session_csv(long_dataset, 2), ChannelGroup.G17)]
 
     def test_quantize_at_defaults_reads_only_the_first_training_csv(
             self, long_dataset, trained, tmp_path, ingested):
         assert run("quantize", "--model", str(trained), "--data",
                    str(long_dataset), "--out", str(tmp_path / "q")) == 0
-        # the 768 of 900 rows that 64 windows of 12 steps at stride 12 cover
-        assert ingested == [(session_csv(long_dataset, 1), ChannelGroup.G17,
-                             63 * 12 + 12)]
+        # its 75 windows of 12 steps at stride 12 hold the 64
+        assert ingested == [(session_csv(long_dataset, 1), ChannelGroup.G17)]
 
     def test_quantize_reads_what_the_remaining_windows_cover(
             self, long_dataset, trained, tmp_path, ingested):
         assert run("quantize", "--model", str(trained), "--data",
                    str(long_dataset), "--held-out-session", "3",
                    "--rep-windows", "100", "--out", str(tmp_path / "q")) == 0
-        # session 1 holds 75 windows; 25 more cover 24 * 12 + 12 rows
-        assert ingested == [
-            (session_csv(long_dataset, 1), ChannelGroup.G17, 99 * 12 + 12),
-            (session_csv(long_dataset, 2), ChannelGroup.G17, 24 * 12 + 12)]
+        # session 1 holds 75 windows, and session 2 the 25 more
+        assert ingested == [(session_csv(long_dataset, s), ChannelGroup.G17)
+                            for s in (1, 2)]
 
     def test_train_reads_every_cell(self, long_dataset, tmp_path, ingested):
         assert run("train", "--data", str(long_dataset), "--group", "17",
                    "--filters", "8", "--epochs", "1", "--window-len", "12",
                    "--held-out-session", "3", "--out", str(tmp_path)) == 0
-        assert ingested == [(session_csv(long_dataset, s), ChannelGroup.G791,
-                             None) for s in (1, 2, 3)]
+        assert ingested == [(session_csv(long_dataset, s), ChannelGroup.G791)
+                            for s in (1, 2, 3)]
 
     def test_stats_round_trip_through_float_and_int8_files(
             self, dataset, trained, prepared, tmp_path):
@@ -468,6 +488,34 @@ class TestSidecars:
 
         assert chain(tmp_path / "kept", False) == chain(tmp_path / "deleted",
                                                         True)
+
+    def test_quantize_keeps_a_sidecar_of_each_csv_it_reads(
+            self, long_dataset, trained, tmp_path, monkeypatch):
+        data = tmp_path / "data"
+        data.mkdir()
+        for path in _dataset_files(long_dataset):
+            (data / path.name).write_bytes(path.read_bytes())
+        parses = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: parses.append(1)
+                            or loadtxt(*a, **k))
+        # sessions 1 and 2 hold the 100 windows; session 3 is not read
+        kept = sorted(sidecar_path(path, hashlib.sha256(
+            path.read_bytes()).hexdigest()) for path in (
+                session_csv(data, 1), session_csv(data, 2)))
+
+        def quantize(out):
+            parses.clear()
+            assert run("quantize", "--model", str(trained), "--data",
+                       str(data), "--held-out-session", "3",
+                       "--rep-windows", "100", "--out", str(out)) == 0
+            assert sorted(data.glob(".*.rows.npy")) == kept
+            return (out / "model_int8.thar").read_bytes()
+
+        first = quantize(tmp_path / "q1")
+        assert parses
+        assert quantize(tmp_path / "q2") == first
+        assert not parses
 
 
 class TestBench:
@@ -585,6 +633,14 @@ class TestSweepCommand:
             (out2 / "report.csv").read_bytes()
         rows = (out1 / "report.csv").read_text().splitlines()
         assert len(rows) == 1 + 48  # header + 2 arch x 4 groups x 3 x 2
+
+    @pytest.mark.parametrize("windows", ["0", "-5"])
+    def test_max_eval_windows_below_one_exits_one(
+            self, dataset, tmp_path, capsys, unread, windows):
+        assert run("sweep", "--data", str(dataset), "--max-eval-windows",
+                   windows, "--out", str(tmp_path)) == 1
+        assert "max_eval_windows must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "report.csv").exists()
 
 
 class TestFlags:

@@ -19,19 +19,19 @@ class TestChannelGroups:
         assert set(widths.values()) == {791, 768, 23, 17}
 
     def test_thermal_plus_lowrate_cover_everything(self):
-        g768 = set(dp.ChannelGroup.G768.indices().tolist())
-        g23 = set(dp.ChannelGroup.G23.indices().tolist())
+        g768 = set(range(dp.NUM_CHANNELS)[dp.ChannelGroup.G768.channels])
+        g23 = set(range(dp.NUM_CHANNELS)[dp.ChannelGroup.G23.channels])
         assert g768 & g23 == set()
         assert g768 | g23 == set(range(791))
 
     def test_g17_drops_accel_and_gyro(self):
-        g17 = set(dp.ChannelGroup.G17.indices().tolist())
-        g23 = set(dp.ChannelGroup.G23.indices().tolist())
+        g17 = set(range(dp.NUM_CHANNELS)[dp.ChannelGroup.G17.channels])
+        g23 = set(range(dp.NUM_CHANNELS)[dp.ChannelGroup.G23.channels])
         assert g23 - g17 == set(range(6))
 
     def test_indices_sorted_unique(self):
         for g in dp.ChannelGroup:
-            idx = g.indices()
+            idx = np.arange(dp.NUM_CHANNELS)[g.channels]
             assert np.all(np.diff(idx) > 0)
 
     def test_from_width_round_trips(self):
@@ -325,61 +325,42 @@ def _write_rows(path, rows):
                               + [",".join(r) for r in rows]) + "\n")
 
 
-def _reads_cell(max_rows, row):
-    """Whether ``ingest_csv(path, group, max_rows)`` reads the cells of
-    data row ``row``: a read parses every cell of each row it reads,
-    whatever the group."""
-    return max_rows is None or row < max_rows
-
-
 # cell edits; a quote left open breaks its line wherever it is
 _BAD_CELLS = ["nan", "x", "", '"1,5"', "1_0", '"""5"""', '"0']
 
 
 class TestNarrowIngest:
-    """``ingest_csv(path, group, max_rows)`` returns the full read's first
-    ``max_rows`` rows with the group's channels, or the full read's error
-    when the bad cell lies in a row it reads."""
+    """``ingest_csv(path, group)`` returns the full read's rows with the
+    group's channels, or the full read's error wherever the bad cell
+    lies: a read parses every cell, whatever the group."""
 
     @settings(max_examples=80, deadline=None)
     @given(group=st.sampled_from(list(dp.ChannelGroup)),
-           max_rows=st.none() | st.integers(0, 7),
            bad=st.sampled_from(_BAD_CELLS),
            row=st.integers(0, 4), column=st.integers(1, dp.NUM_CHANNELS),
            seed=st.integers(0, 2**16))
     def test_equals_the_full_reads_rows_and_columns(
-            self, group, max_rows, bad, row, column, seed):
+            self, group, bad, row, column, seed):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "rec.csv"
             rows = _clean_rows(path, 5, seed)
-            ts, frames, labels = dp.ingest_csv(path)
-            want = (ts[:max_rows], frames[:max_rows, group.indices()],
-                    labels[:max_rows])
             rows[row][column] = bad
             _write_rows(path, rows)
-            got = _parse(lambda p: dp.ingest_csv(p, group, max_rows), path)
-            if _reads_cell(max_rows, row):
-                want = _parse(dp.ingest_csv, path)
-        assert len(got) == len(want)
-        if len(want) == 2:  # (error type, line)
-            assert got == want
-            return
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and g.shape == w.shape
-            assert g.flags.c_contiguous
-            assert g.tobytes() == w.tobytes()
+            got = _parse(lambda p: dp.ingest_csv(p, group), path)
+            want = _parse(dp.ingest_csv, path)
+        assert len(want) == 2  # (error type, line)
+        assert got == want
 
     @pytest.mark.parametrize("group", list(dp.ChannelGroup))
     @pytest.mark.parametrize("bad", _BAD_CELLS)
     def test_a_bad_cell_it_reads_names_its_line(self, tmp_path, group, bad):
         path = tmp_path / "rec.csv"
         rows = _clean_rows(path, 5, 0)
-        column = int(group.indices()[-1]) + 1
+        column = group.channels.stop
         rows[3][column] = bad
         _write_rows(path, rows)
         with pytest.raises(dp.RowParseError, match=r"\.csv:5: "):
-            dp.ingest_csv(path, group, 4)
-        dp.ingest_csv(path, group, 3)
+            dp.ingest_csv(path, group)
 
     @pytest.mark.parametrize("group", list(dp.ChannelGroup))
     @pytest.mark.parametrize("cells", [792, 794])
@@ -393,8 +374,7 @@ class TestNarrowIngest:
         _write_rows(path, rows)
         with pytest.raises(dp.RowParseError,
                            match=r"\.csv:4: not a row of 793 numeric cells"):
-            dp.ingest_csv(path, group, 4)
-        assert len(dp.ingest_csv(path, group, 2)[2]) == 2  # not read
+            dp.ingest_csv(path, group)
 
     @pytest.mark.parametrize("group", list(dp.ChannelGroup))
     def test_a_quote_left_open_on_a_label_names_its_line(self, tmp_path,
@@ -413,12 +393,12 @@ class TestNarrowIngest:
         want = dp.ingest_csv(path)
         for cells in rows:
             cells[0] = f'"{cells[0]}"'
-            column = int(group.indices()[0]) + 1
+            column = group.channels.start + 1
             cells[column] = f'"{cells[column]}"'
         _write_rows(path, rows)
         got = dp.ingest_csv(path, group)
         assert got[0].tobytes() == want[0].tobytes()
-        assert got[1].tobytes() == want[1][:, group.indices()].tobytes()
+        assert got[1].tobytes() == want[1][:, group.channels].tobytes()
         assert got[2].tobytes() == want[2].tobytes()
 
 
@@ -430,18 +410,16 @@ class TestNewlines:
             "mixed": [b"\n", b"\r\n", b"\r"]}
 
     @pytest.mark.parametrize("ends", sorted(ENDS))
-    @pytest.mark.parametrize("group, max_rows", [
-        (dp.ChannelGroup.G791, None), (dp.ChannelGroup.G23, None),
-        (dp.ChannelGroup.G17, 3), (dp.ChannelGroup.G768, 0)])
-    def test_any_newline_ends_a_row(self, tmp_path, ends, group, max_rows):
+    @pytest.mark.parametrize("group", list(dp.ChannelGroup))
+    def test_any_newline_ends_a_row(self, tmp_path, ends, group):
         path = tmp_path / "rec.csv"
         _clean_rows(path, 5, 3)
-        want = dp.ingest_csv(path, group, max_rows)
+        want = dp.ingest_csv(path, group)
         lines = path.read_bytes().split(b"\r\n")[:-1]
         path.write_bytes(b"".join(
             line + self.ENDS[ends][i % len(self.ENDS[ends])]
             for i, line in enumerate(lines)))
-        for got, w in zip(dp.ingest_csv(path, group, max_rows), want):
+        for got, w in zip(dp.ingest_csv(path, group), want):
             assert got.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("group", [dp.ChannelGroup.G791,
@@ -454,7 +432,6 @@ class TestNewlines:
         path.write_bytes(b"\r\n".join(lines))
         with pytest.raises(dp.RowParseError, match=r"\.csv:4: not a row"):
             dp.ingest_csv(path, group)
-        assert len(dp.ingest_csv(path, group, 2)[2]) == 2
 
     def test_a_non_ascii_cell_names_its_line(self, tmp_path):
         path = tmp_path / "rec.csv"
@@ -484,13 +461,13 @@ def _assert_same(got, want):
         assert g.tobytes() == w.tobytes()
 
 
-def _parsed(path, group=dp.ChannelGroup.G791, max_rows=None):
+def _parsed(path, group=dp.ChannelGroup.G791):
     """What ``ingest_csv`` parses from a copy of ``path`` with no sidecar
     beside it."""
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / path.name
         copy.write_bytes(path.read_bytes())
-        return _parse(lambda p: dp.ingest_csv(p, group, max_rows), copy)
+        return _parse(lambda p: dp.ingest_csv(p, group), copy)
 
 
 def _sidecar(path):
@@ -504,10 +481,10 @@ def _sidecars(path):
 
 
 class TestSidecar:
-    """A read of every cell of every row keeps the parsed rows beside the
-    CSV, named by the SHA-256 of its bytes; a later read of the same bytes
-    returns them without parsing, and anything else is parsed as if there
-    were no sidecar."""
+    """A read of an ASCII CSV keeps the parsed rows beside it, named by the
+    SHA-256 of its bytes; a later read of the same bytes returns them
+    without parsing, and anything else is parsed as if there were no
+    sidecar."""
 
     @pytest.fixture
     def stored(self, tmp_path):
@@ -528,27 +505,22 @@ class TestSidecar:
 
     @settings(max_examples=60, deadline=None)
     @given(group=st.sampled_from(list(dp.ChannelGroup)),
-           max_rows=st.none() | st.integers(0, 11), rows=st.integers(0, 9),
-           seed=st.integers(0, 2**16))
-    def test_a_hit_is_the_parse_without_parsing(self, group, max_rows, rows,
-                                                seed):
+           rows=st.integers(0, 9), seed=st.integers(0, 2**16))
+    def test_a_hit_is_the_parse_without_parsing(self, group, rows, seed):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "rec.csv"
             _clean_rows(path, rows, seed)
-            want = dp.ingest_csv(path, group, max_rows)
-            dp.ingest_csv(path)
+            want = dp.ingest_csv(path, group)
             with mock.patch.object(np, "loadtxt", _no_parse):
-                got = dp.ingest_csv(path, group, max_rows)
+                got = dp.ingest_csv(path, group)
         _assert_same(got, want)
 
     @pytest.mark.parametrize("group", [dp.ChannelGroup.G791,
                                        dp.ChannelGroup.G17])
-    @pytest.mark.parametrize("max_rows", [None, 2, 5])
     @pytest.mark.parametrize("edit", ["other value", "nan", "last row",
                                       "lone CR", "appended row",
                                       "cut mid-row", "cut after a row"])
-    def test_a_changed_csv_is_parsed(self, stored, parses, group, max_rows,
-                                     edit):
+    def test_a_changed_csv_is_parsed(self, stored, parses, group, edit):
         lines = stored.read_bytes().split(b"\r\n")
         if edit in ("other value", "nan", "last row"):  # a cell of row 1 or 6
             row = 7 if edit == "last row" else 2
@@ -566,11 +538,9 @@ class TestSidecar:
         elif edit == "lone CR":  # the same rows from other bytes
             data = data[:-1]
         stored.write_bytes(data)
-        want = _parsed(stored, group, max_rows)
+        want = _parsed(stored, group)
         parses.clear()
-        _assert_same(_parse(lambda p: dp.ingest_csv(p, group, max_rows),
-                            stored), want)
-        # the whole file is hashed, so rows past max_rows count too
+        _assert_same(_parse(lambda p: dp.ingest_csv(p, group), stored), want)
         assert parses
 
     def test_a_low_rate_read_reads_no_thermal_column(self, stored,
@@ -654,12 +624,6 @@ class TestSidecar:
             _assert_same(dp.ingest_csv(stored), want)
         assert parses and sidecar.read_bytes() == good
 
-    def test_a_negative_row_limit_reads_as_without_a_sidecar(self, stored):
-        want = _parsed(stored, dp.ChannelGroup.G23, -1)
-        assert want[0] is dp.HeaderMismatchError
-        assert _parse(lambda p: dp.ingest_csv(p, dp.ChannelGroup.G23, -1),
-                      stored) == want
-
     def test_a_failed_write_is_ignored(self, tmp_path, monkeypatch):
         path = tmp_path / "rec.csv"
         _clean_rows(path, 7, 10)
@@ -684,10 +648,6 @@ class TestSidecar:
         cells[10] = b"12.5"
         lines[4] = b",".join(cells)
         stored.write_bytes(b"\r\n".join(lines))
-        parses.clear()
-        want = _parsed(stored, dp.ChannelGroup.G23, 2)
-        _assert_same(dp.ingest_csv(stored, dp.ChannelGroup.G23, 2), want)
-        assert parses and _sidecars(stored) == [first]  # no write
         dp.ingest_csv(stored)
         assert _sidecars(stored) == [_sidecar(stored)] != [first]
         assert not legacy.exists() and _sidecars(other) == [_sidecar(other)]
@@ -705,15 +665,14 @@ class TestSidecar:
             return real(file, *args, **kwargs)
 
         monkeypatch.setattr("builtins.open", counting)
-        for group, max_rows, delete in [
-                (dp.ChannelGroup.G791, None, False),
-                (dp.ChannelGroup.G17, 3, False),
-                (dp.ChannelGroup.G768, 3, True),
-                (dp.ChannelGroup.G23, None, True)]:
+        for group, delete in [(dp.ChannelGroup.G791, False),
+                              (dp.ChannelGroup.G17, False),
+                              (dp.ChannelGroup.G768, True),
+                              (dp.ChannelGroup.G23, True)]:
             if delete:
                 _sidecar(stored).unlink(missing_ok=True)
             opened.clear()
-            dp.ingest_csv(stored, group, max_rows)
+            dp.ingest_csv(stored, group)
             assert sum(opened) == 1
 
     @pytest.mark.parametrize("group", [dp.ChannelGroup.G791,
@@ -722,9 +681,7 @@ class TestSidecar:
                                                            group):
         path = tmp_path / "rec.csv"
         rows = _clean_rows(path, 7, 11)
-        dp.ingest_csv(path, group, 6)
-        assert not _sidecars(path)
-        dp.ingest_csv(path, dp.ChannelGroup.G23)
+        dp.ingest_csv(path, group)
         assert _sidecars(path) == [_sidecar(path)]
         _sidecar(path).unlink()
         rows[4][3] = "nan"
@@ -745,14 +702,12 @@ class TestSidecar:
                                                  monkeypatch, group):
         path = tmp_path / "rec.csv"
         _clean_rows(path, 7, 13)
-        reads = [(g, max_rows) for g in dp.ChannelGroup
-                 for max_rows in (None, 0, 2, 3, 5, 7, 9)]
-        want = {read: _parsed(path, *read) for read in reads}
-        _assert_same(dp.ingest_csv(path, group), want[group, None])
+        want = {g: _parsed(path, g) for g in dp.ChannelGroup}
+        _assert_same(dp.ingest_csv(path, group), want[group])
         assert _sidecars(path) == [_sidecar(path)]
         monkeypatch.setattr(np, "loadtxt", _no_parse)
-        for read in reads:
-            _assert_same(dp.ingest_csv(path, *read), want[read])
+        for g in dp.ChannelGroup:
+            _assert_same(dp.ingest_csv(path, g), want[g])
 
     def test_a_non_ascii_file_keeps_no_sidecar(self, tmp_path):
         path = tmp_path / "rec.csv"
@@ -862,7 +817,7 @@ class TestWindows:
         full = _session(np.arange(30) % 4)
         narrow = dp.SessionRecording(
             subject=0, session=0, timestamps=full.timestamps,
-            frames=full.frames[:, dp.ChannelGroup.G23.indices()],
+            frames=full.frames[:, dp.ChannelGroup.G23.channels],
             labels=full.labels)
         want = dp.make_windows([full], 8, 4, dp.ChannelGroup.G23)
         got = dp.make_windows([narrow], 8, 4, dp.ChannelGroup.G23)
@@ -894,7 +849,7 @@ def _reference_windows(sessions, window_len, stride, group):
     """The windows as the old list of per-window samples."""
     out = []
     for rec in sessions:
-        frames = rec.frames[:, group.indices()]
+        frames = rec.frames[:, group.channels]
         for start in range(0, len(rec.labels) - window_len + 1, stride):
             counts = np.bincount(rec.labels[start:start + window_len],
                                  minlength=dp.NUM_CLASSES)
