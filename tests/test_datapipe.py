@@ -362,6 +362,22 @@ class TestNarrowIngest:
         with pytest.raises(dp.RowParseError, match=r"\.csv:5: "):
             dp.ingest_csv(path, group)
 
+    @pytest.mark.parametrize("group", [dp.ChannelGroup.G768,
+                                       dp.ChannelGroup.G23,
+                                       dp.ChannelGroup.G17])
+    @pytest.mark.parametrize("bad", _BAD_CELLS)
+    def test_a_bad_cell_outside_the_group_names_its_line(self, tmp_path,
+                                                         group, bad):
+        path = tmp_path / "rec.csv"
+        rows = _clean_rows(path, 5, 4)
+        # the channel just before the group's run, or else just after it
+        start, stop = group.channels.start, group.channels.stop
+        rows[4][(start - 1 if start else stop) + 1] = bad
+        _write_rows(path, rows)
+        with pytest.raises(dp.RowParseError, match=r"\.csv:6: "):
+            dp.ingest_csv(path, group)
+        assert not _sidecars(path)
+
     @pytest.mark.parametrize("group", list(dp.ChannelGroup))
     @pytest.mark.parametrize("cells", [792, 794])
     def test_wrong_cell_count_names_its_line(self, tmp_path, group, cells):
@@ -515,8 +531,7 @@ class TestSidecar:
                 got = dp.ingest_csv(path, group)
         _assert_same(got, want)
 
-    @pytest.mark.parametrize("group", [dp.ChannelGroup.G791,
-                                       dp.ChannelGroup.G17])
+    @pytest.mark.parametrize("group", list(dp.ChannelGroup))
     @pytest.mark.parametrize("edit", ["other value", "nan", "last row",
                                       "lone CR", "appended row",
                                       "cut mid-row", "cut after a row"])
