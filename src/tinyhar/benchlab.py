@@ -54,7 +54,8 @@ class SweepConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        for name in ("rep_windows", "max_eval_windows"):
+        for name in ("window_len", "stride", "rep_windows",
+                     "max_eval_windows"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 

@@ -273,19 +273,22 @@ def ingest_csv(path, group: ChannelGroup = ChannelGroup.G791):
     (within a row: non-finite, then timestamp, then label), or else the
     first line that is not a full row.
 
-    Every read hashes the file. A read of an ASCII file keeps the parsed
-    rows in the sidecar :func:`sidecar_path` names by that SHA-256
-    (removing the CSV's others), and a later read of the same bytes takes
-    its cells from it, checked as a parse checks them: the same arrays,
-    bit for bit. Other bytes, or a missing, malformed or failing sidecar,
-    parse as if there were none.
+    Every read hashes the file, streamed from its one open handle, so a
+    hit holds none of its bytes. A read of an ASCII file keeps the parsed
+    rows in the sidecar :func:`sidecar_path` names by the SHA-256 of the
+    bytes it parsed (removing the CSV's others), and a later read of the
+    same bytes takes its cells from it, checked as a parse checks them:
+    the same arrays, bit for bit. Other bytes, or a missing, malformed or
+    failing sidecar, parse as if there were none.
     """
     with open(path, "rb") as fh:
+        hit = _read_sidecar(path, hashlib.file_digest(fh, "sha256")
+                            .hexdigest(), group)
+        if hit is not None:
+            return hit
+        fh.seek(0)
         raw = fh.read()
     digest = hashlib.sha256(raw).hexdigest()
-    hit = _read_sidecar(path, digest, group)
-    if hit is not None:
-        return hit
     store = raw.isascii()
     lines = _lines(raw)
     del raw  # the file's text is held once, and only while parsed

@@ -9,10 +9,13 @@ The loop computes in the dtype of its operands: the reference feeds
 float64 frames and ``float64_params``, so it runs in float64, and the
 trainer feeds float32 windows and parameters, so it runs in float32.
 The input is a ``model_ir.FrameBlock``, or a batch: its windows stacked.
-A conv multiplies the :func:`window_rows` of its input, the rows some
-window reads, each once, by :func:`conv_matrix`: one contiguous copy of
-the read-only row view :func:`rows`, which the int8 engine copies to
-float32.
+A block's first conv multiplies its :func:`window_rows`, the rows some
+window reads, each once, by :func:`conv_matrix`, and it and the ReLU
+after it yield a block of those rows; the loop places the windows
+(:func:`windows`) before the next layer, so the later convs run per
+window. The int8 engine keeps every conv and ReLU on the block. The
+rows are one contiguous copy of the read-only row view :func:`rows`, in
+the loop's dtype; the int8 engine copies them to float32.
 Conv and dense products are GEMMs, whose summation order can depend on
 their shape, so a window's bits can depend on its batch; only the LSTM
 runs one GEMV per row, so that the int8 engine's hybrid LSTM gives a
@@ -24,7 +27,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .model_ir import LayerKind, ModelGraph, window_batch
+from .model_ir import FrameBlock, LayerKind, ModelGraph, window_batch
 
 
 def rows(x: np.ndarray, kernel: int) -> np.ndarray:
@@ -35,35 +38,41 @@ def rows(x: np.ndarray, kernel: int) -> np.ndarray:
     x = np.ascontiguousarray(x)
     steps, channels = x.shape[-2:]
     shape = x.shape[:-2] + (max(steps - kernel + 1, 0), kernel * channels)
-    return np.lib.stride_tricks.as_strided(x, shape, x.strides,
-                                           writeable=False)
+    # the ndarray constructor, not as_strided, which costs about 5 us more
+    # a call on a 2-core Xeon: as much as a small conv's GEMM
+    view = np.ndarray(shape, x.dtype, x, 0, x.strides)
+    view.flags.writeable = False
+    return view
 
 
-def window_rows(x, kernel: int = 1):
-    """The :func:`rows` of a valid conv of ``kernel`` steps (1: the frames)
-    that some window of ``x``, a ``model_ir.FrameBlock`` or a (..., T, C)
-    batch, reads, each once, and the function that places results row by
-    row as each window's rows: a gather, unless each read row belongs to
-    one window, in window order (as in a batch), and so comes in place."""
-    if isinstance(x, np.ndarray):
-        return rows(x, kernel), lambda y: y
-    reads = x.index[..., :x.index.shape[-1] - kernel + 1]
-    flat = reads.ravel()
-    if not (flat[1:] > flat[:-1]).all():  # rows shared, or out of order
-        starts, where = np.unique(flat, return_inverse=True)
-        every = rows(x.frames, kernel)
-        return (every if len(starts) == len(every) else every[starts],
-                lambda out: out[where.reshape(reads.shape)])
-    if x.index.size == len(x.frames):  # the windows, stacked
-        return window_rows(x.frames.reshape(x.shape), kernel)
-    return (rows(x.frames, kernel)[flat].reshape(reads.shape + (-1,)),
-            lambda y: y)
+def window_rows(x: FrameBlock, kernel: int) -> tuple[np.ndarray, np.ndarray]:
+    """The :func:`rows` of a valid conv of ``kernel`` steps over the block
+    ``x`` that some window reads, each once, and the (N, T - kernel + 1)
+    index of the row each window step reads among them: the conv's output
+    rows and that index are again a block, whose windows' rows stay
+    consecutive. A stacked block's rows are each window's own, (N, T -
+    kernel + 1, kernel * C), a view; others are in frame order, a view if
+    every row is read, else a copy of the read ones."""
+    if x.stacked:
+        cols = rows(x.frames.reshape(x.shape), kernel)
+        return cols, np.arange(cols.shape[0] * cols.shape[1]).reshape(
+            cols.shape[:2])
+    reads = x.index[:, :x.index.shape[1] - kernel + 1]
+    every = rows(x.frames, kernel)
+    read = np.zeros(len(every), bool)
+    read[reads] = True
+    if read.all():
+        return every, reads
+    return every[read], (np.cumsum(read) - 1)[reads]
 
 
 def windows(x) -> np.ndarray:
-    """The (..., T, C) windows of a :func:`window_rows` input, stacked."""
-    frames, place = window_rows(x)
-    return place(frames)
+    """The (N, T, C) windows of a ``model_ir.FrameBlock``, stacked: a view
+    of a stacked block's frames, else gathered by its index. A batch is its
+    own windows."""
+    if isinstance(x, np.ndarray):
+        return x
+    return x.frames.reshape(x.shape) if x.stacked else x.frames[x.index]
 
 
 def col2im(cols: np.ndarray, steps: int) -> np.ndarray:
@@ -154,30 +163,42 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 def layer_outputs(graph: ModelGraph, params, x, *,
                   rng: np.random.Generator | None = None,
-                  keep=None) -> Iterator[np.ndarray]:
+                  keep=None) -> Iterator:
     """Yields each layer's output in turn, for ``x`` a ``model_ir.FrameBlock``
     or a float (N, T, C) batch and ``params`` in the place of
-    ``graph.params``. Each conv multiplies its input's :func:`window_rows`,
-    the first in one GEMM; a graph that does not open with a conv stacks
-    its windows. Dropout runs only given ``rng``. ``keep``, given, is
-    called with each layer's cache for the trainer's backward pass, before
-    the layer's output is yielded."""
+    ``graph.params``. A block's first conv multiplies its
+    :func:`window_rows` in one GEMM and yields a block of its output rows,
+    and so does the ReLU after it, once per row; the loop places the
+    windows (:func:`windows`) before any other layer. A batch's convs
+    multiply its :func:`rows`, the first in one GEMM. Dropout runs only
+    given ``rng``. ``keep``, given, is called with each layer's cache for
+    the trainer's backward pass, before the layer's output is yielded."""
     keep = keep or (lambda _: None)
-    value = x if graph.layers[0].kind == LayerKind.CONV1D else windows(x)
+    value = x
     for idx, (spec, layer_params) in enumerate(zip(graph.layers, params)):
         kind = spec.kind
+        block = isinstance(value, FrameBlock)
+        # only the first conv and the ReLU after it run on a block's rows:
+        # a later conv's per-window GEMMs keep their bits (see below)
+        if block and not (kind == LayerKind.RELU
+                          or kind == LayerKind.CONV1D and idx == 0):
+            value, block = windows(value), False
         if kind == LayerKind.CONV1D:
             w2 = conv_matrix(layer_params["w"])
-            cols, place = window_rows(value, spec.kernel)
+            cols, index = (window_rows(value, spec.kernel) if block
+                           else (rows(value, spec.kernel), None))
             cols = np.ascontiguousarray(cols)
             keep(("conv", cols, w2, value.shape))
             # One GEMM for all rows where its bits match one per window:
             # not so for N2's conv 1, (20, 768) @ (768, 64), from N = 2.
             lhs = cols.reshape(-1, cols.shape[-1]) if idx == 0 else cols
-            value = place((lhs @ w2).reshape(cols.shape[:-1] + w2.shape[1:])
-                          + layer_params["b"])
+            value = ((lhs @ w2).reshape(cols.shape[:-1] + w2.shape[1:])
+                     + layer_params["b"])
+            if block:
+                value = FrameBlock(value.reshape(-1, w2.shape[1]), index)
         elif kind == LayerKind.RELU:
-            value = relu(value)
+            value = (FrameBlock(relu(value.frames), value.index) if block
+                     else relu(value))
             keep(("relu", value))
         elif kind == LayerKind.DROPOUT:
             if rng is not None and spec.rate > 0.0:
@@ -219,8 +240,10 @@ def forward(graph: ModelGraph, x: np.ndarray) -> np.ndarray:
 def forward_collect(graph: ModelGraph, x) -> list[np.ndarray]:
     """Like :func:`forward`, but returns [input, out_0, out_1, ...] for
     activation-range calibration. ``x`` may also be a ``model_ir.FrameBlock``
-    that ``map_blocks`` checked; its input is its :func:`windows`."""
+    that ``map_blocks`` checked; its input, and each block a layer yields,
+    is returned as its :func:`windows`."""
     x, single = (window_batch(x, graph.input_shape)
                  if isinstance(x, np.ndarray) else (x, False))
-    acts = [windows(x), *layer_outputs(graph, graph.float64_params, x)]
+    acts = [windows(x)] + [windows(a) for a in
+                           layer_outputs(graph, graph.float64_params, x)]
     return [a[0] for a in acts] if single else acts

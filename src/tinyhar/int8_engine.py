@@ -25,12 +25,19 @@ zero points and multiplier, so ``relu_int8`` looks each value up in a
 table that runs the clip-requantize-saturate arithmetic once per
 parameter set (Jacob et al. 2018, arXiv 1712.05877).
 
-Kernels take leading batch axes, as TFLite's int8 kernels do, so one
-``run_quantized`` call classifies a whole batch of windows, bit for bit
-as one call per window would. As in TFLite Micro, they trust the shapes
-the model checked once, when it was built. The input is a
-``model_ir.FrameBlock`` or a batch; the accumulators are exact, so a
-window's bits do not depend on the windows it shares rows with.
+One ``run_quantized`` call classifies a whole batch of windows, bit for
+bit as one call per window would. The input is a ``model_ir.FrameBlock``
+or a batch, made a block. Convs and ReLUs take a block and return one,
+so each runs once per distinct row: a conv's output rows are the rows
+its windows read, and its index maps each window step to one of them,
+in which each window's rows stay consecutive, as the next conv's
+``float_engine.rows`` need. ``run_layers`` places the windows once, at
+the first layer that reads a window whole; those kernels take leading
+batch axes, as TFLite's int8 kernels do. The accumulators are exact, so
+a window's bits do not depend on the windows it shares rows with, and
+``SaturationAudit`` counts a row once per window step that reads it. As
+in TFLite Micro, the kernels trust the shapes the model checked once,
+when it was built.
 """
 from __future__ import annotations
 
@@ -41,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import float_engine
-from .model_ir import FrameBlock, LayerKind, map_blocks
+from .model_ir import FrameBlock, LayerKind, batch_block, map_blocks
 from .quantizer import (FixedPointMultiplier, PackedLinear, PackedLSTM,
                         QuantParams, QuantizedModel, dequantize,
                         quantize_tensor)
@@ -97,11 +104,23 @@ def requantize(acc: np.ndarray, mult: FixedPointMultiplier) -> np.ndarray:
 _INT8_MIN, _INT8_MAX = np.int64(-128), np.int64(127)
 
 
-def _saturate(values: np.ndarray, audit: SaturationAudit | None) -> np.ndarray:
+def _tally(audit: SaturationAudit, clamped: np.ndarray, index) -> None:
+    """Adds a mask of clamped values to ``audit`` per window element: row
+    ``r`` of a block's (R, F) output counts once per step of ``index``
+    that reads it; an array's (None) counts once."""
+    if index is None:
+        audit.total += clamped.size
+        audit.clamped += int(np.count_nonzero(clamped))
+        return
+    reads = np.bincount(index.ravel(), minlength=len(clamped))
+    audit.total += index.size * clamped.shape[-1]
+    audit.clamped += int(reads @ np.count_nonzero(clamped, axis=-1))
+
+
+def _saturate(values: np.ndarray, audit: SaturationAudit | None,
+              index=None) -> np.ndarray:
     if audit is not None:
-        audit.total += values.size
-        audit.clamped += (np.count_nonzero(values < _INT8_MIN)
-                          + np.count_nonzero(values > _INT8_MAX))
+        _tally(audit, (values < _INT8_MIN) | (values > _INT8_MAX), index)
     return np.clip(values, _INT8_MIN, _INT8_MAX).astype(np.int8)
 
 
@@ -114,16 +133,17 @@ def _accumulate(cols: np.ndarray, packed: PackedLinear) -> np.ndarray:
     return acc.reshape(cols.shape[:-1] + acc.shape[-1:])
 
 
-def conv1d_int8(q_in, packed: PackedLinear, mult: FixedPointMultiplier,
-                out_qp: QuantParams,
-                audit: SaturationAudit | None = None) -> np.ndarray:
-    """q_in: (..., T, C) int8 or a ``model_ir.FrameBlock`` of int8 frames,
-    whose ``float_engine.window_rows`` run once each and are placed per
-    window before saturation and ``audit``; ``packed`` is (K * C, F)."""
-    cols, place = float_engine.window_rows(q_in, packed.kernel)
+def conv1d_int8(q_in: FrameBlock, packed: PackedLinear,
+                mult: FixedPointMultiplier, out_qp: QuantParams,
+                audit: SaturationAudit | None = None) -> FrameBlock:
+    """Runs the ``float_engine.window_rows`` of a ``model_ir.FrameBlock`` of
+    int8 frames, each once, and returns the block of their int8 outputs,
+    indexed as the windows read them; ``packed`` is (K * C, F)."""
+    cols, index = float_engine.window_rows(q_in, packed.kernel)
     acc = requantize(_accumulate(cols.astype(np.float32, order="C"), packed),
                      mult) + out_qp.zero_point
-    return _saturate(place(acc), audit)
+    return FrameBlock(_saturate(acc.reshape(-1, acc.shape[-1]), audit,
+                                index), index)
 
 
 def dense_int8(q_in: np.ndarray, packed: PackedLinear,
@@ -148,18 +168,19 @@ def _relu_table(in_zp: int, mantissa: int, exponent: int,
     return table, clamped
 
 
-def relu_int8(q_in: np.ndarray, in_qp: QuantParams,
-              mult: FixedPointMultiplier, out_qp: QuantParams,
-              audit: SaturationAudit | None = None) -> np.ndarray:
-    """Looks each int8 value up in the table of its quantization
-    parameters; the table is built once per parameter set."""
+def relu_int8(q_in, in_qp: QuantParams, mult: FixedPointMultiplier,
+              out_qp: QuantParams, audit: SaturationAudit | None = None):
+    """Looks each int8 value of an array, or of a ``model_ir.FrameBlock``'s
+    frames (returning the block of the results), up in the table of its
+    quantization parameters; the table is built once per parameter set."""
     table, clamped = _relu_table(in_qp.zero_point, mult.mantissa,
                                  mult.exponent, out_qp.zero_point)
-    index = q_in.view(np.uint8)
+    block = isinstance(q_in, FrameBlock)
+    bits = (q_in.frames if block else q_in).view(np.uint8)
     if audit is not None:
-        audit.total += q_in.size
-        audit.clamped += int(np.count_nonzero(clamped.take(index)))
-    return table.take(index)
+        _tally(audit, clamped.take(bits), q_in.index if block else None)
+    out = table.take(bits)
+    return FrameBlock(out, q_in.index) if block else out
 
 
 def avg_pool1d_int8(q_in: np.ndarray, pool: int) -> np.ndarray:
@@ -188,13 +209,18 @@ def softmax_int8(q_logits: np.ndarray, in_qp: QuantParams,
 def run_layers(model: QuantizedModel, q_value,
                audit: SaturationAudit | None = None) -> np.ndarray:
     """Runs a ``model_ir.FrameBlock`` of quantized frames, or a quantized
-    (N, T, C) batch, through every layer; returns the (N, K) int8 output.
-    A model that does not open with a conv stacks the block's windows."""
-    if model.layers[0].spec.kind != LayerKind.CONV1D:
-        q_value = float_engine.windows(q_value)
+    (N, T, C) batch, made its ``model_ir.batch_block``, through every
+    layer; returns the (N, K) int8 output. Convs and ReLUs keep the block,
+    so each runs once per distinct row; the windows are placed
+    (``float_engine.windows``) once, at the first layer that reads a
+    window whole."""
     for ql in model.layers:
         kind = ql.spec.kind
+        if kind not in (LayerKind.CONV1D, LayerKind.RELU, LayerKind.DROPOUT):
+            q_value = float_engine.windows(q_value)  # reads a window whole
         if kind == LayerKind.CONV1D:
+            if isinstance(q_value, np.ndarray):
+                q_value = batch_block(q_value)
             q_value = conv1d_int8(q_value, ql.packed, ql.multiplier,
                                   ql.out_qp, audit)
         elif kind == LayerKind.RELU:

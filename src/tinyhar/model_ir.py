@@ -67,7 +67,8 @@ class FrameBlock:
     step ``t`` is row ``index[i, t]`` of ``frames``, so a window's steps,
     and its rows of a valid conv, are consecutive rows. A
     :func:`frame_block` runs a row its windows share once (Rybakov et al.
-    2020, arXiv 2005.06720); an array block's frames are the array's rows."""
+    2020, arXiv 2005.06720); an array block's frames are the array's rows.
+    A conv's outputs, and a ReLU's, are a block of the same windows."""
 
     frames: np.ndarray  # (R, C), float64 as checked, int8 once quantized
     index: np.ndarray   # (N, T)
@@ -75,6 +76,22 @@ class FrameBlock:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.index.shape + self.frames.shape[1:]
+
+    @property
+    def stacked(self) -> bool:
+        """Whether window ``i``'s step ``t`` is row ``i * T + t``, as in a
+        :func:`batch_block`: rows read once each, in window order."""
+        windows, steps = self.index.shape
+        return self.index.size == len(self.frames) and (
+            windows < 2 or bool((np.diff(self.index[:, 0]) >= steps).all()))
+
+
+def batch_block(batch: np.ndarray) -> FrameBlock:
+    """The :class:`FrameBlock` of an (N, T, C) batch: its rows, a view of
+    a contiguous batch, are the frames."""
+    windows, steps = batch.shape[:2]
+    return FrameBlock(batch.reshape(-1, batch.shape[2]),
+                      np.arange(windows * steps).reshape(windows, steps))
 
 
 def frame_block(windows: Windows,
@@ -102,9 +119,9 @@ def map_blocks(fn, x, input_shape: tuple[int, int]) -> np.ndarray:
     array, a sequence of (T, C) windows or a ``datapipe.Windows`` (one
     (T, C) array is one window). A ``Windows`` block is its
     :func:`frame_block`; another is stacked to float64, checked by
-    :func:`window_batch` and its rows made its frames, a view: window
-    ``i``'s step ``t`` is row ``i * T + t``. Each block is built in its
-    turn, so memory does not grow with N; no window makes one empty block."""
+    :func:`window_batch` and made its :func:`batch_block`. Each block is
+    built in its turn, so memory does not grow with N; no window makes one
+    empty block."""
     if isinstance(x, np.ndarray) and x.ndim == 2:
         x = x[None]
     results = []
@@ -118,9 +135,7 @@ def map_blocks(fn, x, input_shape: tuple[int, int]) -> np.ndarray:
             except ValueError:  # windows of different shapes do not stack
                 raise ShapeMismatchError(f"the windows are not all "
                                          f"{tuple(input_shape)}") from None
-            block = window_batch(block, input_shape)[0]
-            block = FrameBlock(block.reshape(-1, block.shape[2]), np.arange(
-                len(block) * block.shape[1]).reshape(block.shape[:2]))
+            block = batch_block(window_batch(block, input_shape)[0])
         results.append(fn(block))
         del block  # freed before the next block is built
     return np.concatenate(results)

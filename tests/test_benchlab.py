@@ -198,7 +198,8 @@ class TestSweep:
         assert len(reports) == 2
         assert all(r.error for r in reports)
 
-    @pytest.mark.parametrize("field", ["rep_windows", "max_eval_windows"])
+    @pytest.mark.parametrize("field", ["window_len", "stride",
+                                       "rep_windows", "max_eval_windows"])
     @pytest.mark.parametrize("value", [0, -5])
     def test_window_counts_below_one_are_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be >= 1"):

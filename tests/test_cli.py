@@ -642,6 +642,15 @@ class TestSweepCommand:
         assert "max_eval_windows must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "report.csv").exists()
 
+    @pytest.mark.parametrize("flag, field", [("--stride", "stride"),
+                                             ("--window-len", "window_len")])
+    def test_window_geometry_below_one_exits_one(
+            self, dataset, tmp_path, capsys, unread, flag, field):
+        assert run("sweep", "--data", str(dataset), flag, "0",
+                   "--out", str(tmp_path)) == 1
+        assert f"{field} must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "report.csv").exists()
+
 
 class TestFlags:
     def test_bad_flag_exits_one(self, tmp_path, capsys):

