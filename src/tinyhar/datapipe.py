@@ -189,6 +189,22 @@ def sidecar_path(path, digest: str) -> Path:
     return path.with_name(f".{path.name}.{digest}.rows.npy")
 
 
+def _sidecars(path) -> set[Path]:
+    """The sidecars of the CSV ``path`` that are there, whatever bytes they
+    were kept for, older ``.npz`` ones too."""
+    path = Path(path)
+    return set(path.parent.glob(f".{glob.escape(path.name)}.*rows.np[yz]"))
+
+
+def _streamed_digest(fh) -> str:
+    """The hex SHA-256 of the rest of the binary file ``fh``, read a chunk
+    at a time, so that none of its bytes are held."""
+    digest = hashlib.sha256()
+    for chunk in iter(lambda: fh.read(1 << 18), b""):
+        digest.update(chunk)
+    return digest.hexdigest()
+
+
 def _write_sidecar(path, digest: str, data: np.ndarray) -> None:
     """Keep ``data``, every row of ``path`` parsed, beside it as the
     Fortran-order ``.npy`` named by ``digest``, through a temporary file,
@@ -208,8 +224,7 @@ def _write_sidecar(path, digest: str, data: np.ndarray) -> None:
             # column by column, so that no transposed copy is held
             fh.writelines(column.tobytes() for column in data.T)
         os.replace(temporary, target)
-        name = glob.escape(Path(path).name)  # other bytes', older .npz
-        for stale in {*target.parent.glob(f".{name}.*rows.np[yz]")} - {target}:
+        for stale in _sidecars(path) - {target}:  # other bytes', older .npz
             stale.unlink()
     except OSError:  # a read-only directory, a full disk: parse next time
         if temporary is not None:
@@ -273,20 +288,22 @@ def ingest_csv(path, group: ChannelGroup = ChannelGroup.G791):
     (within a row: non-finite, then timestamp, then label), or else the
     first line that is not a full row.
 
-    Every read hashes the file, streamed from its one open handle, so a
-    hit holds none of its bytes. A read of an ASCII file keeps the parsed
-    rows in the sidecar :func:`sidecar_path` names by the SHA-256 of the
-    bytes it parsed (removing the CSV's others), and a later read of the
-    same bytes takes its cells from it, checked as a parse checks them:
-    the same arrays, bit for bit. Other bytes, or a missing, malformed or
-    failing sidecar, parse as if there were none.
+    A read of an ASCII file keeps the parsed rows in the sidecar
+    :func:`sidecar_path` names by the SHA-256 of the bytes it parsed
+    (removing the CSV's others), and a later read of the same bytes takes
+    its cells from it, checked as a parse checks them: the same arrays,
+    bit for bit. Other bytes, or a missing, malformed or failing sidecar,
+    parse as if there were none. The file is opened once. While the CSV
+    has a sidecar, a read first hashes the file streamed, so a hit holds
+    none of its bytes; without one, a read is a miss and hashes the bytes
+    it parses, once.
     """
     with open(path, "rb") as fh:
-        hit = _read_sidecar(path, hashlib.file_digest(fh, "sha256")
-                            .hexdigest(), group)
-        if hit is not None:
-            return hit
-        fh.seek(0)
+        if _sidecars(path):
+            hit = _read_sidecar(path, _streamed_digest(fh), group)
+            if hit is not None:
+                return hit
+            fh.seek(0)
         raw = fh.read()
     digest = hashlib.sha256(raw).hexdigest()
     store = raw.isascii()

@@ -206,6 +206,10 @@ def softmax_int8(q_logits: np.ndarray, in_qp: QuantParams,
     return quantize_tensor(probs, out_qp)
 
 
+# the layers that map each row of a window on its own, and so keep a block
+_ROW_WISE = (LayerKind.CONV1D, LayerKind.RELU, LayerKind.DROPOUT)
+
+
 def run_layers(model: QuantizedModel, q_value,
                audit: SaturationAudit | None = None) -> np.ndarray:
     """Runs a ``model_ir.FrameBlock`` of quantized frames, or a quantized
@@ -216,7 +220,7 @@ def run_layers(model: QuantizedModel, q_value,
     window whole."""
     for ql in model.layers:
         kind = ql.spec.kind
-        if kind not in (LayerKind.CONV1D, LayerKind.RELU, LayerKind.DROPOUT):
+        if kind not in _ROW_WISE:
             q_value = float_engine.windows(q_value)  # reads a window whole
         if kind == LayerKind.CONV1D:
             if isinstance(q_value, np.ndarray):
@@ -280,13 +284,14 @@ def timed_inference(model, window: np.ndarray,
                     repetitions: int) -> LatencyStats:
     """Wall-clock latency of the inference call only (input prep excluded).
 
-    ``model`` may be a QuantizedModel, timed as a batch of one window, or a
-    float ModelGraph; WARMUP_CALLS warm-up runs are discarded.
+    ``model`` may be a QuantizedModel, timed as a ``model_ir.batch_block``
+    of one window, or a float ModelGraph; WARMUP_CALLS warm-up runs are
+    discarded.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     if isinstance(model, QuantizedModel):
-        q_input = quantize_tensor(window[None], model.input_qp)
+        q_input = batch_block(quantize_tensor(window[None], model.input_qp))
 
         def call():
             run_layers(model, q_input)

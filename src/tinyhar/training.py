@@ -13,8 +13,10 @@ logits, bit for bit. The forward pass
 of training steps, of the per-epoch accuracies and of ``predict_*`` is
 ``float_engine.layer_outputs``, the float reference's own layer loop,
 stopped before the final softmax and given the trainer's dropout and
-backward caches. Convolutions are ``float_engine.window_rows`` times
-``conv_matrix`` weights in both directions: the conv weight gradient is
+backward caches. A training batch's convolutions are ``float_engine.rows``
+times ``conv_matrix`` weights in both directions (the inference blocks
+of ``predict_*`` run their first conv on ``float_engine.window_rows``,
+as the float reference does): the conv weight gradient is
 ``cols.T @ dout`` over all windows and time steps, and so is the
 input-gradient product. Backpropagation stops at the first layer's
 parameters; no gradient with respect to the input window is computed. A

@@ -704,13 +704,25 @@ class TestSidecar:
             tracemalloc.stop()
         assert peak < size / 4  # the hash streams the file in chunks
 
-    def test_a_miss_names_its_sidecar_by_the_bytes_it_parses(self, stored):
-        _sidecar(stored).unlink()
+    def test_a_miss_names_its_sidecar_by_the_bytes_it_parses(self, stored,
+                                                             parses):
         streamed = hashlib.sha256(b"bytes read before the file changed")
-        with mock.patch.object(dp.hashlib, "file_digest",
-                               return_value=streamed):
+        with mock.patch.object(dp, "_streamed_digest",
+                               return_value=streamed.hexdigest()):
             dp.ingest_csv(stored)
-        assert _sidecars(stored) == [_sidecar(stored)]
+        assert parses and _sidecars(stored) == [_sidecar(stored)]
+
+    def test_a_read_without_a_sidecar_hashes_the_file_once(self, stored,
+                                                           monkeypatch):
+        _sidecar(stored).unlink()
+        hashed, sha256 = [], hashlib.sha256
+        monkeypatch.setattr(dp.hashlib, "sha256",
+                            lambda *a: hashed.append(1) or sha256(*a))
+        dp.ingest_csv(stored)
+        assert len(hashed) == 1 and _sidecars(stored) == [_sidecar(stored)]
+        hashed.clear()
+        dp.ingest_csv(stored)  # a hit: the streamed hash only
+        assert len(hashed) == 1
 
     @pytest.mark.parametrize("group", [dp.ChannelGroup.G791,
                                        dp.ChannelGroup.G768])
