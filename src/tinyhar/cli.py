@@ -106,6 +106,14 @@ def _load_model(path: str):
                        f"(and `tinyhar quantize`)") from None
 
 
+def _require_positive(args, *flags: str) -> None:
+    """Raises, naming the flag, unless each of ``flags`` is at least 1."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value < 1:
+            raise CliError(f"{flag} must be at least 1, got {value}")
+
+
 def _require_stats(model, path: str) -> None:
     """Raises unless ``model`` carries the statistics its inputs are
     z-scored with."""
@@ -136,6 +144,7 @@ def cmd_train(args) -> int:
     cfg = training.TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
                                learning_rate=args.learning_rate,
                                seed=args.seed)
+    _require_positive(args, "--window-len", "--stride")
     sessions = _load_dataset(args.data)
     group = ChannelGroup.from_width(args.group)
     train_set, test_set, stats = benchlab.prepared_windows(
@@ -170,9 +179,7 @@ def cmd_quantize(args) -> int:
     if not isinstance(model, ModelGraph):
         raise CliError(f"{args.model} is already quantized")
     _require_stats(model, args.model)
-    if args.rep_windows < 1:
-        raise CliError(f"--rep-windows must be at least 1, got "
-                       f"{args.rep_windows}")
+    _require_positive(args, "--rep-windows", "--stride")
     # the first --rep-windows training windows, read session by session
     sessions, count = [], 0
     window_len, channels = model.input_shape
@@ -207,6 +214,7 @@ def cmd_eval(args) -> int:
     outdir = Path(args.out)
     model = _load_model(args.model)
     _require_stats(model, args.model)
+    _require_positive(args, "--stride")
     layers = (tuple(ql.spec for ql in model.layers)
               if isinstance(model, QuantizedModel) else model.layers)
     arch = _arch_of(layers)

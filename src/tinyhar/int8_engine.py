@@ -6,15 +6,16 @@ round-half-away-from-zero rounding. The LSTM executes hybrid: int8
 storage, float cell math, requantized output.
 
 The kernels take each layer's packed form (``QLayer.packed``), built once
-per model: float32 weights, a conv's as ``float_engine.conv_matrix``, and
-an int64 bias with the input zero point folded in, b - zp_in * sum(w)
-(Jacob et al. 2018, eqs. 7-8). A conv's rows, ``float_engine.window_rows``
-of the int8 input itself, are copied to float32, and ``q @ w + bias``
-equals sum((q - zp_in) * w) + b. The product runs in float32 BLAS, one
-GEMM per chunk of weight rows, and is exact: a raw input has |q| <= 128,
-so every product and partial sum within a chunk is an integer of
-magnitude at most 128 * sum|w| over the chunk's rows of its column, which
-packing keeps below 2**24. Float32 holds every such integer, so no
+per model: one float32 weight matrix, a conv's as
+``float_engine.conv_matrix``, and an int64 bias with the input zero point
+folded in, b - zp_in * sum(w) (Jacob et al. 2018, eqs. 7-8). A conv's
+rows, ``float_engine.window_rows`` of the int8 input itself, are copied
+to float32, and ``q @ w + bias`` equals sum((q - zp_in) * w) + b. The
+product runs in float32 BLAS, one GEMM per chunk, and is exact: a raw
+input has |q| <= 128, so every product and partial sum within a chunk is
+an integer of magnitude at most 128 * sum|w| over the chunk's rows of its
+column, and packing splits the weight rows into the fewest equal runs
+that keep this below 2**24. Float32 holds every such integer, so no
 summation order, with or without FMA, rounds. The chunks are added in
 int64 to the bias, and the result is the integer the int32 accumulator
 holds (``QuantizedModel`` checks sum|w| * 255 + |b| < 2**31 when built).
@@ -48,7 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import float_engine
-from .model_ir import FrameBlock, LayerKind, batch_block, map_blocks
+from .model_ir import (FrameBlock, LayerKind, batch_block, map_blocks,
+                       window_batch)
 from .quantizer import (FixedPointMultiplier, PackedLinear, PackedLSTM,
                         QuantParams, QuantizedModel, dequantize,
                         quantize_tensor)
@@ -286,12 +288,14 @@ def timed_inference(model, window: np.ndarray,
 
     ``model`` may be a QuantizedModel, timed as a ``model_ir.batch_block``
     of one window, or a float ModelGraph; WARMUP_CALLS warm-up runs are
-    discarded.
+    discarded. Either raises ``ShapeMismatchError`` or
+    ``NonFiniteInputError`` for a window the model cannot take.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     if isinstance(model, QuantizedModel):
-        q_input = batch_block(quantize_tensor(window[None], model.input_qp))
+        batch, _ = window_batch(window, model.input_shape)
+        q_input = batch_block(quantize_tensor(batch, model.input_qp))
 
         def call():
             run_layers(model, q_input)

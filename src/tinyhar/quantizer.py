@@ -34,7 +34,6 @@ DEGENERATE_SCALE = 1e-8  # substitute for zero-width calibration ranges
 
 # float32 holds every integer of magnitude below 2**24 exactly
 FLOAT32_EXACT = 2**24
-CHUNK_SEARCH_ROWS = 64  # rows per block sum of the chunk plan's search
 
 
 class EmptyDatasetError(ValueError):
@@ -167,12 +166,13 @@ class PackedLinear:
     """A conv or dense layer's weights in the form the int8 kernels use.
 
     The (K * C, F) weight matrix, a conv's ``float_engine.conv_matrix`` or
-    a dense layer's (D, O) weights with K = 1, is split into ``chunks`` of
-    consecutive rows, each a (rows, float32 weights) pair whose columns
-    keep 128 * sum|w| below ``FLOAT32_EXACT``, so that a float32 product
-    of int8 inputs and a chunk is exact. ``bias`` is the int64 bias with
-    the input zero-point term folded in, b - zp_in * sum(w) per column, so
-    sum((q - zp_in) * w) + b == q @ w + bias.
+    a dense layer's (D, O) weights with K = 1, is one float32 matrix split
+    into ``chunks``: the fewest equal runs of consecutive rows (lengths
+    differing by at most one) whose columns keep 128 * sum|w| below
+    ``FLOAT32_EXACT``, each a (rows, row view) pair, so that a float32
+    product of int8 inputs and a chunk is exact. ``bias`` is the int64
+    bias with the input zero-point term folded in, b - zp_in * sum(w) per
+    column, so sum((q - zp_in) * w) + b == q @ w + bias.
     """
 
     chunks: tuple[tuple[slice, np.ndarray], ...]
@@ -189,54 +189,26 @@ class PackedLSTM:
     b: np.ndarray
 
 
-def _row_chunks(w: np.ndarray) -> tuple[tuple[slice, np.ndarray], ...]:
-    """Splits the int64 rows of ``w`` into runs whose column bound
-    128 * sum|w| stays below ``FLOAT32_EXACT``. One row's bound is at most
-    128 * 128, so every run holds at least one row. The search reads the
-    column sums of blocks of ``CHUNK_SEARCH_ROWS`` rows, cumulated once:
-    a run's bound at each block edge is a difference of two of them, so
-    only the block where a run ends is summed row by row."""
-    a = np.abs(w)
-    full = len(a) - len(a) % CHUNK_SEARCH_ROWS
-    sums = [np.zeros((1, a.shape[1]), np.int64),
-            a[:full].reshape(-1, CHUNK_SEARCH_ROWS, a.shape[1]).sum(axis=1)]
-    if full < len(a):
-        sums.append(a[full:].sum(axis=0, keepdims=True))
-    # prefix[k]: the column sums of the rows before block k
-    prefix = np.cumsum(np.concatenate(sums), axis=0)
-    chunks, start = [], 0
-    while start < len(w):
-        first = start // CHUNK_SEARCH_ROWS  # the block holding ``start``
-        done = prefix[first] + a[first * CHUNK_SEARCH_ROWS:start].sum(axis=0)
-        # the bound of rows start.. up to each later block edge never falls
-        reach = (prefix[first + 1:] - done).max(axis=1) * 128
-        edge = int(np.searchsorted(reach, FLOAT32_EXACT))
-        stop = len(w)
-        if edge < len(reach):  # the run ends in block first + edge
-            lo = max(start, (first + edge) * CHUNK_SEARCH_ROWS)
-            before = prefix[first + edge] - done if edge else 0
-            bound = (before + np.cumsum(
-                a[lo:(first + edge + 1) * CHUNK_SEARCH_ROWS], axis=0)
-            ).max(axis=1) * 128
-            stop = lo + int(np.searchsorted(bound, FLOAT32_EXACT))
-        chunks.append((slice(start, stop),
-                       w[start:stop].astype(np.float32)))
-        start = stop
-    return tuple(chunks)
-
-
 def pack_linear(q_w: np.ndarray, bias: np.ndarray,
                 in_zero_point: int) -> PackedLinear:
     """Packs int8 conv (C, K, F) or dense (D, O) weights and their int32
-    bias for an input coded with ``in_zero_point``."""
+    bias for an input coded with ``in_zero_point``. A column sum of float32
+    |w| below 2**24 is exact, so each run count's test is exact."""
     kernel = 1
     if q_w.ndim == 3:  # conv
         kernel = q_w.shape[1]
         q_w = float_engine.conv_matrix(q_w)
-    w = q_w.astype(np.int64)
-    return PackedLinear(_row_chunks(w),
-                        bias.astype(np.int64) - in_zero_point * w.sum(axis=0),
-                        kernel)
+    w = q_w.astype(np.float32)
+    magnitude = np.abs(w)
+    for count in range(1, len(w) + 1):  # a row's bound is at most 128 * 128
+        edges = (np.arange(count + 1) * len(w) // count).tolist()
+        if np.add.reduceat(magnitude, edges[:-1]).max() * 128 < FLOAT32_EXACT:
+            break
+    return PackedLinear(
+        tuple((slice(a, b), w[a:b]) for a, b in zip(edges, edges[1:])),
+        bias.astype(np.int64)
+        - in_zero_point * q_w.sum(axis=0, dtype=np.int64),
+        kernel)
 
 
 def pack_lstm(weights: dict, weight_qps: dict, bias: np.ndarray,

@@ -288,6 +288,22 @@ class TestUnreadCells:
         assert "session1.csv:6: " in capsys.readouterr().err
 
 
+class TestWindowFlags:
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--stride"), ("train", "--window-len"),
+        ("quantize", "--stride"), ("eval", "--stride")])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_window_flag_below_one_exits_one_unread(
+            self, dataset, trained, tmp_path, capsys, ingested, command,
+            flag, value):
+        model = [] if command == "train" else ["--model", str(trained)]
+        assert run(command, *model, "--data", str(dataset), flag, value,
+                   "--held-out-session", "2", "--out", str(tmp_path)) == 1
+        assert f"{flag} must be at least 1, got {value}" \
+            in capsys.readouterr().err
+        assert ingested == []
+
+
 @pytest.fixture(scope="module")
 def long_dataset(tmp_path_factory):
     """Three 150 s sessions: each holds 75 windows of 12 steps at stride

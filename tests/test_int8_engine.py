@@ -520,3 +520,13 @@ class TestTimedInference:
         _, qm = quantized_mc_cnn
         with pytest.raises(ValueError):
             ie.timed_inference(qm, np.zeros((16, 4)), repetitions=0)
+
+    @pytest.mark.parametrize("window, error", [
+        (np.zeros((16, 6)), ShapeMismatchError),
+        (np.zeros((20, 4)), ShapeMismatchError),
+        (np.full((16, 4), np.nan), NonFiniteInputError)])
+    def test_int8_and_float_reject_the_same_windows(self, quantized_mc_cnn,
+                                                    window, error):
+        for model in quantized_mc_cnn:  # the float graph, then its int8 form
+            with pytest.raises(error):
+                ie.timed_inference(model, window, repetitions=1)

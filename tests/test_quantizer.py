@@ -110,25 +110,41 @@ class TestQuantizeDequantize:
 
 
 class TestPackLinear:
-    """``pack_linear``'s chunk plan: consecutive non-empty runs of the
-    K * C rows, in order and covering them all, each column of each run
-    with a bound 128 * sum|w| below 2**24, and each run but the last
-    unable to take the next row."""
+    """``pack_linear``'s chunk plan: the fewest equal runs of the K * C
+    rows, consecutive and covering them all, with lengths that differ by
+    at most one, each column of each run with a bound 128 * sum|w| below
+    2**24 that the same plan with one run fewer exceeds; every chunk is a
+    row view of one float32 copy of the matrix."""
+
+    @staticmethod
+    def bound(w, edges):  # the largest 128 * sum|w| of the runs' columns
+        return max((128 * np.abs(w[a:b]).sum(axis=0)).max()
+                   for a, b in zip(edges, edges[1:]))
 
     @staticmethod
     def check_plan(matrix, packed):
         w = matrix.astype(np.int64)
-        start = 0
+        runs = [rows for rows, _ in packed.chunks]
+        edges = [0] + [rows.stop for rows in runs]
+        assert [rows.start for rows in runs] == edges[:-1]
+        assert edges[-1] == len(w)
+        assert all(rows.step is None for rows in runs)
+        lengths = {rows.stop - rows.start for rows in runs}
+        assert min(lengths) > 0 and max(lengths) - min(lengths) <= 1
+        assert TestPackLinear.bound(w, edges) < 2**24
+        if len(runs) > 1:
+            fewer = len(runs) - 1
+            assert TestPackLinear.bound(
+                w, [i * len(w) // fewer for i in range(fewer + 1)]) >= 2**24
+        whole = packed.chunks[0][1].base
+        assert whole.dtype == np.float32 and whole.flags.c_contiguous
+        assert whole.tobytes() == w.astype(np.float32).tobytes()
+        address = whole.__array_interface__["data"][0]
         for rows, chunk in packed.chunks:
-            assert rows.start == start < rows.stop and rows.step is None
-            assert chunk.dtype == np.float32
-            assert chunk.tobytes() == w[rows].astype(np.float32).tobytes()
-            assert (128 * np.abs(w[rows]).sum(axis=0)).max() < 2**24
-            if rows.stop < len(w):
-                grown = np.abs(w[rows.start:rows.stop + 1]).sum(axis=0)
-                assert (128 * grown).max() >= 2**24
-            start = rows.stop
-        assert start == len(w)
+            assert chunk.base is whole
+            assert chunk.shape == (rows.stop - rows.start, w.shape[1])
+            assert chunk.__array_interface__["data"][0] \
+                == address + rows.start * whole.strides[0]
 
     @settings(max_examples=40, deadline=None)
     @given(rows=st.integers(1, 3000), kernel=st.sampled_from([None, 1, 3]),
