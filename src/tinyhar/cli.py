@@ -19,8 +19,9 @@ import numpy as np
 
 from . import benchlab, int8_engine, mcu, modelfile, synth, training
 from .benchlab import SweepConfig
-from .datapipe import (ChannelGroup, SessionRecording, ingest_csv,
-                       make_windows, normalize, stack_windows, write_csv)
+from .datapipe import (SYNC_RATE_HZ, ChannelGroup, SessionRecording,
+                       ingest_csv, make_windows, normalize, stack_windows,
+                       write_csv)
 from .model_ir import LayerKind, ModelGraph, build_mc_cnn
 from .quantizer import QuantizedModel, quantize_model
 
@@ -114,6 +115,13 @@ def _require_positive(args, *flags: str) -> None:
             raise CliError(f"{flag} must be at least 1, got {value}")
 
 
+def _require_windows(windows, held_out_session: int) -> None:
+    """Raises, naming the flag, if the held-out session gave no windows."""
+    if not windows:
+        raise CliError(f"--held-out-session {held_out_session} produced no "
+                       f"windows")
+
+
 def _require_stats(model, path: str) -> None:
     """Raises unless ``model`` carries the statistics its inputs are
     z-scored with."""
@@ -124,6 +132,10 @@ def _require_stats(model, path: str) -> None:
 
 def cmd_synth(args) -> int:
     outdir = Path(args.out)
+    _require_positive(args, "--subjects", "--sessions")
+    if not 1 <= args.duration_s * SYNC_RATE_HZ < np.inf:
+        raise CliError(f"--duration-s must hold at least one "
+                       f"{SYNC_RATE_HZ:g} Hz frame, got {args.duration_s}")
     sessions = synth.synth_generate(args.seed, subjects=args.subjects,
                                     sessions_per_subject=args.sessions,
                                     duration_s=args.duration_s)
@@ -144,11 +156,15 @@ def cmd_train(args) -> int:
     cfg = training.TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
                                learning_rate=args.learning_rate,
                                seed=args.seed)
-    _require_positive(args, "--window-len", "--stride")
+    _require_positive(args, "--window-len", "--stride", "--filters")
+    if args.filters % 4:
+        raise CliError(f"--filters must be a multiple of 4, got "
+                       f"{args.filters}")
     sessions = _load_dataset(args.data)
     group = ChannelGroup.from_width(args.group)
     train_set, test_set, stats = benchlab.prepared_windows(
         sessions, group, args.window_len, args.stride, args.held_out_session)
+    _require_windows(test_set, args.held_out_session)
     graph = build_mc_cnn(group.width, args.window_len,
                          first_filters=args.filters, seed=args.seed)
     graph, history = training.train(graph, stack_windows(train_set),
@@ -224,9 +240,7 @@ def cmd_eval(args) -> int:
     test_set = _windows(model, list(_iter_sessions(
         args.data, lambda s: s == args.held_out_session, group)),
         args.stride)
-    if not test_set:
-        raise CliError(f"held-out session {args.held_out_session} "
-                       f"produced no windows")
+    _require_windows(test_set, args.held_out_session)
     first_conv = next(s for s in layers if s.kind == LayerKind.CONV1D)
     report = benchlab.evaluate(model, arch, group, "custom",
                                first_conv.out_filters,
@@ -239,6 +253,7 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     outdir = Path(args.out)
+    _require_positive(args, "--reps")
     model = _load_model(args.model)
     rng = np.random.default_rng(args.seed)
     window = rng.normal(size=model.input_shape)

@@ -547,7 +547,12 @@ def normalize(windows: Windows, stats: DatasetStats) -> Windows:
     """
     safe_std = np.where(stats.std > 0, stats.std, 1.0)
     rows = np.unique(windows.rows())
-    frames = (windows.frames[rows] - stats.mean) / safe_std
+    # one copy of the covered rows, scored in place in the dtype that
+    # (frames - mean) / safe_std takes
+    frames = windows.frames[rows].astype(
+        np.result_type(windows.frames, stats.mean, safe_std), copy=False)
+    frames -= stats.mean
+    frames /= safe_std
     frames.flags.writeable = False
     # a window's rows are consecutive in ``rows`` too
     return Windows(frames, np.searchsorted(rows, windows.start), windows.y,

@@ -8,18 +8,21 @@ batch axes and trusts the shapes the graph checked when it was built.
 The loop computes in the dtype of its operands: the reference feeds
 float64 frames and ``float64_params``, so it runs in float64, and the
 trainer feeds float32 windows and parameters, so it runs in float32.
-The input is a ``model_ir.FrameBlock``, or a batch: its windows stacked.
-A block's first conv multiplies its :func:`window_rows`, the rows some
-window reads, each once, by :func:`conv_matrix`, and it and the ReLU
-after it yield a block of those rows; the loop places the windows
-(:func:`windows`) before the next layer, so the later convs run per
-window. The int8 engine keeps every conv and ReLU on the block. The
-rows are one contiguous copy of the read-only row view :func:`rows`, in
-the loop's dtype; the int8 engine copies them to float32.
+The input is a ``model_ir.FrameBlock``, or a batch, made its
+``model_ir.batch_block`` at a conv. As in the int8 engine, every conv
+and ReLU keeps the block: a conv multiplies its :func:`window_rows`, the
+rows some window reads, each once, by :func:`conv_matrix`, and yields a
+block of its output rows; the loop places the windows (:func:`windows`)
+once, at the first layer that reads a window whole. The rows are one
+contiguous copy of the read-only row view :func:`rows`, in the loop's
+dtype; the int8 engine copies them to float32.
 Conv and dense products are GEMMs, whose summation order can depend on
-their shape, so a window's bits can depend on its batch; only the LSTM
-runs one GEMV per row, so that the int8 engine's hybrid LSTM gives a
-window the same bits in any batch.
+their shape, so a window's bits can depend on its batch. The first conv
+multiplies all its rows in one GEMM; a later conv multiplies them by
+:func:`conv_product` in GEMMs of one window's rows each, the shape of
+that window's own product, so a row that windows share keeps the bits
+their own GEMMs give it. Only the LSTM runs one GEMV per row, so that
+the int8 engine's hybrid LSTM gives a window the same bits in any batch.
 """
 from __future__ import annotations
 
@@ -27,7 +30,11 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .model_ir import FrameBlock, LayerKind, ModelGraph, window_batch
+from .model_ir import (FrameBlock, LayerKind, ModelGraph, batch_block,
+                       window_batch)
+
+# the layers that map each row of a window on its own, and so keep a block
+ROW_WISE = (LayerKind.CONV1D, LayerKind.RELU, LayerKind.DROPOUT)
 
 
 def rows(x: np.ndarray, kernel: int) -> np.ndarray:
@@ -94,6 +101,29 @@ def conv_matrix(w: np.ndarray) -> np.ndarray:
 def conv_weights(matrix: np.ndarray, channels: int) -> np.ndarray:
     """The inverse of :func:`conv_matrix`: (K * C, F) back to (C, K, F)."""
     return matrix.reshape(-1, channels, matrix.shape[1]).transpose(1, 0, 2)
+
+
+def conv_product(cols: np.ndarray, w2: np.ndarray, steps: int) -> np.ndarray:
+    """The (R, F) product of (R, K * C) conv rows and a (K * C, F)
+    :func:`conv_matrix` in GEMMs of ``steps`` rows each (0 < steps <= R,
+    or R = 0): the rows in groups of ``steps``, the last group the last
+    ``steps`` rows, so it may overlap the one before it. A GEMM's
+    summation order can follow its row count, so given one window's count
+    of rows, each GEMM has the shape of that window's own product, and a
+    row gets the bits the windows' own products give it wherever they
+    agree. (Of the shapes probed with OpenBLAS 0.3.31 on a Xeon, only
+    those of at most 3 columns, 6 in float32, give a row bits that follow
+    its place in the GEMM, mostly at row counts not a multiple of 4.) A
+    batch's or stacked block's rows, window by window, are its groups, a
+    view, so it makes the windows' own GEMMs."""
+    count, depth = cols.shape
+    whole = count - count % steps
+    out = np.empty((count, w2.shape[1]), np.result_type(cols, w2))
+    np.matmul(cols[:whole].reshape(-1, steps, depth), w2,
+              out=out[:whole].reshape(-1, steps, w2.shape[1]))
+    if whole < count:
+        np.matmul(cols[count - steps:], w2, out=out[count - steps:])
+    return out
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -166,42 +196,41 @@ def layer_outputs(graph: ModelGraph, params, x, *,
                   keep=None) -> Iterator:
     """Yields each layer's output in turn, for ``x`` a ``model_ir.FrameBlock``
     or a float (N, T, C) batch and ``params`` in the place of
-    ``graph.params``. A block's first conv multiplies its
-    :func:`window_rows` in one GEMM and yields a block of its output rows,
-    and so does the ReLU after it, once per row; the loop places the
-    windows (:func:`windows`) before any other layer. A batch's convs
-    multiply its :func:`rows`, the first in one GEMM. Dropout runs only
-    given ``rng``. ``keep``, given, is called with each layer's cache for
-    the trainer's backward pass, before the layer's output is yielded."""
+    ``graph.params``. Every conv multiplies its :func:`window_rows`, the
+    first in one GEMM, a later one by :func:`conv_product` in GEMMs of one
+    window's rows, and yields a block of its output rows, as does a ReLU
+    of a block, once per row; the loop places the windows
+    (:func:`windows`) at the first layer that reads a window whole, or at
+    a dropout that masks. Dropout runs only given ``rng``. ``keep``,
+    given, is called with each layer's cache for the trainer's backward
+    pass, before the layer's output is yielded."""
     keep = keep or (lambda _: None)
     value = x
     for idx, (spec, layer_params) in enumerate(zip(graph.layers, params)):
         kind = spec.kind
-        block = isinstance(value, FrameBlock)
-        # only the first conv and the ReLU after it run on a block's rows:
-        # a later conv's per-window GEMMs keep their bits (see below)
-        if block and not (kind == LayerKind.RELU
-                          or kind == LayerKind.CONV1D and idx == 0):
-            value, block = windows(value), False
+        if kind not in ROW_WISE:
+            value = windows(value)  # reads a window whole
         if kind == LayerKind.CONV1D:
+            if isinstance(value, np.ndarray):
+                value = batch_block(value)
             w2 = conv_matrix(layer_params["w"])
-            cols, index = (window_rows(value, spec.kernel) if block
-                           else (rows(value, spec.kernel), None))
+            cols, index = window_rows(value, spec.kernel)
             cols = np.ascontiguousarray(cols)
             keep(("conv", cols, w2, value.shape))
-            # One GEMM for all rows where its bits match one per window:
-            # not so for N2's conv 1, (20, 768) @ (768, 64), from N = 2.
-            lhs = cols.reshape(-1, cols.shape[-1]) if idx == 0 else cols
-            value = ((lhs @ w2).reshape(cols.shape[:-1] + w2.shape[1:])
-                     + layer_params["b"])
-            if block:
-                value = FrameBlock(value.reshape(-1, w2.shape[1]), index)
+            # the first conv's one GEMM over all rows gives each row the
+            # bits one per window gives it; a later conv's would not
+            # (N2's conv 1, (768, 64) weights, from N = 2)
+            cols = cols.reshape(-1, cols.shape[-1])
+            steps = (len(cols) or 1) if idx == 0 else index.shape[1]
+            value = FrameBlock(conv_product(cols, w2, steps)
+                               + layer_params["b"], index)
         elif kind == LayerKind.RELU:
-            value = (FrameBlock(relu(value.frames), value.index) if block
-                     else relu(value))
+            value = (FrameBlock(relu(value.frames), value.index)
+                     if isinstance(value, FrameBlock) else relu(value))
             keep(("relu", value))
         elif kind == LayerKind.DROPOUT:
             if rng is not None and spec.rate > 0.0:
+                value = windows(value)  # so that no shared row is masked
                 mask = rng.random(value.shape) >= spec.rate
                 scale = 1.0 / (1.0 - spec.rate)
                 keep(("dropout", mask, scale))

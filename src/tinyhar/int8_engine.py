@@ -208,10 +208,6 @@ def softmax_int8(q_logits: np.ndarray, in_qp: QuantParams,
     return quantize_tensor(probs, out_qp)
 
 
-# the layers that map each row of a window on its own, and so keep a block
-_ROW_WISE = (LayerKind.CONV1D, LayerKind.RELU, LayerKind.DROPOUT)
-
-
 def run_layers(model: QuantizedModel, q_value,
                audit: SaturationAudit | None = None) -> np.ndarray:
     """Runs a ``model_ir.FrameBlock`` of quantized frames, or a quantized
@@ -222,7 +218,7 @@ def run_layers(model: QuantizedModel, q_value,
     window whole."""
     for ql in model.layers:
         kind = ql.spec.kind
-        if kind not in _ROW_WISE:
+        if kind not in float_engine.ROW_WISE:
             q_value = float_engine.windows(q_value)  # reads a window whole
         if kind == LayerKind.CONV1D:
             if isinstance(q_value, np.ndarray):

@@ -14,16 +14,19 @@ of training steps, of the per-epoch accuracies and of ``predict_*`` is
 ``float_engine.layer_outputs``, the float reference's own layer loop,
 stopped before the final softmax and given the trainer's dropout and
 backward caches. A training batch's convolutions are ``float_engine.rows``
-times ``conv_matrix`` weights in both directions (the inference blocks
-of ``predict_*`` run their first conv on ``float_engine.window_rows``,
-as the float reference does): the conv weight gradient is
-``cols.T @ dout`` over all windows and time steps, and so is the
-input-gradient product. Backpropagation stops at the first layer's
-parameters; no gradient with respect to the input window is computed. A
-dense layer fed a sequence reads its last time step, as in the IR. The
-per-epoch accuracies cost one inference pass per split and epoch, and
-``train`` runs them only when it is given a validation split. LSTM graphs
-cannot be trained, and ``predict_*`` runs them like any other graph.
+times ``conv_matrix`` weights in both directions: forward, the rows of
+the batch's stacked block, a later conv's in one GEMM per window (the
+inference blocks of ``predict_*`` multiply each distinct row once, in
+GEMMs of the same shape, as the float reference does); backward, the
+conv weight gradient is ``cols.T @ dout`` over all windows and time
+steps, and so is the input-gradient product. A ReLU's cache is its
+output, a block after a conv, read as windows. Backpropagation stops at
+the first layer's parameters; no gradient with respect to the input
+window is computed. A dense layer fed a sequence reads its last time
+step, as in the IR. The per-epoch accuracies cost one inference pass per
+split and epoch, and ``train`` runs them only when it is given a
+validation split. LSTM graphs cannot be trained, and ``predict_*`` runs
+them like any other graph.
 """
 from __future__ import annotations
 
@@ -137,7 +140,7 @@ def _backward_batch(graph: ModelGraph, params, caches, dlogits: np.ndarray):
             keep, scale = cache[1], cache[2]
             dvalue = dvalue * keep * scale
         elif tag == "relu":
-            dvalue = dvalue * (cache[1] > 0)
+            dvalue = dvalue * (float_engine.windows(cache[1]) > 0)
         # "identity" passes through
     return grads
 

@@ -77,6 +77,17 @@ class TestSynth:
             assert (again / entry["path"]).read_bytes() == \
                 (dataset / entry["path"]).read_bytes()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--subjects", "0"), ("--sessions", "0"), ("--subjects", "-2"),
+        ("--duration-s", "-5"), ("--duration-s", "0"),
+        ("--duration-s", "0.1"), ("--duration-s", "nan"),
+        ("--duration-s", "inf")])
+    def test_empty_dataset_flag_exits_one_naming_it(self, tmp_path, capsys,
+                                                    flag, value):
+        assert run("synth", flag, value, "--out", str(tmp_path)) == 1
+        assert f"error: {flag} must " in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
 
 class TestTrain:
     def test_writes_model_and_history(self, trained):
@@ -108,6 +119,30 @@ class TestTrain:
                    "--out", str(tmp_path)) == 1
         assert "batch_size must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "model_float.thar").exists()
+
+    @pytest.mark.parametrize("filters", ["6", "0", "-4"])
+    def test_filters_not_a_positive_multiple_of_4_exits_one_unread(
+            self, dataset, tmp_path, capsys, ingested, filters):
+        assert run("train", "--data", str(dataset), "--group", "17",
+                   "--filters", filters, "--epochs", "1", "--window-len",
+                   "12", "--held-out-session", "2",
+                   "--out", str(tmp_path)) == 1
+        assert "--filters must be " in capsys.readouterr().err
+        assert ingested == []
+
+    def test_held_out_session_without_windows_exits_one_untrained(
+            self, dataset, tmp_path, capsys, monkeypatch):
+        def trainer(*args):
+            raise AssertionError("trained")
+
+        monkeypatch.setattr(cli.training, "train", trainer)
+        assert run("train", "--data", str(dataset), "--group", "17",
+                   "--filters", "8", "--epochs", "1", "--window-len", "12",
+                   "--held-out-session", "9", "--out", str(tmp_path)) == 1
+        assert "--held-out-session 9 produced no windows" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "model_float.thar").exists()
+        assert not (tmp_path / "history.csv").exists()
 
 
 _ENTRY = {"subject": 1, "session": 1, "path": "subject01_session1.csv"}
@@ -542,6 +577,15 @@ class TestBench:
         lines = (out / "latency.csv").read_text().splitlines()
         assert lines[0] == "mean_us,p50_us,p95_us"
         assert float(lines[1].split(",")[0]) > 0
+
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_reps_below_one_exits_one_naming_it(self, trained, tmp_path,
+                                                capsys, reps):
+        assert run("bench", "--model", str(trained), "--reps", reps,
+                   "--out", str(tmp_path)) == 1
+        assert f"--reps must be at least 1, got {reps}" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "latency.csv").exists()
 
 
 class TestMcuCheck:

@@ -1036,6 +1036,29 @@ class TestNormalization:
         assert np.all(out == 100.0)  # test split shifted by train stats only
 
 
+    def test_scores_one_copy_of_the_covered_rows_in_place(self):
+        rng = np.random.default_rng(4)
+        frames = rng.normal(size=(2_000, 791)) * 3.0 + 1.0
+        frames.flags.writeable = False
+        start = np.arange(0, 1_900, 3)
+        zeros = np.zeros(len(start), dtype=np.int64)
+        wins = dp.Windows(frames, start, zeros, zeros, zeros, 24)
+        std = rng.uniform(0.5, 2.0, size=791)
+        std[::7] = 0.0
+        stats = dp.DatasetStats(mean=rng.normal(size=791), std=std)
+        rows = np.unique(wins.rows())
+        want = (frames[rows] - stats.mean) / np.where(std > 0, std, 1.0)
+        tracemalloc.start()
+        try:
+            out = dp.normalize(wins, stats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.frames.tobytes() == want.tobytes()
+        # two more full-size temporaries would take it past 2 * nbytes
+        assert peak < 1.5 * want.nbytes
+
+
 class TestSplit:
     def test_disjoint_and_exhaustive(self):
         recs = [_session([0] * 8, session=s) for s in range(3)]

@@ -291,7 +291,7 @@ class TestBatch:
         batched = fe.forward_collect(graph, x)
         assert len(batched) == len(graph.layers) + 1
         assert batched[0].tobytes() == x.tobytes()
-        outputs = fe.layer_outputs(graph, graph.params, x)
+        outputs = map(fe.windows, fe.layer_outputs(graph, graph.params, x))
         for act, out in zip(batched[1:], outputs, strict=True):
             assert act.shape == out.shape
             assert act.tobytes() == out.tobytes()

@@ -257,8 +257,8 @@ def full_backward(graph, params, caches, dlogits):
             dvalue = dx
         elif tag == "dropout":
             dvalue = dvalue * cache[1] * cache[2]
-        elif tag == "relu":
-            dvalue = dvalue * (cache[1] > 0)
+        elif tag == "relu":  # a conv's ReLU keeps its output block
+            dvalue = dvalue * (float_engine.windows(cache[1]) > 0)
         elif tag == "conv":
             cols, w2, in_shape = cache[1], cache[2], cache[3]
             spec = graph.layers[idx]
