@@ -48,7 +48,10 @@ class SweepConfig:
     train_epochs: int = 3
     batch_size: int = 32
     learning_rate: float = 1e-3
-    rep_windows: int = 32          # calibration subset size
+    # calibration subset size; a config evaluated on no samples (the
+    # untrained deep_conv_lstm rows, whose cells read no calibrated range)
+    # calibrates on the first training window
+    rep_windows: int = 32
     max_eval_windows: int = 300    # evaluation windows per config and precision
     measure_host_latency: bool = False  # keeps sweep output deterministic
     jobs: int = 1
@@ -167,8 +170,10 @@ def evaluate(model, arch: str, group: ChannelGroup, level: str, filters: int,
 def run_config(split: PreparedSplit, arch: str, group: ChannelGroup,
                level: str, cfg: SweepConfig) -> list[EvalReport]:
     """Train (MC-CNN only), quantize, and evaluate one configuration on its
-    prepared windows: the float report, then the int8 one. The models do
-    not carry the split's statistics."""
+    prepared windows: the float report, then the int8 one. A config with
+    evaluation samples calibrates on ``cfg.rep_windows`` training windows,
+    one without on the first. The models do not carry the split's
+    statistics."""
     train_set, test_set = split.train, split.test
     seed = cfg.seed + 1000 * LEVELS.index(level) + group.width
     graph = build_for(arch, group, level, cfg.window_len, seed)
@@ -178,8 +183,11 @@ def run_config(split: PreparedSplit, arch: str, group: ChannelGroup,
                                   batch_size=cfg.batch_size,
                                   learning_rate=cfg.learning_rate, seed=seed)
         graph, _ = training.train(graph, stack_windows(train_set), None, tc)
-    qmodel = quantize_model(graph, train_set[:cfg.rep_windows])
     samples = test_set[:cfg.max_eval_windows] if trainable else None
+    # without samples only sizes and MCU estimates are reported, which
+    # depend on shapes alone: one window calibrates them as well as any
+    rep = cfg.rep_windows if samples is not None else 1
+    qmodel = quantize_model(graph, train_set[:rep])
     reports = []
     for model in (graph, qmodel):
         report = evaluate(model, arch, group, level, filters_for(arch, level),

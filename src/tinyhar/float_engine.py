@@ -21,12 +21,17 @@ their shape, so a window's bits can depend on its batch. The first conv
 multiplies all its rows in one GEMM; a later conv multiplies them by
 :func:`conv_product` in GEMMs of one window's rows each, the shape of
 that window's own product, so a row that windows share keeps the bits
-their own GEMMs give it. Only the LSTM runs one GEMV per row, so that
-the int8 engine's hybrid LSTM gives a window the same bits in any batch.
+their own GEMMs give it. The one LSTM kernel, :func:`lstm_forward`, runs
+both engines' LSTMs, in the dtype of its :func:`pack_lstm_gates` weights:
+float64 in the reference (``float64_params``), float32 in the int8
+engine's hybrid LSTM. Its input projection is one GEMM per window and its
+recurrent product one GEMV per row per step, so a window gets the same
+bits in any batch.
 """
 from __future__ import annotations
 
 from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,40 +153,75 @@ def dense_forward(v: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return v @ w + b
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    # branchless form of the piecewise 1 / (1 + exp(-x)) for x >= 0 and
-    # exp(x) / (1 + exp(x)) below: exp(-|x|) is the same exp in both, so
-    # each element gets the same expression, and exp never overflows
-    x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+@dataclass(frozen=True)
+class PackedLSTM:
+    """An LSTM layer's weights and bias in the gate layout
+    :func:`lstm_forward` multiplies, built by :func:`pack_lstm_gates`."""
+
+    w_x: np.ndarray  # (D, 4H)
+    w_h: np.ndarray  # (H, 4H)
+    b: np.ndarray    # (4H,)
 
 
-def lstm_forward(seq: np.ndarray, w_x: np.ndarray, w_h: np.ndarray,
-                 b: np.ndarray) -> np.ndarray:
-    """Standard peephole-free LSTM over the time axis (-2) of a (..., T, D)
-    input; returns the full (..., T, H) hidden sequence.
-
-    Gates are packed along the last axis in (input, forget, candidate,
-    output) order. h_0 = c_0 = 0. Each product is one GEMV per row, so a
-    window's bits do not depend on its batch, and the stacked GEMV of all
-    T steps' input projection and one ``sigmoid`` call per step on the
-    whole gate vector equal per-step, per-gate calls, bit for bit.
-    """
+def pack_lstm_gates(w_x: np.ndarray, w_h: np.ndarray, b: np.ndarray,
+                    dtype=np.float64) -> PackedLSTM:
+    """Packs float LSTM weights and bias, gates in (input, forget,
+    candidate, output) order, for :func:`lstm_forward` in ``dtype``: the
+    gates reordered to (input, forget, output | candidate), and the three
+    sigmoid gates' columns halved in float64, which is exact, so that
+    sigmoid(x) = 0.5 + 0.5 * tanh(x / 2) takes the same ``tanh`` as the
+    candidate; then cast to ``dtype``."""
     hidden = w_h.shape[0]
-    x_proj = (seq[..., None, :] @ w_x)[..., 0, :]
-    h = np.zeros(seq.shape[:-2] + (hidden,))
-    c = np.zeros(seq.shape[:-2] + (hidden,))
-    out = np.empty(seq.shape[:-1] + (hidden,))
-    for t in range(seq.shape[-2]):
-        gates = x_proj[..., t, :] + (h[..., None, :] @ w_h)[..., 0, :] + b
-        act = sigmoid(gates)
-        g = np.tanh(gates[..., 2 * hidden:3 * hidden])
-        c = act[..., hidden:2 * hidden] * c + act[..., :hidden] * g
-        h = act[..., 3 * hidden:] * np.tanh(c)
-        out[..., t, :] = h
-    return out
+    gate = np.arange(4 * hidden).reshape(4, hidden)
+    order = gate[[0, 1, 3, 2]].ravel()
+    half = np.repeat([0.5, 0.5, 0.5, 1.0], hidden)
+
+    def pack(a):
+        return np.ascontiguousarray(
+            (np.asarray(a, np.float64)[..., order] * half).astype(dtype))
+
+    return PackedLSTM(pack(w_x), pack(w_h), pack(b))
+
+
+def lstm_forward(seq: np.ndarray, packed: PackedLSTM) -> np.ndarray:
+    """Standard peephole-free LSTM over the time axis (-2) of a (..., T, D)
+    input, in the dtype of ``packed``'s weights; returns the full (..., T,
+    H) hidden sequence. h_0 = c_0 = 0.
+
+    The input projection plus bias is one GEMM per window
+    (:func:`conv_product`), and the recurrent product one GEMV per row per
+    step, so a window's bits do not depend on its batch. One ``tanh`` over
+    the 4H packed gates z gives each sigmoid gate as 0.5 + 0.5 * z and the
+    candidate as z.
+    """
+    w_h = packed.w_h
+    dtype, hidden = w_h.dtype, w_h.shape[0]
+    steps = seq.shape[-2]
+    flat = np.ascontiguousarray(seq, dtype).reshape(-1, seq.shape[-1])
+    x_proj = conv_product(flat, packed.w_x, steps)
+    x_proj += packed.b
+    x_proj = x_proj.reshape(-1, steps, 4 * hidden)
+    out = np.empty(x_proj.shape[:-1] + (hidden,), dtype)
+    h = np.zeros((len(out), 1, hidden), dtype)  # (rows, 1, H): a GEMV each
+    c = np.zeros((len(out), hidden), dtype)
+    z = np.empty((len(out), 1, 4 * hidden), dtype)
+    tmp = np.empty_like(c)
+    gates = z[:, 0]
+    sig, cand = gates[:, :3 * hidden], gates[:, 3 * hidden:]
+    i, f, o = (sig[:, k * hidden:(k + 1) * hidden] for k in range(3))
+    for t in range(steps):
+        np.matmul(h, w_h, out=z)
+        gates += x_proj[:, t]
+        np.tanh(gates, out=gates)
+        sig *= 0.5
+        sig += 0.5
+        c *= f
+        np.multiply(i, cand, out=tmp)
+        c += tmp
+        np.tanh(c, out=tmp)
+        np.multiply(o, tmp, out=out[:, t])
+        h = out[:, t:t + 1]
+    return out.reshape(seq.shape[:-1] + (hidden,))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -250,8 +290,7 @@ def layer_outputs(graph: ModelGraph, params, x, *,
             keep(("dense", value, in_shape))
             value = dense_forward(value, layer_params["w"], layer_params["b"])
         elif kind == LayerKind.LSTM:
-            value = lstm_forward(value, layer_params["w_x"],
-                                 layer_params["w_h"], layer_params["b"])
+            value = lstm_forward(value, layer_params)
         else:  # LayerKind.SOFTMAX
             value = softmax(value)
         yield value

@@ -3,7 +3,7 @@
 Conv/dense layers accumulate int8 x int8 products into 32-bit integers,
 add int32 biases, and requantize through a fixed-point multiplier with
 round-half-away-from-zero rounding. The LSTM executes hybrid: int8
-storage, float cell math, requantized output.
+storage, float32 cell math, requantized output.
 
 The kernels take each layer's packed form (``QLayer.packed``), built once
 per model: one float32 weight matrix, a conv's as
@@ -19,7 +19,9 @@ that keep this below 2**24. Float32 holds every such integer, so no
 summation order, with or without FMA, rounds. The chunks are added in
 int64 to the bias, and the result is the integer the int32 accumulator
 holds (``QuantizedModel`` checks sum|w| * 255 + |b| < 2**31 when built).
-An LSTM's packed form is its dequantized float64 weights and bias.
+An LSTM's packed form is its dequantized weights and bias in
+``float_engine.pack_lstm_gates``'s gate layout, in float32, the dtype
+``float_engine.lstm_forward`` then computes in.
 
 On int8 data a ReLU is a fixed map of the 256 int8 values, set by its
 zero points and multiplier, so ``relu_int8`` looks each value up in a
@@ -194,10 +196,10 @@ def avg_pool1d_int8(q_in: np.ndarray, pool: int) -> np.ndarray:
 
 def lstm_hybrid(q_in: np.ndarray, in_qp: QuantParams, packed: PackedLSTM,
                 out_qp: QuantParams) -> np.ndarray:
-    """Dequantize, run the float LSTM cell over the (..., T, D) sequences
-    of ``q_in``, requantize to the calibrated output range."""
-    h = float_engine.lstm_forward(dequantize(q_in, in_qp), packed.w_x,
-                                  packed.w_h, packed.b)
+    """Dequantize the (..., T, D) sequences of ``q_in``, run the LSTM cell
+    over them in float32, the dtype of ``packed`` (``quantizer.pack_lstm``),
+    and requantize to the calibrated output range."""
+    h = float_engine.lstm_forward(dequantize(q_in, in_qp), packed)
     return quantize_tensor(h, out_qp)
 
 

@@ -370,11 +370,18 @@ class ModelGraph:
                 arr.flags.writeable = False
 
     @cached_property
-    def float64_params(self) -> tuple[dict[str, np.ndarray], ...]:
+    def float64_params(self) -> tuple:
         """``params`` cast (exactly) to float64 once per graph, so that the
-        float layer loop's products do not cast them on every call."""
-        return tuple({k: v.astype(np.float64) for k, v in p.items()}
-                     for p in self.params)
+        float layer loop's products do not cast them on every call; an
+        LSTM layer's in the ``float_engine.PackedLSTM`` gate layout of
+        ``float_engine.pack_lstm_gates``."""
+        from . import float_engine  # which imports this module
+
+        cast = [{k: v.astype(np.float64) for k, v in p.items()}
+                for p in self.params]
+        return tuple(float_engine.pack_lstm_gates(**p)
+                     if spec.kind == LayerKind.LSTM else p
+                     for spec, p in zip(self.layers, cast))
 
     def with_params(self, params: tuple[dict[str, np.ndarray], ...]) -> "ModelGraph":
         return ModelGraph(self.layers, params, self.input_shape,

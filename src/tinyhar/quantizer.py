@@ -22,6 +22,7 @@ from math import frexp, isfinite
 import numpy as np
 
 from . import float_engine
+from .float_engine import PackedLSTM
 from .datapipe import DatasetStats
 from .model_ir import (GraphError, LayerKind, ModelGraph, check_layers,
                        check_stats, map_blocks, param_shapes)
@@ -180,15 +181,6 @@ class PackedLinear:
     kernel: int
 
 
-@dataclass(frozen=True)
-class PackedLSTM:
-    """An LSTM layer's dequantized float64 weights and bias."""
-
-    w_x: np.ndarray
-    w_h: np.ndarray
-    b: np.ndarray
-
-
 def pack_linear(q_w: np.ndarray, bias: np.ndarray,
                 in_zero_point: int) -> PackedLinear:
     """Packs int8 conv (C, K, F) or dense (D, O) weights and their int32
@@ -214,10 +206,12 @@ def pack_linear(q_w: np.ndarray, bias: np.ndarray,
 def pack_lstm(weights: dict, weight_qps: dict, bias: np.ndarray,
               bias_scale: float) -> PackedLSTM:
     """Dequantizes an LSTM's int8 weights, and its int32 bias at
-    ``bias_scale``."""
-    return PackedLSTM(dequantize(weights["w_x"], weight_qps["w_x"]),
-                      dequantize(weights["w_h"], weight_qps["w_h"]),
-                      bias.astype(np.float64) * bias_scale)
+    ``bias_scale``, in float64, and packs them for the int8 engine's
+    float32 cell math: ``float_engine.pack_lstm_gates`` in float32."""
+    return float_engine.pack_lstm_gates(
+        dequantize(weights["w_x"], weight_qps["w_x"]),
+        dequantize(weights["w_h"], weight_qps["w_h"]),
+        bias.astype(np.float64) * bias_scale, np.float32)
 
 
 @dataclass
@@ -319,7 +313,7 @@ def quantize_model(graph: ModelGraph, representative_set) -> QuantizedModel:
         in_qp, out_qp = act_qps[i], act_qps[i + 1]
         ql = QLayer(spec=spec, in_qp=in_qp, out_qp=out_qp)
         if spec.kind in (LayerKind.CONV1D, LayerKind.DENSE, LayerKind.LSTM):
-            # an LSTM runs hybrid: int8 storage, float cell math
+            # an LSTM runs hybrid: int8 storage, float32 cell math
             names = [name for name in param_shapes(spec) if name != "b"]
             ql.weights, ql.weight_qps = {}, {}
             for name in names:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from unittest import mock
@@ -88,6 +89,39 @@ class TestRunConfig:
                                      ChannelGroup.G17, "N1", tiny_cfg)
         assert flt.config_id == "mc_cnn-17ch-N1-float"
         assert q.config_id == "mc_cnn-17ch-N1-int8"
+
+
+class TestCalibrationSet:
+    def test_configs_without_samples_calibrate_on_one_window(
+            self, tiny_split, tiny_cfg):
+        # the rule keys on samples, not on the architecture: an untrained
+        # mc_cnn is still evaluated, so it calibrates on rep_windows
+        seen = []
+
+        def spy(graph, representative_set):
+            seen.append(len(representative_set))
+            return quantize_model(graph, representative_set)
+
+        untrained = dataclasses.replace(tiny_cfg, train_epochs=0)
+        with mock.patch.object(benchlab, "quantize_model", spy):
+            for arch, cfg in (("mc_cnn", tiny_cfg), ("mc_cnn", untrained),
+                              ("deep_conv_lstm", tiny_cfg)):
+                benchlab.run_config(tiny_split, arch, ChannelGroup.G17,
+                                    "N1", cfg)
+        assert seen == [tiny_cfg.rep_windows, tiny_cfg.rep_windows, 1]
+
+    def test_one_window_gives_the_rows_rep_windows_give(self, tiny_split,
+                                                        tiny_cfg):
+        def on_rep_windows(graph, representative_set):
+            return quantize_model(graph,
+                                  tiny_split.train[:tiny_cfg.rep_windows])
+
+        rows = benchlab.run_config(tiny_split, "deep_conv_lstm",
+                                   ChannelGroup.G17, "N1", tiny_cfg)
+        with mock.patch.object(benchlab, "quantize_model", on_rep_windows):
+            full = benchlab.run_config(tiny_split, "deep_conv_lstm",
+                                       ChannelGroup.G17, "N1", tiny_cfg)
+        assert benchlab.reports_to_csv(rows) == benchlab.reports_to_csv(full)
 
 
 class TestEvaluate:

@@ -331,7 +331,7 @@ class TestLstmHybrid:
         w_x = rng.normal(size=(4, 12)) * 0.3
         w_h = rng.normal(size=(3, 12)) * 0.3
         b = rng.normal(size=12) * 0.1
-        h = fe.lstm_forward(x, w_x, w_h, b)
+        h = fe.lstm_forward(x, fe.pack_lstm_gates(w_x, w_h, b))
         in_qp = affine_params(float(x.min()), float(x.max()))
         out_qp = affine_params(float(h.min()), float(h.max()))
         w_qps = {"w_x": symmetric_params(float(w_x.min()), float(w_x.max())),
@@ -344,6 +344,86 @@ class TestLstmHybrid:
                                pack_lstm(weights, w_qps, bias, bias_scale),
                                out_qp)
         assert np.abs(dequantize(q_out, out_qp) - h).max() <= 3 * out_qp.scale
+
+
+def drawn_lstm(rng, width, hidden):
+    """Random int8 LSTM weights, their scales and an int32 bias."""
+    weights = {"w_x": rng.integers(-127, 128, size=(width, 4 * hidden)),
+               "w_h": rng.integers(-127, 128, size=(hidden, 4 * hidden))}
+    weights = {name: w.astype(np.int8) for name, w in weights.items()}
+    w_qps = {name: QuantParams(float(rng.uniform(0.002, 0.02)), 0)
+             for name in weights}
+    bias = rng.integers(-2000, 2000, size=4 * hidden).astype(np.int32)
+    return weights, w_qps, bias
+
+
+def dequantized_lstm(weights, w_qps, bias, bias_scale):
+    """The float64 weights and bias that ``pack_lstm`` packs."""
+    return (dequantize(weights["w_x"], w_qps["w_x"]),
+            dequantize(weights["w_h"], w_qps["w_h"]),
+            bias.astype(np.float64) * bias_scale)
+
+
+LSTM_SHAPES = dict(hidden=st.integers(1, 9), steps=st.integers(1, 6),
+                   n=st.integers(1, 9), width=st.integers(1, 9),
+                   seed=st.integers(0, 2**16))
+
+
+class TestLstmHybridProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(**LSTM_SHAPES)
+    def test_within_one_lsb_of_the_float64_reference(self, hidden, steps, n,
+                                                      width, seed):
+        # float32 cell math against the same dequantized weights in float64
+        rng = np.random.default_rng(seed)
+        weights, w_qps, bias = drawn_lstm(rng, width, hidden)
+        in_qp = QuantParams(float(rng.uniform(0.01, 0.1)),
+                            int(rng.integers(-128, 128)))
+        out_qp = QuantParams(float(rng.uniform(1 / 255, 4 / 255)),
+                             int(rng.integers(-20, 21)))
+        bias_scale = in_qp.scale * w_qps["w_x"].scale
+        q_in = rng.integers(-128, 128, size=(n, steps, width)).astype(np.int8)
+        packed = pack_lstm(weights, w_qps, bias, bias_scale)
+        assert packed.w_x.dtype == packed.w_h.dtype == np.float32
+        got = ie.lstm_hybrid(q_in, in_qp, packed, out_qp)
+        reference = fe.lstm_forward(
+            dequantize(q_in, in_qp), fe.pack_lstm_gates(
+                *dequantized_lstm(weights, w_qps, bias, bias_scale)))
+        want = quantize_tensor(reference, out_qp)
+        assert got.dtype == np.int8 and got.shape == want.shape
+        assert np.abs(got.astype(np.int64) - want).max() <= 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(**LSTM_SHAPES)
+    def test_windows_equal_one_at_a_time(self, hidden, steps, n, width, seed):
+        rng = np.random.default_rng(seed)
+        weights, w_qps, bias = drawn_lstm(rng, width, hidden)
+        in_qp = QuantParams(0.05, int(rng.integers(-128, 128)))
+        out_qp = QuantParams(2 / 255, 0)
+        packed = pack_lstm(weights, w_qps, bias, in_qp.scale * 0.01)
+        q_in = rng.integers(-128, 128, size=(n, steps, width)).astype(np.int8)
+        batched = ie.lstm_hybrid(q_in, in_qp, packed, out_qp)
+        singles = [ie.lstm_hybrid(window, in_qp, packed, out_qp)
+                   for window in q_in]
+        assert batched.tobytes() == np.stack(singles).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(**LSTM_SHAPES)
+    def test_packing_is_exact(self, hidden, steps, n, width, seed):
+        # the (input, forget, output | candidate) layout, sigmoid gates
+        # halved: reordered back and doubled, the dequantized weights
+        rng = np.random.default_rng(seed)
+        weights, w_qps, bias = drawn_lstm(rng, width, hidden)
+        dequantized = dequantized_lstm(weights, w_qps, bias, 0.0003)
+        packed = fe.pack_lstm_gates(*dequantized)
+        packed32 = pack_lstm(weights, w_qps, bias, 0.0003)
+        for name, want in zip(("w_x", "w_h", "b"), dequantized):
+            arr = getattr(packed, name)
+            i, f, o, g = np.split(arr, 4, axis=-1)
+            assert np.concatenate([2 * i, 2 * f, g, 2 * o], axis=-1) \
+                .tobytes() == want.tobytes()
+            assert getattr(packed32, name).tobytes() == \
+                arr.astype(np.float32).tobytes()
 
 
 class TestSoftmaxInt8:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tinyhar import model_ir, modelfile
+from tinyhar import float_engine, model_ir, modelfile
 from tinyhar.model_ir import (DivisibilityError, LayerKind,
                               ShapeMismatchError, ShapeUnderflowError,
                               build_deep_conv_lstm, build_mc_cnn,
@@ -147,7 +147,15 @@ class TestGraphImmutability:
         g = build_deep_conv_lstm(8, 24, 4, hidden=5)
         cast = g.float64_params
         assert g.float64_params is cast
-        for params, params64 in zip(g.params, cast):
+        for spec, params, params64 in zip(g.layers, g.params, cast):
+            if spec.kind == LayerKind.LSTM:  # packed from the exact cast
+                params = {k: v.astype(np.float64) for k, v in params.items()}
+                params64 = vars(params64)
+                packed = vars(float_engine.pack_lstm_gates(**params))
+                assert sorted(params64) == sorted(packed)
+                for name, arr in packed.items():
+                    assert params64[name].tobytes() == arr.tobytes()
+                continue
             assert sorted(params) == sorted(params64)
             for name, arr in params.items():
                 assert params64[name].dtype == np.float64
