@@ -1,21 +1,17 @@
-"""Float executor: the one float layer loop, and the float reference.
+"""Float executor: the layer loop both engines run, the float kernels and
+the float reference.
 
-:func:`layer_outputs` runs a ``ModelGraph`` over a batch of windows, for
-the float reference (:func:`forward`, :func:`forward_collect`: the int8
-engine's oracle and calibration) and for :mod:`tinyhar.training`, with its
-own parameters, dropout and backward caches. Each kernel takes leading
-batch axes and trusts the shapes the graph checked when it was built.
-The loop computes in the dtype of its operands: the reference feeds
-float64 frames and ``float64_params``, so it runs in float64, and the
-trainer feeds float32 windows and parameters, so it runs in float32.
-The input is a ``model_ir.FrameBlock``, or a batch, made its
-``model_ir.batch_block`` at a conv. As in the int8 engine, every conv
-and ReLU keeps the block: a conv multiplies its :func:`window_rows`, the
-rows some window reads, each once, by :func:`conv_matrix`, and yields a
-block of its output rows; the loop places the windows (:func:`windows`)
-once, at the first layer that reads a window whole. The rows are one
-contiguous copy of the read-only row view :func:`rows`, in the loop's
-dtype; the int8 engine copies them to float32.
+:func:`drive_layers` runs a model's layers over a batch of windows and
+holds the block contract; each engine gives it its kernels.
+:func:`layer_outputs` gives it the float ones, for the float reference
+(:func:`forward`, :func:`forward_collect`: the int8 engine's oracle and
+calibration) and for :mod:`tinyhar.training`, with its own parameters,
+dropout and backward caches. Each kernel takes leading batch axes and
+trusts the shapes the graph checked when it was built. The float kernels
+compute in the dtype of their operands: float64 in the reference, which
+feeds float64 frames and ``float64_params``, and float32 in the trainer.
+A conv's rows are one contiguous copy of the read-only row view
+:func:`rows`, in that dtype; the int8 engine copies them to float32.
 Conv and dense products are GEMMs, whose summation order can depend on
 their shape, so a window's bits can depend on its batch. The first conv
 multiplies all its rows in one GEMM; a later conv multiplies them by
@@ -30,6 +26,7 @@ bits in any batch.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -231,74 +228,92 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return ex / ex.sum(axis=-1, keepdims=True)
 
 
+def dropout(x, rate: float, rng: np.random.Generator):
+    """The windows of ``x``, so that no row windows share is masked once
+    for all of them, each value zeroed with probability ``rate`` and the
+    rest scaled by 1 / (1 - rate); and the mask of the values kept."""
+    x = windows(x)
+    mask = rng.random(x.shape) >= rate
+    return x * mask * (1.0 / (1.0 - rate)), mask
+
+
+def drive_layers(specs, x, kernel) -> Iterator:
+    """Yields the output of each layer of ``specs`` in turn, for ``x`` a
+    ``model_ir.FrameBlock`` or an (N, T, C) batch: the layer loop of both
+    engines, each of which gives ``kernel(index, value)``, calling its
+    kernels as module attributes. A ROW_WISE layer takes a block (a batch
+    is made its ``model_ir.batch_block``), and a conv's or ReLU's output is
+    a block of the same windows, each distinct row computed once; the
+    windows are placed (:func:`windows`) once, before the first layer that
+    reads a window whole. A flatten reshapes each window to one vector,
+    and a dense layer fed a sequence reads its last time step."""
+    # locals: an Enum member lookup costs about 0.1 us per layer (Python 3.11)
+    dense, flatten = LayerKind.DENSE, LayerKind.FLATTEN
+    for idx, spec in enumerate(specs):
+        kind = spec.kind
+        if kind not in ROW_WISE:
+            x = windows(x)  # reads a window whole
+            if kind is dense and x.ndim == 3:
+                x = x[:, -1]
+        elif isinstance(x, np.ndarray) and x.ndim == 3:
+            x = batch_block(x)
+        x = (x.reshape(len(x), math.prod(x.shape[1:]))
+             if kind is flatten else kernel(idx, x))
+        yield x
+
+
 def layer_outputs(graph: ModelGraph, params, x, *,
                   rng: np.random.Generator | None = None,
                   keep=None) -> Iterator:
-    """Yields each layer's output in turn, for ``x`` a ``model_ir.FrameBlock``
-    or a float (N, T, C) batch and ``params`` in the place of
-    ``graph.params``. Every conv multiplies its :func:`window_rows`, the
-    first in one GEMM, a later one by :func:`conv_product` in GEMMs of one
-    window's rows, and yields a block of its output rows, as does a ReLU
-    of a block, once per row; the loop places the windows
-    (:func:`windows`) at the first layer that reads a window whole, or at
-    a dropout that masks. Dropout runs only given ``rng``. ``keep``,
-    given, is called with each layer's cache for the trainer's backward
-    pass, before the layer's output is yielded."""
-    keep = keep or (lambda _: None)
-    value = x
-    for idx, (spec, layer_params) in enumerate(zip(graph.layers, params)):
+    """:func:`drive_layers` with the float kernels, ``params`` in the place
+    of ``graph.params``. Dropout runs only given ``rng``. ``keep``, given,
+    is called as ``keep(index, cache)`` with what the backward pass reads
+    of a conv (its rows and weight matrix), a ReLU (its output), a dropout
+    that masks (its mask) and a dense layer (its input)."""
+    keep = keep or (lambda *_: None)
+
+    def kernel(idx, value):
+        spec, layer_params = graph.layers[idx], params[idx]
         kind = spec.kind
-        if kind not in ROW_WISE:
-            value = windows(value)  # reads a window whole
         if kind == LayerKind.CONV1D:
-            if isinstance(value, np.ndarray):
-                value = batch_block(value)
             w2 = conv_matrix(layer_params["w"])
             cols, index = window_rows(value, spec.kernel)
             cols = np.ascontiguousarray(cols)
-            keep(("conv", cols, w2, value.shape))
+            keep(idx, (cols, w2))
             # the first conv's one GEMM over all rows gives each row the
             # bits one per window gives it; a later conv's would not
             # (N2's conv 1, (768, 64) weights, from N = 2)
             cols = cols.reshape(-1, cols.shape[-1])
             steps = (len(cols) or 1) if idx == 0 else index.shape[1]
-            value = FrameBlock(conv_product(cols, w2, steps)
-                               + layer_params["b"], index)
-        elif kind == LayerKind.RELU:
+            return FrameBlock(conv_product(cols, w2, steps)
+                              + layer_params["b"], index)
+        if kind == LayerKind.RELU:
             value = (FrameBlock(relu(value.frames), value.index)
                      if isinstance(value, FrameBlock) else relu(value))
-            keep(("relu", value))
-        elif kind == LayerKind.DROPOUT:
-            if rng is not None and spec.rate > 0.0:
-                value = windows(value)  # so that no shared row is masked
-                mask = rng.random(value.shape) >= spec.rate
-                scale = 1.0 / (1.0 - spec.rate)
-                keep(("dropout", mask, scale))
-                value = value * mask * scale
-            else:
-                keep(("identity",))
-        elif kind == LayerKind.AVGPOOL1D:
-            keep(("pool", value.shape, spec.pool))
-            value = avg_pool1d(value, spec.pool)
-        elif kind == LayerKind.FLATTEN:
-            keep(("flatten", value.shape))
-            value = value.reshape(len(value), np.prod(value.shape[1:]))
-        elif kind == LayerKind.DENSE:
-            in_shape = value.shape
-            if value.ndim == 3:  # fed a sequence: read the last time step
-                value = value[:, -1]
-            keep(("dense", value, in_shape))
-            value = dense_forward(value, layer_params["w"], layer_params["b"])
-        elif kind == LayerKind.LSTM:
-            value = lstm_forward(value, layer_params)
-        else:  # LayerKind.SOFTMAX
-            value = softmax(value)
-        yield value
+            keep(idx, value)
+            return value
+        if kind == LayerKind.DROPOUT:
+            if rng is None or spec.rate == 0.0:
+                return value
+            value, mask = dropout(value, spec.rate, rng)
+            keep(idx, mask)
+            return value
+        if kind == LayerKind.AVGPOOL1D:
+            return avg_pool1d(value, spec.pool)
+        if kind == LayerKind.DENSE:
+            keep(idx, value)
+            return dense_forward(value, layer_params["w"], layer_params["b"])
+        if kind == LayerKind.LSTM:
+            return lstm_forward(value, layer_params)
+        return softmax(value)
+
+    return drive_layers(graph.layers, x, kernel)
 
 
-def forward(graph: ModelGraph, x: np.ndarray) -> np.ndarray:
+def forward(graph: ModelGraph, x) -> np.ndarray:
     """Class probabilities of one (T, C) window, or (N, K) of an (N, T, C)
-    batch. Bad input raises the errors of ``model_ir.window_batch``."""
+    batch or a sequence of windows. Bad input raises the errors of
+    ``model_ir.window_batch``."""
     batch, single = window_batch(x, graph.input_shape)
     for probs in layer_outputs(graph, graph.float64_params, batch):
         pass  # each activation is freed once the next one is made
@@ -310,8 +325,8 @@ def forward_collect(graph: ModelGraph, x) -> list[np.ndarray]:
     activation-range calibration. ``x`` may also be a ``model_ir.FrameBlock``
     that ``map_blocks`` checked; its input, and each block a layer yields,
     is returned as its :func:`windows`."""
-    x, single = (window_batch(x, graph.input_shape)
-                 if isinstance(x, np.ndarray) else (x, False))
+    x, single = ((x, False) if isinstance(x, FrameBlock)
+                 else window_batch(x, graph.input_shape))
     acts = [windows(x)] + [windows(a) for a in
                            layer_outputs(graph, graph.float64_params, x)]
     return [a[0] for a in acts] if single else acts

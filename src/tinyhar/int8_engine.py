@@ -29,18 +29,12 @@ table that runs the clip-requantize-saturate arithmetic once per
 parameter set (Jacob et al. 2018, arXiv 1712.05877).
 
 One ``run_quantized`` call classifies a whole batch of windows, bit for
-bit as one call per window would. The input is a ``model_ir.FrameBlock``
-or a batch, made a block. Convs and ReLUs take a block and return one,
-so each runs once per distinct row: a conv's output rows are the rows
-its windows read, and its index maps each window step to one of them,
-in which each window's rows stay consecutive, as the next conv's
-``float_engine.rows`` need. ``run_layers`` places the windows once, at
-the first layer that reads a window whole; those kernels take leading
-batch axes, as TFLite's int8 kernels do. The accumulators are exact, so
-a window's bits do not depend on the windows it shares rows with, and
-``SaturationAudit`` counts a row once per window step that reads it. As
-in TFLite Micro, the kernels trust the shapes the model checked once,
-when it was built.
+bit as one call per window would: ``run_layers`` runs these kernels in
+``float_engine.drive_layers``, the layer loop both engines share. The
+accumulators are exact, so a window's bits do not depend on the windows
+it shares rows with, and ``SaturationAudit`` counts a row once per window
+step that reads it. As in TFLite Micro, the kernels trust the shapes the
+model checked once, when it was built.
 """
 from __future__ import annotations
 
@@ -51,8 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import float_engine
-from .model_ir import (FrameBlock, LayerKind, batch_block, map_blocks,
-                       window_batch)
+from .model_ir import FrameBlock, LayerKind, map_blocks, window_batch
 from .quantizer import (FixedPointMultiplier, PackedLinear, PackedLSTM,
                         QuantParams, QuantizedModel, dequantize,
                         quantize_tensor)
@@ -212,38 +205,29 @@ def softmax_int8(q_logits: np.ndarray, in_qp: QuantParams,
 
 def run_layers(model: QuantizedModel, q_value,
                audit: SaturationAudit | None = None) -> np.ndarray:
-    """Runs a ``model_ir.FrameBlock`` of quantized frames, or a quantized
-    (N, T, C) batch, made its ``model_ir.batch_block``, through every
-    layer; returns the (N, K) int8 output. Convs and ReLUs keep the block,
-    so each runs once per distinct row; the windows are placed
-    (``float_engine.windows``) once, at the first layer that reads a
-    window whole."""
-    for ql in model.layers:
+    """The (N, K) int8 output of a ``model_ir.FrameBlock`` of quantized
+    frames, or a quantized (N, T, C) batch: ``float_engine.drive_layers``
+    with the int8 kernels."""
+    def kernel(idx, q):
+        ql = model.layers[idx]
         kind = ql.spec.kind
-        if kind not in float_engine.ROW_WISE:
-            q_value = float_engine.windows(q_value)  # reads a window whole
         if kind == LayerKind.CONV1D:
-            if isinstance(q_value, np.ndarray):
-                q_value = batch_block(q_value)
-            q_value = conv1d_int8(q_value, ql.packed, ql.multiplier,
-                                  ql.out_qp, audit)
-        elif kind == LayerKind.RELU:
-            q_value = relu_int8(q_value, ql.in_qp, ql.multiplier,
-                                ql.out_qp, audit)
-        elif kind == LayerKind.DROPOUT:
-            pass  # identity at inference
-        elif kind == LayerKind.AVGPOOL1D:
-            q_value = avg_pool1d_int8(q_value, ql.spec.pool)
-        elif kind == LayerKind.FLATTEN:
-            q_value = q_value.reshape(len(q_value), np.prod(q_value.shape[1:]))
-        elif kind == LayerKind.DENSE:
-            vec = q_value[:, -1] if q_value.ndim == 3 else q_value
-            q_value = dense_int8(vec, ql.packed, ql.multiplier, ql.out_qp,
-                                 audit)
-        elif kind == LayerKind.LSTM:
-            q_value = lstm_hybrid(q_value, ql.in_qp, ql.packed, ql.out_qp)
-        elif kind == LayerKind.SOFTMAX:
-            q_value = softmax_int8(q_value, ql.in_qp, ql.out_qp)
+            return conv1d_int8(q, ql.packed, ql.multiplier, ql.out_qp, audit)
+        if kind == LayerKind.RELU:
+            return relu_int8(q, ql.in_qp, ql.multiplier, ql.out_qp, audit)
+        if kind == LayerKind.AVGPOOL1D:
+            return avg_pool1d_int8(q, ql.spec.pool)
+        if kind == LayerKind.DENSE:
+            return dense_int8(q, ql.packed, ql.multiplier, ql.out_qp, audit)
+        if kind == LayerKind.LSTM:
+            return lstm_hybrid(q, ql.in_qp, ql.packed, ql.out_qp)
+        if kind == LayerKind.SOFTMAX:
+            return softmax_int8(q, ql.in_qp, ql.out_qp)
+        return q  # a dropout is the identity at inference
+
+    for q_value in float_engine.drive_layers(
+            [ql.spec for ql in model.layers], q_value, kernel):
+        pass
     return q_value
 
 
@@ -284,16 +268,16 @@ def timed_inference(model, window: np.ndarray,
                     repetitions: int) -> LatencyStats:
     """Wall-clock latency of the inference call only (input prep excluded).
 
-    ``model`` may be a QuantizedModel, timed as a ``model_ir.batch_block``
-    of one window, or a float ModelGraph; WARMUP_CALLS warm-up runs are
-    discarded. Either raises ``ShapeMismatchError`` or
-    ``NonFiniteInputError`` for a window the model cannot take.
+    ``model`` may be a QuantizedModel, timed on the quantized window, or a
+    float ModelGraph; WARMUP_CALLS warm-up runs are discarded. Either
+    raises ``ShapeMismatchError`` or ``NonFiniteInputError`` for a window
+    the model cannot take.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     if isinstance(model, QuantizedModel):
         batch, _ = window_batch(window, model.input_shape)
-        q_input = batch_block(quantize_tensor(batch, model.input_qp))
+        q_input = quantize_tensor(batch, model.input_qp)
 
         def call():
             run_layers(model, q_input)

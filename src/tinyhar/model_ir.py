@@ -46,11 +46,19 @@ MC_CNN_DROPOUT = 0.2
 MC_CNN_POOL = 2
 
 
-def window_batch(x: np.ndarray,
-                 input_shape: tuple[int, int]) -> tuple[np.ndarray, bool]:
+def window_batch(x, input_shape: tuple[int, int]) -> tuple[np.ndarray, bool]:
     """Checks that ``x`` is one ``input_shape`` window or a batch of them
     (else ShapeMismatchError) and finite (else NonFiniteInputError);
-    returns it as a batch and whether it was one window."""
+    returns it as a float64 batch and whether it was one window. ``x`` is
+    an array-like, such as a sequence of windows, of which an empty one is
+    a batch of none."""
+    try:
+        x = np.asarray(x, np.float64)
+    except ValueError:  # ragged windows, or text, do not stack
+        raise ShapeMismatchError(f"the windows are not all "
+                                 f"{tuple(input_shape)} numbers") from None
+    if x.shape == (0,):
+        x = x.reshape(0, *input_shape)
     single = x.ndim == 2
     batch = x[None] if single else x
     if batch.ndim != 3 or batch.shape[1:] != tuple(input_shape):
@@ -67,8 +75,7 @@ class FrameBlock:
     step ``t`` is row ``index[i, t]`` of ``frames``, so a window's steps,
     and its rows of a valid conv, are consecutive rows. A
     :func:`frame_block` runs a row its windows share once (Rybakov et al.
-    2020, arXiv 2005.06720); an array block's frames are the array's rows.
-    A conv's outputs, and a ReLU's, are a block of the same windows."""
+    2020, arXiv 2005.06720); an array block's frames are the array's rows."""
 
     frames: np.ndarray  # (R, C), float64 as checked, int8 once quantized
     index: np.ndarray   # (N, T)
@@ -118,10 +125,9 @@ def map_blocks(fn, x, input_shape: tuple[int, int]) -> np.ndarray:
     BLOCK_WINDOWS windows of ``x``, concatenated. ``x`` is an (N, T, C)
     array, a sequence of (T, C) windows or a ``datapipe.Windows`` (one
     (T, C) array is one window). A ``Windows`` block is its
-    :func:`frame_block`; another is stacked to float64, checked by
-    :func:`window_batch` and made its :func:`batch_block`. Each block is
-    built in its turn, so memory does not grow with N; no window makes one
-    empty block."""
+    :func:`frame_block`; another is :func:`window_batch`'s float64 batch,
+    made its :func:`batch_block`. Each block is built in its turn, so
+    memory does not grow with N; no window makes one empty block."""
     if isinstance(x, np.ndarray) and x.ndim == 2:
         x = x[None]
     results = []
@@ -130,12 +136,7 @@ def map_blocks(fn, x, input_shape: tuple[int, int]) -> np.ndarray:
         if isinstance(part, Windows):
             block = frame_block(part, input_shape)
         else:
-            try:
-                block = np.asarray(part, np.float64)
-            except ValueError:  # windows of different shapes do not stack
-                raise ShapeMismatchError(f"the windows are not all "
-                                         f"{tuple(input_shape)}") from None
-            block = batch_block(window_batch(block, input_shape)[0])
+            block = batch_block(window_batch(part, input_shape)[0])
         results.append(fn(block))
         del block  # freed before the next block is built
     return np.concatenate(results)

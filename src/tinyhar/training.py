@@ -9,24 +9,19 @@ per-epoch accuracies and ``predict_*`` stack their windows to float64, as
 the float reference does, and :func:`grad_check` runs in float64. The
 trained parameters are those of the last step, so the last epoch's
 accuracy pass and ``predict_*`` on the trained graph compute the same
-logits, bit for bit. The forward pass
-of training steps, of the per-epoch accuracies and of ``predict_*`` is
-``float_engine.layer_outputs``, the float reference's own layer loop,
-stopped before the final softmax and given the trainer's dropout and
-backward caches. A training batch's convolutions are ``float_engine.rows``
-times ``conv_matrix`` weights in both directions: forward, the rows of
-the batch's stacked block, a later conv's in one GEMM per window (the
-inference blocks of ``predict_*`` multiply each distinct row once, in
-GEMMs of the same shape, as the float reference does); backward, the
-conv weight gradient is ``cols.T @ dout`` over all windows and time
-steps, and so is the input-gradient product. A ReLU's cache is its
-output, a block after a conv, read as windows. Backpropagation stops at
-the first layer's parameters; no gradient with respect to the input
-window is computed. A dense layer fed a sequence reads its last time
-step, as in the IR. The per-epoch accuracies cost one inference pass per
-split and epoch, and ``train`` runs them only when it is given a
-validation split. LSTM graphs cannot be trained, and ``predict_*`` runs
-them like any other graph.
+logits, bit for bit. The forward pass of training steps, of the per-epoch
+accuracies and of ``predict_*`` is ``float_engine.layer_outputs``, the
+float reference's own layer loop (``float_engine.drive_layers``), stopped
+before the final softmax and given the trainer's dropout and a callback
+that keeps each layer's backward cache by layer index. The backward pass
+reads each layer's input shape from ``model_ir.output_shapes``; the conv
+weight gradient is ``cols.T @ dout`` over all windows and time steps, and
+so is the input-gradient product. A ReLU's cache is its output, a block
+after a conv, read as windows. Backpropagation stops at the first layer's
+parameters; no gradient with respect to the input window is computed. The
+per-epoch accuracies cost one inference pass per split and epoch, and
+``train`` runs them only when it is given a validation split. LSTM graphs
+cannot be trained, and ``predict_*`` runs them like any other graph.
 """
 from __future__ import annotations
 
@@ -38,7 +33,7 @@ from itertools import islice
 import numpy as np
 
 from . import float_engine
-from .model_ir import LayerKind, ModelGraph, map_blocks
+from .model_ir import LayerKind, ModelGraph, map_blocks, output_shapes
 
 
 class UnsupportedLayerError(ValueError):
@@ -98,50 +93,51 @@ def _loss_and_dlogits(logits: np.ndarray, labels: np.ndarray):
 
 
 def _backward_batch(graph: ModelGraph, params, caches, dlogits: np.ndarray):
-    """Returns per-layer gradient dicts mirroring ``params``.
+    """Returns per-layer gradient dicts mirroring ``params``, from the
+    ``caches`` that ``float_engine.layer_outputs`` kept, by layer index.
 
     Stops after the parameter gradients of layer 0: nothing needs the
     gradient with respect to the input window.
     """
     grads = [dict() for _ in graph.layers]
+    shapes = output_shapes(graph.layers, graph.input_shape)
     dvalue = dlogits
-    for idx in range(len(caches) - 1, -1, -1):  # the softmax kept no cache
-        cache, spec = caches[idx], graph.layers[idx]
-        tag = cache[0]
-        if tag == "dense":
-            grads[idx]["w"] = cache[1].T @ dvalue
+    for idx in range(len(graph.layers) - 2, -1, -1):  # not the softmax
+        spec, cache = graph.layers[idx], caches.get(idx)
+        kind = spec.kind
+        if kind == LayerKind.DENSE:
+            grads[idx]["w"] = cache.T @ dvalue
             grads[idx]["b"] = dvalue.sum(axis=0)
-        elif tag == "conv":
-            cols = cache[1]
+        elif kind == LayerKind.CONV1D:
+            cols = cache[0]
             dout = dvalue.reshape(-1, dvalue.shape[2])
             dw2 = cols.reshape(-1, cols.shape[2]).T @ dout
             grads[idx]["w"] = float_engine.conv_weights(dw2, spec.in_channels)
             grads[idx]["b"] = dvalue.sum(axis=(0, 1))
         if idx == 0:
             break
-        if tag == "dense":
+        in_shape = (len(dvalue), *shapes[idx - 1])  # the layer's input
+        if kind == LayerKind.DENSE:
             dvalue = dvalue @ params[idx]["w"].T
-            if len(cache[2]) == 3:  # only the last time step was read
-                dseq = np.zeros(cache[2], dvalue.dtype)
+            if len(in_shape) == 3:  # only the last time step was read
+                dseq = np.zeros(in_shape, dvalue.dtype)
                 dseq[:, -1] = dvalue
                 dvalue = dseq
-        elif tag == "conv":
-            w2, in_shape = cache[2], cache[3]
-            dcols = dvalue.reshape(-1, dvalue.shape[2]) @ w2.T
+        elif kind == LayerKind.CONV1D:
+            dcols = dvalue.reshape(-1, dvalue.shape[2]) @ cache[1].T
             dvalue = float_engine.col2im(
                 dcols.reshape(dvalue.shape[:2] + dcols.shape[1:]), in_shape[1])
-        elif tag == "flatten":
-            dvalue = dvalue.reshape(cache[1])
-        elif tag == "pool":
-            dx, pool = np.zeros(cache[1], dvalue.dtype), cache[2]
-            float_engine.pool_groups(dx, pool)[...] = dvalue[:, :, None] / pool
+        elif kind == LayerKind.FLATTEN:
+            dvalue = dvalue.reshape(in_shape)
+        elif kind == LayerKind.AVGPOOL1D:
+            dx = np.zeros(in_shape, dvalue.dtype)
+            float_engine.pool_groups(dx, spec.pool)[...] = \
+                dvalue[:, :, None] / spec.pool
             dvalue = dx
-        elif tag == "dropout":
-            keep, scale = cache[1], cache[2]
-            dvalue = dvalue * keep * scale
-        elif tag == "relu":
-            dvalue = dvalue * (float_engine.windows(cache[1]) > 0)
-        # "identity" passes through
+        elif kind == LayerKind.DROPOUT and cache is not None:  # it masked
+            dvalue = dvalue * cache * (1.0 / (1.0 - spec.rate))
+        elif kind == LayerKind.RELU:
+            dvalue = dvalue * (float_engine.windows(cache) > 0)
     return grads
 
 
@@ -236,8 +232,9 @@ def train(graph: ModelGraph, train_set, val_set, cfg: TrainConfig):
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             xb, yb = x_train[idx], y_train[idx]
-            caches = []
-            logits = _logits(graph, params, xb, rng=rng, keep=caches.append)
+            caches = {}
+            logits = _logits(graph, params, xb, rng=rng,
+                             keep=caches.__setitem__)
             loss, dlogits = _loss_and_dlogits(logits, yb)
             grads = _backward_batch(graph, params, caches, dlogits)
             opt.step(params, grads)
@@ -272,8 +269,8 @@ def grad_check(graph: ModelGraph, window: np.ndarray, label: int,
         loss, _ = _loss_and_dlogits(_logits(graph, p, x), y)
         return loss
 
-    caches = []
-    logits = _logits(graph, params, x, keep=caches.append)
+    caches = {}
+    logits = _logits(graph, params, x, keep=caches.__setitem__)
     _, dlogits = _loss_and_dlogits(logits, y)
     grads = _backward_batch(graph, params, caches, dlogits)
 

@@ -111,13 +111,13 @@ class TestConvGemmBits:
             w0 = float_engine.conv_matrix(params[0]["w"])
             w1 = float_engine.conv_matrix(params[1]["w"])
             for n in (1, 7, 32):
-                caches = []
+                caches = {}
                 logits = training._logits(graph, params, x[:n],
-                                          keep=caches.append)
+                                          keep=caches.__setitem__)
                 cols0 = im2col(x[:n], 3)
                 out0 = cols0 @ w0 + params[0]["b"]  # one GEMM per window
                 # conv 1's rows are conv 0's output, copied
-                assert caches[1][1].tobytes() == \
+                assert caches[1][0].tobytes() == \
                     im2col(out0, 3).tobytes()
                 labels = np.arange(n) % 15
                 _, dlogits = training._loss_and_dlogits(logits, labels)
@@ -221,8 +221,8 @@ class TestGradCheck:
         params = [{k: v.astype(np.float64) for k, v in p.items()}
                   for p in g.params]
         x = np.zeros((1, 12, 3))
-        caches = []
-        logits = training._logits(g, params, x, keep=caches.append)
+        caches = {}
+        logits = training._logits(g, params, x, keep=caches.__setitem__)
         _, dlogits = training._loss_and_dlogits(logits, np.array([1]))
         grads = training._backward_batch(g, params, caches, dlogits)
         assert np.all(grads[0]["w"] == 0.0)  # conv weight grads vanish
@@ -240,28 +240,30 @@ def full_backward(graph, params, caches, dlogits):
     """Reference backprop: einsum conv weight gradient, and the gradient is
     carried through every layer down to the input window."""
     grads = [dict() for _ in graph.layers]
+    in_shapes = [graph.input_shape] + model_ir.output_shapes(
+        graph.layers, graph.input_shape)
     dvalue = dlogits
-    for idx in range(len(caches) - 1, -1, -1):  # no cache for the softmax
-        cache = caches[idx]
-        tag = cache[0]
-        if tag == "dense":
-            grads[idx]["w"] = cache[1].T @ dvalue
+    for idx in range(len(graph.layers) - 2, -1, -1):  # not the softmax
+        spec, cache = graph.layers[idx], caches.get(idx)
+        in_shape = (len(dlogits),) + in_shapes[idx]
+        if spec.kind == LayerKind.DENSE:
+            grads[idx]["w"] = cache.T @ dvalue
             grads[idx]["b"] = dvalue.sum(axis=0)
             dvalue = dvalue @ params[idx]["w"].T
-        elif tag == "flatten":
-            dvalue = dvalue.reshape(cache[1])
-        elif tag == "pool":
-            in_shape, pool, out_steps = cache[1], cache[2], dvalue.shape[1]
+        elif spec.kind == LayerKind.FLATTEN:
+            dvalue = dvalue.reshape(in_shape)
+        elif spec.kind == LayerKind.AVGPOOL1D:
+            pool, out_steps = spec.pool, dvalue.shape[1]
             dx = np.zeros(in_shape)
             dx[:, :out_steps * pool] = np.repeat(dvalue / pool, pool, axis=1)
             dvalue = dx
-        elif tag == "dropout":
-            dvalue = dvalue * cache[1] * cache[2]
-        elif tag == "relu":  # a conv's ReLU keeps its output block
-            dvalue = dvalue * (float_engine.windows(cache[1]) > 0)
-        elif tag == "conv":
-            cols, w2, in_shape = cache[1], cache[2], cache[3]
-            spec = graph.layers[idx]
+        elif spec.kind == LayerKind.DROPOUT:
+            if cache is not None:  # only a dropout that masked keeps one
+                dvalue = dvalue * cache * (1.0 / (1.0 - spec.rate))
+        elif spec.kind == LayerKind.RELU:  # a conv's ReLU keeps its block
+            dvalue = dvalue * (float_engine.windows(cache) > 0)
+        elif spec.kind == LayerKind.CONV1D:
+            cols, w2 = cache
             dw2 = np.einsum("ntk,ntf->kf", cols, dvalue)
             grads[idx]["w"] = dw2.reshape(
                 spec.kernel, spec.in_channels, -1).transpose(1, 0, 2)
@@ -297,9 +299,9 @@ def flatten_first_case():
 def batch_gradients(graph, x):
     params = [{k: v.astype(np.float64) for k, v in p.items()}
               for p in graph.params]
-    caches = []
-    logits = training._logits(
-        graph, params, x, rng=np.random.default_rng(0), keep=caches.append)
+    caches = {}
+    logits = training._logits(graph, params, x, rng=np.random.default_rng(0),
+                              keep=caches.__setitem__)
     labels = np.arange(x.shape[0]) % graph.num_classes
     _, dlogits = training._loss_and_dlogits(logits, labels)
     return (training._backward_batch(graph, params, caches, dlogits),
@@ -390,8 +392,11 @@ class TestKernelOracles:
 
 
 def arrays_of(cache):
-    """The arrays a layer cache holds (its shapes and scales are not)."""
-    return [v for v in cache[1:] if isinstance(v, np.ndarray)]
+    """The arrays a layer cache holds: a conv's rows and weight matrix, a
+    ReLU's output (a block's frames), a dropout's mask, a dense input."""
+    if isinstance(cache, tuple):
+        return list(cache)
+    return [getattr(cache, "frames", cache)]
 
 
 class TestFloat32Training:
@@ -411,12 +416,12 @@ class TestFloat32Training:
 
         def checked_backward(graph_, params, caches, dlogits):
             assert dlogits.dtype == np.float32
-            tags = {c[0] for c in caches}
-            assert {"conv", "dense", "relu"} <= tags
-            for cache in caches:
+            kinds = {graph_.layers[idx].kind for idx in caches}
+            assert {LayerKind.CONV1D, LayerKind.DENSE, LayerKind.RELU} <= kinds
+            for idx, cache in caches.items():
                 for arr in arrays_of(cache):
                     if arr.dtype != bool:  # dropout's keep mask
-                        assert arr.dtype == np.float32, cache[0]
+                        assert arr.dtype == np.float32, graph_.layers[idx]
                         seen["caches"] += 1
             grads = backward(graph_, params, caches, dlogits)
             for layer_grads in grads:
@@ -455,10 +460,10 @@ class TestFloat32Training:
         for dtype in (np.float32, np.float64):
             params = [{k: v.astype(dtype) for k, v in p.items()}
                       for p in graph.params]
-            caches = []
+            caches = {}
             logits = training._logits(graph, params, x.astype(dtype),
                                       rng=np.random.default_rng(0),
-                                      keep=caches.append)
+                                      keep=caches.__setitem__)
             _, dlogits = training._loss_and_dlogits(logits, labels)
             grads[dtype] = training._backward_batch(graph, params, caches,
                                                     dlogits)
