@@ -92,8 +92,8 @@ def _iter_sessions(data_dir: str, keep=lambda session: True,
                                labels=labels)
 
 
-def _load_dataset(data_dir: str) -> list[SessionRecording]:
-    return list(_iter_sessions(data_dir))
+def _load_dataset(data_dir: str, group=ChannelGroup.G791):
+    return list(_iter_sessions(data_dir, group=group))
 
 
 def _load_model(path: str):
@@ -160,8 +160,8 @@ def cmd_train(args) -> int:
     if args.filters % 4:
         raise CliError(f"--filters must be a multiple of 4, got "
                        f"{args.filters}")
-    sessions = _load_dataset(args.data)
     group = ChannelGroup.from_width(args.group)
+    sessions = _load_dataset(args.data, group)
     train_set, test_set, stats = benchlab.prepared_windows(
         sessions, group, args.window_len, args.stride, args.held_out_session)
     _require_windows(test_set, args.held_out_session)
@@ -234,16 +234,16 @@ def cmd_eval(args) -> int:
     layers = (tuple(ql.spec for ql in model.layers)
               if isinstance(model, QuantizedModel) else model.layers)
     arch = _arch_of(layers)
-    if arch != "mc_cnn":
-        raise CliError("eval supports trained MC-CNN models only")
+    convs = [s for s in layers if s.kind == LayerKind.CONV1D]
+    if arch != "mc_cnn" or not convs:
+        raise CliError(f"{args.model}: eval supports MC-CNN models only")
     group = ChannelGroup.from_width(model.input_shape[1])
     test_set = _windows(model, list(_iter_sessions(
         args.data, lambda s: s == args.held_out_session, group)),
         args.stride)
     _require_windows(test_set, args.held_out_session)
-    first_conv = next(s for s in layers if s.kind == LayerKind.CONV1D)
     report = benchlab.evaluate(model, arch, group, "custom",
-                               first_conv.out_filters,
+                               convs[0].out_filters,
                                Path(args.model).stat().st_size, test_set)
     benchlab.render_report([report], outdir)
     print(f"accuracy {report.accuracy:.4f}, macro F1 {report.macro_f1:.4f}, "

@@ -17,8 +17,9 @@ it reads a whole file with one ``np.loadtxt`` call, validates every cell
 in one vectorised pass, names the line of the first error from those
 arrays, and then takes the channel group a command uses. Every read
 hashes the file and keeps the parsed rows in one sidecar ``.npy`` beside
-the CSV, named by that SHA-256, and a later read of the same bytes loads
-the columns it returns from that file instead of parsing.
+the CSV, named by that SHA-256, and a later read of the same bytes maps
+that file with ``np.load`` and copies the columns it returns out of the
+map instead of parsing.
 ``make_windows`` returns :class:`Windows`: every window is a read-only
 row view over one array of channel-selected frames, and indexing keeps
 the old list semantics. ``normalize`` z-scores each frame row that some
@@ -233,42 +234,33 @@ def _write_sidecar(path, digest: str, data: np.ndarray) -> None:
 
 
 def _read_sidecar(path, digest: str, group: ChannelGroup):
-    """The timestamps, ``group``'s channels and the labels of the rows
-    stored for the CSV bytes ``digest``, read by offset; None when there is
-    no such file, when it is not the ``.npy`` of a (rows, 793) float64
-    array in Fortran order, of just that size, or when the rows fail a
-    check."""
-    cells = len(CSV_HEADER)
-    try:
-        with open(sidecar_path(path, digest), "rb") as fh:
-            try:  # numpy's header parser raises many types on bad bytes
-                version = np.lib.format.read_magic(fh)
-                shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
-            except Exception:
-                return None
-            start, rows = fh.tell(), shape[0] if shape else 0
-            if not (version == (1, 0) and shape == (rows, cells) and fortran
-                    and dtype == np.float64 and os.fstat(fh.fileno()).st_size
-                    == start + rows * cells * 8):
-                return None
-
-            def columns(first, stop):
-                out = np.empty((rows, stop - first))
-                # by 32: on a 2-core Xeon, 3x as fast as by 1 (1,800 rows)
-                for i in range(0, stop - first, 32):
-                    part = out[:, i:i + 32]
-                    size = part.shape[1] * rows
-                    fh.seek(start + (first + i) * rows * 8)
-                    # a file cut since its size was read fails the reshape
-                    part[...] = np.frombuffer(fh.read(size * 8)).reshape(
-                        part.shape[1], rows).T
-                return out
-
-            timestamps, labels = columns(0, 1)[:, 0], \
-                columns(cells - 1, cells)[:, 0]
-            frames = columns(group.channels.start + 1, group.channels.stop + 1)
-    except (OSError, ValueError):
+    """``_columns(rows, group)`` of the rows stored for the CSV bytes
+    ``digest``, ``rows`` being that file mapped read-only, a map no caller
+    sees; None when there is no such file, when it is not the ``.npy`` of
+    a (rows, 793) little-endian float64 array in Fortran order, of just
+    that size, or when the rows fail a check."""
+    target = sidecar_path(path, digest)
+    try:  # numpy's reader raises many types on bad bytes
+        rows = np.load(target, mmap_mode="r", allow_pickle=False)
+        size = os.stat(target).st_size
+    except Exception:
         return None
+    if (isinstance(rows, np.memmap) and rows.ndim == 2
+            and rows.shape[1] == len(CSV_HEADER)
+            and rows.dtype == np.dtype("<f8") and rows.flags.f_contiguous
+            and size == rows.offset + rows.nbytes):
+        return _columns(rows, group)
+    return None
+
+
+def _columns(rows, group: ChannelGroup):
+    """The timestamps, ``group``'s channels and the labels of ``rows``, a
+    (rows, 793) array of parsed cells, each a C-order copy that owns its
+    data; None when one of those rows fails a check, as no row a parse
+    returns does."""
+    timestamps, labels = np.array(rows[:, 0]), np.array(rows[:, -1])
+    frames = np.array(rows[:, 1:-1][:, group.channels], order="C")
+    # a label is checked before its cast, which makes a NaN an integer
     if _failed_checks(timestamps, frames, labels).any():
         return None
     return timestamps, frames, labels.astype(np.int64)
@@ -290,10 +282,11 @@ def ingest_csv(path, group: ChannelGroup = ChannelGroup.G791):
 
     A read of an ASCII file keeps the parsed rows in the sidecar
     :func:`sidecar_path` names by the SHA-256 of the bytes it parsed
-    (removing the CSV's others), and a later read of the same bytes takes
-    its cells from it, checked as a parse checks them: the same arrays,
-    bit for bit. Other bytes, or a missing, malformed or failing sidecar,
-    parse as if there were none. The file is opened once. While the CSV
+    (removing the CSV's others), and a later read of the same bytes maps
+    it with ``np.load`` and takes its columns as a parse does, through
+    :func:`_columns`, which checks them: the same arrays, bit for bit. No
+    map outlives the read. Other bytes, or a missing, malformed or failing
+    sidecar, parse as if there were none. The CSV is opened once. While it
     has a sidecar, a read first hashes the file streamed, so a hit holds
     none of its bytes; without one, a read is a miss and hashes the bytes
     it parses, once.
@@ -313,9 +306,7 @@ def ingest_csv(path, group: ChannelGroup = ChannelGroup.G791):
     del lines
     if store:
         _write_sidecar(path, digest, data)
-    return (data[:, 0].copy(),
-            np.ascontiguousarray(data[:, 1:-1][:, group.channels]),
-            data[:, -1].astype(np.int64))
+    return _columns(data, group)
 
 
 def _parse(path, lines: list[str]) -> np.ndarray:

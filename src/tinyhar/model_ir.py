@@ -174,9 +174,6 @@ class LayerSpec:
 
 
 def conv1d(in_channels: int, out_filters: int, kernel: int) -> LayerSpec:
-    if kernel < 1 or out_filters < 1 or in_channels < 1:
-        raise GraphError(f"conv1d needs positive dims, got "
-                         f"({in_channels}, {out_filters}, {kernel})")
     return LayerSpec(LayerKind.CONV1D, in_channels=in_channels,
                      out_filters=out_filters, kernel=kernel)
 
@@ -186,14 +183,10 @@ def relu() -> LayerSpec:
 
 
 def dropout(rate: float) -> LayerSpec:
-    if not 0.0 <= rate < 1.0:
-        raise GraphError(f"dropout rate must be in [0, 1), got {rate}")
     return LayerSpec(LayerKind.DROPOUT, rate=rate)
 
 
 def avg_pool1d(pool: int) -> LayerSpec:
-    if pool < 1:
-        raise GraphError(f"pool width must be >= 1, got {pool}")
     return LayerSpec(LayerKind.AVGPOOL1D, pool=pool)
 
 
@@ -202,8 +195,6 @@ def dense(in_dim: int, out_dim: int) -> LayerSpec:
 
 
 def lstm(in_dim: int, hidden: int) -> LayerSpec:
-    if hidden < 1:
-        raise GraphError(f"hidden size must be >= 1, got {hidden}")
     return LayerSpec(LayerKind.LSTM, in_dim=in_dim, hidden=hidden)
 
 
@@ -216,13 +207,18 @@ def flatten() -> LayerSpec:
 
 
 def layer_output_shape(spec: LayerSpec, shape: tuple[int, ...]) -> tuple[int, ...]:
-    """Shape produced by one layer given its input shape.
+    """Shape produced by one layer given its input shape, after checking
+    the layer's own attributes (a GraphError names a bad one).
 
     2D shapes are (time_steps, channels); 1D shapes are flat feature vectors.
     A Dense layer fed a sequence consumes the final time step.
     """
     kind = spec.kind
     if kind == LayerKind.CONV1D:
+        if min(spec.in_channels, spec.out_filters, spec.kernel) < 1:
+            raise GraphError(f"conv1d needs positive dims, got "
+                             f"({spec.in_channels}, {spec.out_filters}, "
+                             f"{spec.kernel})")
         if len(shape) != 2:
             raise ShapeMismatchError(f"conv1d needs a 2D input, got {shape}")
         steps, channels = shape
@@ -244,18 +240,25 @@ def layer_output_shape(spec: LayerSpec, shape: tuple[int, ...]) -> tuple[int, ..
     if kind == LayerKind.FLATTEN:
         return (int(np.prod(shape)),)
     if kind == LayerKind.DENSE:
+        if min(spec.in_dim, spec.out_dim) < 1:
+            raise GraphError(f"dense needs positive widths, got "
+                             f"({spec.in_dim}, {spec.out_dim})")
         in_dim = shape[-1]  # a sequence input: dense sees the last time step
         if in_dim != spec.in_dim:
             raise ShapeMismatchError(
                 f"dense expects {spec.in_dim} inputs, got {in_dim}")
         return (spec.out_dim,)
     if kind == LayerKind.LSTM:
+        if spec.hidden < 1:
+            raise GraphError(f"hidden size must be >= 1, got {spec.hidden}")
         if len(shape) != 2:
             raise ShapeMismatchError(f"lstm needs a 2D input, got {shape}")
         if shape[1] != spec.in_dim:
             raise ShapeMismatchError(
                 f"lstm expects {spec.in_dim} inputs, got {shape[1]}")
         return (shape[0], spec.hidden)
+    if kind == LayerKind.DROPOUT and not 0.0 <= spec.rate < 1.0:
+        raise GraphError(f"dropout rate must be in [0, 1), got {spec.rate}")
     # RELU / DROPOUT / SOFTMAX are shape-preserving
     return shape
 
@@ -295,8 +298,9 @@ def init_params(layers: tuple[LayerSpec, ...], seed: int) -> tuple[dict, ...]:
         for name, shape in shapes.items():
             if name.startswith("b"):
                 layer_params[name] = np.zeros(shape, dtype=np.float32)
-            else:  # fan-in: every weight axis but the output one
-                limit = math.sqrt(6.0 / math.prod(shape[:-1]))
+            else:  # fan-in: every weight axis but the output one; an
+                # empty weight, of a dim check_layers rejects, takes any
+                limit = math.sqrt(6.0 / max(1, math.prod(shape[:-1])))
                 layer_params[name] = rng.uniform(
                     -limit, limit, size=shape).astype(np.float32)
         params.append(layer_params)

@@ -9,9 +9,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tinyhar import benchlab, cli, mcu, modelfile
 from tinyhar.cli import main
-from tinyhar.datapipe import (ChannelGroup, make_windows, normalize,
-                              sidecar_path, split_by_session)
-from tinyhar.model_ir import ModelGraph, build_mc_cnn
+from tinyhar.datapipe import (ChannelGroup, DatasetStats, make_windows,
+                              normalize, sidecar_path, split_by_session)
+from tinyhar.model_ir import (ModelGraph, build_deep_conv_lstm, build_mc_cnn,
+                              dense, init_params, softmax)
 from tinyhar.quantizer import QuantizedModel
 
 
@@ -255,6 +256,27 @@ class TestEval:
         assert run("eval", "--model", str(bad), "--data", str(dataset),
                    "--out", str(tmp_path / "o")) == 1
 
+    @pytest.mark.parametrize("arch", ["dense only", "deep_conv_lstm"])
+    def test_model_other_than_mc_cnn_exits_one_naming_it(
+            self, dataset, tmp_path, capsys, ingested, arch):
+        """A valid model with statistics that has no conv layer, or an
+        LSTM, is refused before any CSV is read."""
+        if arch == "dense only":
+            layers = (dense(17, 15), softmax())
+            graph = ModelGraph(layers, init_params(layers, 0), (12, 17), 15)
+        else:
+            graph = build_deep_conv_lstm(17, 12, 4, hidden=5)
+        stats = DatasetStats(mean=np.zeros(17), std=np.ones(17))
+        path = tmp_path / "model.thar"
+        modelfile.save(ModelGraph(graph.layers, graph.params, (12, 17), 15,
+                                  stats), path)
+        assert run("eval", "--model", str(path), "--data", str(dataset),
+                   "--held-out-session", "2",
+                   "--out", str(tmp_path / "o")) == 1
+        assert f"{path}: eval supports MC-CNN models only" in \
+            capsys.readouterr().err
+        assert ingested == []
+
 
 class TestUnreadCells:
     """train, eval and quantize check every cell of every row of each CSV
@@ -423,7 +445,15 @@ class TestStoredStats:
         assert run("train", "--data", str(long_dataset), "--group", "17",
                    "--filters", "8", "--epochs", "1", "--window-len", "12",
                    "--held-out-session", "3", "--out", str(tmp_path)) == 0
-        assert ingested == [(session_csv(long_dataset, s), ChannelGroup.G791)
+        assert ingested == [(session_csv(long_dataset, s), ChannelGroup.G17)
+                            for s in (1, 2, 3)]
+
+    def test_train_reads_its_channel_group(self, long_dataset, tmp_path,
+                                           ingested):
+        assert run("train", "--data", str(long_dataset), "--group", "23",
+                   "--filters", "8", "--epochs", "1", "--window-len", "12",
+                   "--held-out-session", "3", "--out", str(tmp_path)) == 0
+        assert ingested == [(session_csv(long_dataset, s), ChannelGroup.G23)
                             for s in (1, 2, 3)]
 
     def test_stats_round_trip_through_float_and_int8_files(

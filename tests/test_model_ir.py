@@ -72,6 +72,19 @@ class TestBuildDeepConvLstm:
             build_deep_conv_lstm(23, 3, 32)  # 4 valid k=3 convs eat 8 steps
 
 
+@pytest.mark.parametrize("build", [
+    lambda: build_mc_cnn(23, 24, 0),
+    lambda: build_mc_cnn(0, 24, 16),
+    lambda: build_mc_cnn(23, 24, 16, dense_width=0),
+    lambda: build_deep_conv_lstm(6, 12, 0),
+    lambda: build_deep_conv_lstm(6, 12, 4, hidden=0)],
+    ids=["no filters", "no channels", "no dense width", "dcl no filters",
+         "no hidden"])
+def test_builders_reject_a_zero_dim(build):
+    with pytest.raises(model_ir.GraphError):
+        build()
+
+
 class TestParamCount:
     def test_dense(self):
         assert model_ir.layer_param_count(model_ir.dense(10, 15)) == 165

@@ -1,6 +1,7 @@
 import dataclasses
 import struct
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from tinyhar import float_engine as fe
 from tinyhar import int8_engine as ie
-from tinyhar import modelfile
+from tinyhar import model_ir, modelfile
 from tinyhar.datapipe import DatasetStats
 from tinyhar.model_ir import (LayerKind, ModelGraph, ShapeMismatchError,
                               build_deep_conv_lstm, build_mc_cnn)
@@ -173,6 +174,60 @@ def test_bad_layer_kind_raises_corrupt_header(float_graph, quant_model, kind):
         data = body(model)
         data[HEADER_BYTES + LAYER_RECORD_BYTES] = kind
         with pytest.raises(CorruptHeaderError):
+            deserialize(sealed(data))
+
+
+def unchecked_file(graph, edits) -> bytes:
+    """The file ``serialize`` writes for ``graph`` with the layer
+    attributes ``edits`` ({layer index: {field: value}}) and zero
+    parameters of the shapes those layers take, built without
+    ``check_layers``: a file whose CRC holds around layers no builder
+    makes."""
+    layers = list(graph.layers)
+    for index, fields in edits.items():
+        layers[index] = dataclasses.replace(layers[index], **fields)
+    params = tuple({name: np.zeros(shape, np.float32) for name, shape in
+                    model_ir.param_shapes(spec).items()} for spec in layers)
+    with mock.patch.object(model_ir, "check_layers"):
+        bad = ModelGraph(tuple(layers), params, graph.input_shape,
+                         graph.num_classes)
+    return serialize(bad)
+
+
+# layers of build_mc_cnn(23, 24, 16, dense_width=8): 0 and 2 conv, 4
+# dropout, 7 and 9 dense; of build_deep_conv_lstm(6, 12, 4, hidden=5): 8
+# and 9 LSTM. Each set of edits keeps every shape after it consistent.
+BAD_LAYERS = {
+    "conv kernel 0": ("mc_cnn", {2: {"kernel": 0}, 7: {"in_dim": 44}}),
+    "conv filters 0": ("mc_cnn", {0: {"out_filters": 0},
+                                  2: {"in_channels": 0}}),
+    "dense width 0": ("mc_cnn", {7: {"out_dim": 0}, 9: {"in_dim": 0}}),
+    "dropout rate 1.5": ("mc_cnn", {4: {"rate": 1.5}}),
+    "dropout rate nan": ("mc_cnn", {4: {"rate": float("nan")}}),
+    "lstm hidden 0": ("deep_conv_lstm", {8: {"hidden": 0},
+                                         9: {"in_dim": 0}}),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_LAYERS)
+def test_bad_layer_attribute_raises_corrupt_header(float_graph, bad):
+    arch, edits = BAD_LAYERS[bad]
+    graph = (float_graph if arch == "mc_cnn"
+             else build_deep_conv_lstm(6, 12, 4, hidden=5, seed=0))
+    with pytest.raises(CorruptHeaderError, match="malformed model file"):
+        deserialize(unchecked_file(graph, edits))
+
+
+@pytest.mark.parametrize("rate", [1.0, 1.5, -0.1, np.nan, np.inf])
+def test_bad_dropout_rate_raises_corrupt_header(float_graph, quant_model,
+                                                rate):
+    # layer 4's record: kind, seven u32 attributes, then the f64 rate
+    start = HEADER_BYTES + 4 * LAYER_RECORD_BYTES + struct.calcsize("<B7I")
+    for model in (float_graph, quant_model):
+        data = body(model)
+        assert struct.unpack_from("<d", data, start) == (0.2,)
+        data[start:start + 8] = struct.pack("<d", rate)
+        with pytest.raises(CorruptHeaderError, match="dropout rate"):
             deserialize(sealed(data))
 
 
