@@ -154,11 +154,10 @@ def evaluate(model, arch: str, group: ChannelGroup, level: str, filters: int,
     """The report of a float ModelGraph or a QuantizedModel whose
     serialized size is ``size`` bytes: that size and MCU estimates, plus
     accuracy, macro F1 and confusion on ``samples`` when given."""
-    precision = (Precision.INT8_FULL if isinstance(model, QuantizedModel)
-                 else Precision.FLOAT32)
     report = EvalReport(arch=arch, group=group, level=level, filters=filters,
-                        precision=precision, model_size_bytes=size,
-                        mcu_results=mcu_results_for(model, precision, size))
+                        precision=model.precision, model_size_bytes=size,
+                        mcu_results=mcu_results_for(model, model.precision,
+                                                    size))
     if samples is not None:
         preds, labels = classify(model, samples)
         report.accuracy = metrics.accuracy(preds, labels)

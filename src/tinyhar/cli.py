@@ -23,7 +23,7 @@ from .datapipe import (SYNC_RATE_HZ, ChannelGroup, SessionRecording,
                        ingest_csv, make_windows, normalize, stack_windows,
                        write_csv)
 from .model_ir import LayerKind, ModelGraph, build_mc_cnn
-from .quantizer import QuantizedModel, quantize_model
+from .quantizer import quantize_model
 
 
 class CliError(Exception):
@@ -221,28 +221,20 @@ def cmd_quantize(args) -> int:
     return 0
 
 
-def _arch_of(layers) -> str:
-    return ("deep_conv_lstm" if any(s.kind == LayerKind.LSTM for s in layers)
-            else "mc_cnn")
-
-
 def cmd_eval(args) -> int:
     outdir = Path(args.out)
     model = _load_model(args.model)
     _require_stats(model, args.model)
     _require_positive(args, "--stride")
-    layers = (tuple(ql.spec for ql in model.layers)
-              if isinstance(model, QuantizedModel) else model.layers)
-    arch = _arch_of(layers)
-    convs = [s for s in layers if s.kind == LayerKind.CONV1D]
-    if arch != "mc_cnn" or not convs:
+    convs = [s for s in model.specs if s.kind == LayerKind.CONV1D]
+    if not convs or any(s.kind == LayerKind.LSTM for s in model.specs):
         raise CliError(f"{args.model}: eval supports MC-CNN models only")
     group = ChannelGroup.from_width(model.input_shape[1])
     test_set = _windows(model, list(_iter_sessions(
         args.data, lambda s: s == args.held_out_session, group)),
         args.stride)
     _require_windows(test_set, args.held_out_session)
-    report = benchlab.evaluate(model, arch, group, "custom",
+    report = benchlab.evaluate(model, "mc_cnn", group, "custom",
                                convs[0].out_filters,
                                Path(args.model).stat().st_size, test_set)
     benchlab.render_report([report], outdir)
@@ -268,6 +260,13 @@ def cmd_bench(args) -> int:
 
 def cmd_sweep(args) -> int:
     outdir = Path(args.out)
+    _require_positive(args, "--batch-size", "--jobs", "--window-len",
+                      "--stride", "--max-eval-windows")
+    if args.epochs < 0:
+        raise CliError(f"--epochs must be at least 0, got {args.epochs}")
+    if not 0 < args.learning_rate < 1:
+        raise CliError(f"--learning-rate must be in (0, 1), got "
+                       f"{args.learning_rate}")
     cfg = SweepConfig(window_len=args.window_len, stride=args.stride,
                       held_out_session=args.held_out_session, seed=args.seed,
                       train_epochs=args.epochs, batch_size=args.batch_size,

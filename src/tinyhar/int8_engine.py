@@ -225,8 +225,7 @@ def run_layers(model: QuantizedModel, q_value,
             return softmax_int8(q, ql.in_qp, ql.out_qp)
         return q  # a dropout is the identity at inference
 
-    for q_value in float_engine.drive_layers(
-            [ql.spec for ql in model.layers], q_value, kernel):
+    for q_value in float_engine.drive_layers(model.specs, q_value, kernel):
         pass
     return q_value
 

@@ -6,6 +6,9 @@ flash, SRAM) plus measured active-power figures per precision. The latency
 model is a MAC-count heuristic: wall time = MACs * cycles_per_mac /
 (clock * core_factor), with core_factor capturing M7-vs-M4 throughput beyond
 the raw clock ratio and a cycle penalty for float math.
+
+A model is read only through its ``specs``, ``input_shape`` and
+``precision``, which a ``ModelGraph`` and a ``QuantizedModel`` both expose.
 """
 from __future__ import annotations
 
@@ -13,8 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .model_ir import LayerKind, ModelGraph, Precision, output_shapes
-from .quantizer import QuantizedModel
+from .model_ir import LayerKind, Precision, output_shapes
 
 KIB = 1024
 MIB = 1024 * KIB
@@ -128,36 +130,21 @@ def fits_on(model_size: int, arena_estimate: int,
     )
 
 
-def _graph_of(model) -> tuple[tuple, tuple[int, int]]:
-    if isinstance(model, QuantizedModel):
-        return tuple(ql.spec for ql in model.layers), model.input_shape
-    return model.layers, model.input_shape
-
-
-def _activation_elements(model) -> list[tuple[int, int]]:
-    """Per-layer (input elements, output elements)."""
-    layers, input_shape = _graph_of(model)
-    shapes = output_shapes(layers, input_shape)
-    sizes = [math.prod(shape) for shape in [input_shape, *shapes]]
-    return [(sizes[i], sizes[i + 1]) for i in range(len(layers))]
-
-
 def estimate_arena(model, precision: Precision | None = None) -> int:
-    """Peak of (input + output activation bytes) over all layers."""
-    if precision is None:
-        precision = (Precision.INT8_FULL if isinstance(model, QuantizedModel)
-                     else Precision.FLOAT32)
+    """Peak of (input + output activation bytes) over all layers, at
+    ``precision`` or, when it is None, at the model's own."""
+    precision = model.precision if precision is None else precision
     bytes_per = 1 if precision == Precision.INT8_FULL else 4
-    return max((inp + out) * bytes_per
-               for inp, out in _activation_elements(model))
+    shapes = output_shapes(model.specs, model.input_shape)
+    sizes = [math.prod(shape) for shape in [model.input_shape, *shapes]]
+    return max(inp + out for inp, out in zip(sizes, sizes[1:])) * bytes_per
 
 
 def mac_count(model) -> int:
     """Multiply-accumulate operations for one inference."""
-    layers, input_shape = _graph_of(model)
-    shapes = output_shapes(layers, input_shape)
+    shapes = output_shapes(model.specs, model.input_shape)
     total = 0
-    for spec, out_shape in zip(layers, shapes):
+    for spec, out_shape in zip(model.specs, shapes):
         if spec.kind == LayerKind.CONV1D:
             total += out_shape[0] * spec.kernel * spec.in_channels * spec.out_filters
         elif spec.kind == LayerKind.DENSE:
@@ -170,10 +157,9 @@ def mac_count(model) -> int:
 
 def estimate_latency(model, profile: McuProfile,
                      precision: Precision | None = None) -> float:
-    """Estimated inference time in milliseconds."""
-    if precision is None:
-        precision = (Precision.INT8_FULL if isinstance(model, QuantizedModel)
-                     else Precision.FLOAT32)
+    """Estimated inference time in milliseconds, at ``precision`` or, when
+    it is None, at the model's own."""
+    precision = model.precision if precision is None else precision
     cycles = (INT8_CYCLES_PER_MAC if precision == Precision.INT8_FULL
               else FLOAT32_CYCLES_PER_MAC)
     seconds = mac_count(model) * cycles / (profile.clock_hz * profile.core_factor)

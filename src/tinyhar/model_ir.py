@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -360,11 +361,17 @@ class ModelGraph:
     z-score statistics of the windows the graph was trained on, when known.
     """
 
+    precision: ClassVar[Precision] = Precision.FLOAT32
     layers: tuple[LayerSpec, ...]
     params: tuple[dict[str, np.ndarray], ...]
     input_shape: tuple[int, int]
     num_classes: int
     stats: DatasetStats | None = None
+
+    @property
+    def specs(self) -> tuple[LayerSpec, ...]:
+        """The layer specs, as every model type names them."""
+        return self.layers
 
     def __post_init__(self):
         check_layers(self.layers, self.params, self.input_shape,

@@ -175,19 +175,18 @@ def _read_specs(r: _Reader):
 
 def serialize(model) -> bytes:
     """Serialize a ModelGraph (float32) or QuantizedModel (int8 full)."""
+    if not isinstance(model, (ModelGraph, QuantizedModel)):
+        raise TypeError(f"cannot serialize {type(model).__name__}")
     w = _Writer()
     w.raw(MAGIC)
+    w.pack("IB", VERSION, model.precision.value)
+    _write_specs(w, model.specs, model.input_shape, model.num_classes)
     if isinstance(model, ModelGraph):
-        w.pack("IB", VERSION, Precision.FLOAT32.value)
-        _write_specs(w, model.layers, model.input_shape, model.num_classes)
         for layer_params in model.params:
             w.pack("I", len(layer_params))
             for name in sorted(layer_params):
                 w.tensor(name, layer_params[name].astype(_FLOAT32))
-    elif isinstance(model, QuantizedModel):
-        w.pack("IB", VERSION, Precision.INT8_FULL.value)
-        _write_specs(w, tuple(ql.spec for ql in model.layers),
-                     model.input_shape, model.num_classes)
+    else:
         w.qp(model.input_qp)
         for ql in model.layers:
             w.qp(ql.in_qp)
@@ -207,8 +206,6 @@ def serialize(model) -> bytes:
             else:
                 w.pack("B", 1)
                 w.tensor("b", ql.bias.astype(_INT32))
-    else:
-        raise TypeError(f"cannot serialize {type(model).__name__}")
     w.stats(model.stats)
     return w.sealed()
 

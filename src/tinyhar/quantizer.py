@@ -18,14 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import frexp, isfinite
+from typing import ClassVar
 
 import numpy as np
 
 from . import float_engine
 from .float_engine import PackedLSTM
 from .datapipe import DatasetStats
-from .model_ir import (GraphError, LayerKind, ModelGraph, check_layers,
-                       check_stats, map_blocks, param_shapes)
+from .model_ir import (GraphError, LayerKind, LayerSpec, ModelGraph,
+                       Precision, check_layers, check_stats, map_blocks,
+                       param_shapes)
 
 # fixed output coding for the final softmax: probabilities in [0, 1)
 SOFTMAX_SCALE = 1.0 / 256.0
@@ -218,7 +220,7 @@ def pack_lstm(weights: dict, weight_qps: dict, bias: np.ndarray,
 class QLayer:
     """One quantized layer: the structural spec plus integer parameters."""
 
-    spec: object  # LayerSpec
+    spec: LayerSpec
     in_qp: QuantParams
     out_qp: QuantParams
     weights: dict | None = None       # name -> int8 ndarray
@@ -247,14 +249,20 @@ class QuantizedModel:
     each requantizing layer, and the bound of every accumulator. ``stats``
     are the float graph's, checked by ``model_ir.check_stats``."""
 
+    precision: ClassVar[Precision] = Precision.INT8_FULL
     layers: list[QLayer]
     input_shape: tuple[int, int]
     num_classes: int
     input_qp: QuantParams
     stats: DatasetStats | None = None
 
+    @property
+    def specs(self) -> tuple[LayerSpec, ...]:
+        """The layer specs, as every model type names them."""
+        return tuple(ql.spec for ql in self.layers)
+
     def __post_init__(self):
-        check_layers(tuple(ql.spec for ql in self.layers),
+        check_layers(self.specs,
                      [{**(ql.weights or {}),
                        **({} if ql.bias is None else {"b": ql.bias})}
                       for ql in self.layers],

@@ -729,7 +729,8 @@ class TestSweepCommand:
             self, dataset, tmp_path, capsys, unread, windows):
         assert run("sweep", "--data", str(dataset), "--max-eval-windows",
                    windows, "--out", str(tmp_path)) == 1
-        assert "max_eval_windows must be >= 1" in capsys.readouterr().err
+        assert f"--max-eval-windows must be at least 1, got {windows}" \
+            in capsys.readouterr().err
         assert not (tmp_path / "report.csv").exists()
 
     @pytest.mark.parametrize("flag, field", [("--stride", "stride"),
@@ -738,7 +739,25 @@ class TestSweepCommand:
             self, dataset, tmp_path, capsys, unread, flag, field):
         assert run("sweep", "--data", str(dataset), flag, "0",
                    "--out", str(tmp_path)) == 1
-        assert f"{field} must be >= 1" in capsys.readouterr().err
+        err = capsys.readouterr().err  # names the flag, not the config field
+        assert f"{flag} must be at least 1, got 0" in err
+        assert f"{field} must be >= 1" not in err
+        assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize("flag, value, rule", [
+        ("--batch-size", "0", "at least 1"),
+        ("--batch-size", "-4", "at least 1"), ("--jobs", "0", "at least 1"),
+        ("--epochs", "-2", "at least 0"),
+        ("--learning-rate", "7", "in (0, 1)"),
+        ("--learning-rate", "0", "in (0, 1)"),
+        ("--learning-rate", "1", "in (0, 1)"),
+        ("--learning-rate", "nan", "in (0, 1)")])
+    def test_bad_training_flag_exits_one_unread(
+            self, dataset, tmp_path, capsys, ingested, flag, value, rule):
+        assert run("sweep", "--data", str(dataset), flag, value,
+                   "--out", str(tmp_path)) == 1
+        assert f"{flag} must be {rule}, got " in capsys.readouterr().err
+        assert ingested == []
         assert not (tmp_path / "report.csv").exists()
 
 

@@ -627,18 +627,26 @@ class TestSidecar:
         _assert_same(dp.ingest_csv(stored), want)
 
     @pytest.mark.parametrize("cut", [8, 5])
-    def test_a_sidecar_cut_after_its_size_is_read_is_a_miss(
+    def test_a_sidecar_cut_between_its_map_and_its_size_is_a_miss(
             self, stored, parses, monkeypatch, cut):
+        # the read maps the sidecar whole, then takes its size: the cut
+        # lands in that gap, so the map covers bytes the file lost
         sidecar = _sidecar(stored)
         good = sidecar.read_bytes()
-        sidecar.write_bytes(good[:-cut])
         want = _parsed(stored)
         parses.clear()
-        with monkeypatch.context() as patch:  # the size it had when checked
-            patch.setattr(dp.os, "fstat",
-                          lambda fd: mock.Mock(st_size=len(good)))
+        stat, cuts = dp.os.stat, []
+
+        def cut_then_stat(target, *args, **kwargs):
+            if target == sidecar and not cuts:
+                cuts.append(target)
+                dp.os.truncate(sidecar, len(good) - cut)
+            return stat(target, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(dp.os, "stat", cut_then_stat)
             _assert_same(dp.ingest_csv(stored), want)
-        assert parses and sidecar.read_bytes() == good
+        assert cuts and parses and sidecar.read_bytes() == good
 
     def test_a_failed_write_is_ignored(self, tmp_path, monkeypatch):
         path = tmp_path / "rec.csv"

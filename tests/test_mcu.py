@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from tinyhar import mcu, modelfile
-from tinyhar.model_ir import (ModelGraph, Precision, avg_pool1d, build_mc_cnn,
-                              conv1d, dense, flatten, init_params, relu,
-                              softmax)
+from tinyhar.model_ir import (ModelGraph, Precision, avg_pool1d,
+                              build_deep_conv_lstm, build_mc_cnn, conv1d,
+                              dense, flatten, init_params, relu, softmax)
 from tinyhar.quantizer import quantize_model
 
 KIB = 1024
@@ -139,6 +139,14 @@ class TestArena:
         qm = quantize_model(graph, [rng.normal(size=(16, 4))])
         assert mcu.estimate_arena(qm) == mcu.estimate_arena(
             graph, Precision.INT8_FULL)
+
+    def test_quantized_lstm_model_counts_as_its_graph_at_int8(self):
+        graph = build_deep_conv_lstm(4, 16, 8, hidden=6, seed=1)
+        rng = np.random.default_rng(2)
+        qm = quantize_model(graph, [rng.normal(size=(16, 4))])
+        assert mcu.estimate_arena(qm) == mcu.estimate_arena(
+            graph, Precision.INT8_FULL)
+        assert mcu.mac_count(qm) == mcu.mac_count(graph) > 0
 
 
 class TestMacCount:

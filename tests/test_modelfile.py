@@ -1,5 +1,6 @@
 import dataclasses
 import struct
+import types
 import zlib
 from unittest import mock
 
@@ -11,8 +12,9 @@ from tinyhar import float_engine as fe
 from tinyhar import int8_engine as ie
 from tinyhar import model_ir, modelfile
 from tinyhar.datapipe import DatasetStats
-from tinyhar.model_ir import (LayerKind, ModelGraph, ShapeMismatchError,
-                              build_deep_conv_lstm, build_mc_cnn)
+from tinyhar.model_ir import (LayerKind, ModelGraph, Precision,
+                              ShapeMismatchError, build_deep_conv_lstm,
+                              build_mc_cnn)
 from tinyhar.modelfile import (ChecksumError, CorruptHeaderError,
                                ModelFileError, TruncatedPayloadError,
                                VersionMismatchError, deserialize, serialize)
@@ -127,6 +129,35 @@ def test_lstm_graph_round_trip():
     for orig, back in zip(g.params, restored.params):
         for name in orig:
             assert np.array_equal(orig[name], back[name])
+
+
+@pytest.mark.parametrize("arch", ["mc_cnn", "lstm"])
+def test_a_model_states_its_specs_and_precision(float_graph, quant_model,
+                                                lstm_quant_model, arch,
+                                                tmp_path):
+    # built, quantized and loaded models alike; the file's precision byte
+    # follows the magic and the u32 version
+    graph, qmodel = ((float_graph, quant_model) if arch == "mc_cnn" else
+                     (build_deep_conv_lstm(23, 24, 8, hidden=6, seed=1),
+                      lstm_quant_model))
+    for model, precision in ((graph, Precision.FLOAT32),
+                             (qmodel, Precision.INT8_FULL)):
+        path = tmp_path / f"{precision.name}.thar"
+        modelfile.save(model, path)
+        for m in (model, modelfile.load(path)):
+            assert m.precision is precision
+            assert m.specs == graph.layers
+        assert path.read_bytes()[len(modelfile.MAGIC) + 4] == precision.value
+
+
+def test_serialize_refuses_another_object(float_graph):
+    stand_in = types.SimpleNamespace(
+        precision=Precision.FLOAT32, specs=float_graph.layers,
+        layers=float_graph.layers, params=float_graph.params,
+        input_shape=float_graph.input_shape,
+        num_classes=float_graph.num_classes, stats=None)
+    with pytest.raises(TypeError, match="cannot serialize SimpleNamespace"):
+        serialize(stand_in)
 
 
 def test_wrong_magic_rejected(float_graph):
