@@ -17,6 +17,7 @@ import numpy as np
 from tinyhar import datapipe as dp
 from tinyhar import metrics, modelfile, training
 from tinyhar.benchlab import classify, mcu_results_for, prepared_windows
+from tinyhar.cli import count, duration, filter_count, nonnegative
 from tinyhar.model_ir import Precision, build_mc_cnn
 from tinyhar.quantizer import quantize_model
 from tinyhar.synth import synth_generate
@@ -24,12 +25,12 @@ from tinyhar.synth import synth_generate
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--seed", type=nonnegative, default=7)
     parser.add_argument("--group", type=int, default=23,
                         choices=[17, 23, 768, 791])
-    parser.add_argument("--filters", type=int, default=128)
-    parser.add_argument("--epochs", type=int, default=5)
-    parser.add_argument("--duration-s", type=float, default=420.0)
+    parser.add_argument("--filters", type=filter_count, default=128)
+    parser.add_argument("--epochs", type=count, default=5)
+    parser.add_argument("--duration-s", type=duration, default=420.0)
     parser.add_argument("--out", default="runs/pipeline")
     args = parser.parse_args()
 

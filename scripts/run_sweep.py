@@ -11,29 +11,27 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from tinyhar import benchlab
+from tinyhar.cli import count, duration, nonnegative
 from tinyhar.synth import synth_generate
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--duration-s", type=float, default=300.0)
-    parser.add_argument("--epochs", type=int, default=3)
-    parser.add_argument("--max-eval-windows", type=int, default=300)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--seed", type=nonnegative, default=0)
+    parser.add_argument("--duration-s", type=duration, default=300.0)
+    parser.add_argument("--epochs", type=nonnegative, default=3)
+    parser.add_argument("--max-eval-windows", type=count, default=300)
+    parser.add_argument("--jobs", type=count, default=1)
     parser.add_argument("--host-latency", action="store_true",
                         help="also measure host wall-clock latency "
                              "(makes the CSV nondeterministic)")
     parser.add_argument("--out", default="runs/sweep")
     args = parser.parse_args()
 
-    try:
-        cfg = benchlab.SweepConfig(seed=args.seed, train_epochs=args.epochs,
-                                   max_eval_windows=args.max_eval_windows,
-                                   measure_host_latency=args.host_latency,
-                                   jobs=args.jobs)
-    except ValueError as exc:
-        parser.error(str(exc))
+    cfg = benchlab.SweepConfig(seed=args.seed, train_epochs=args.epochs,
+                               max_eval_windows=args.max_eval_windows,
+                               measure_host_latency=args.host_latency,
+                               jobs=args.jobs)
     sessions = synth_generate(args.seed, subjects=2, sessions_per_subject=5,
                               duration_s=args.duration_s)
     started = time.monotonic()

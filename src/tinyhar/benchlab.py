@@ -57,10 +57,14 @@ class SweepConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        for name in ("window_len", "stride", "rep_windows",
-                     "max_eval_windows"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for names, ok, rule in (  # held_out_session may name any session
+                (("window_len", "stride", "rep_windows", "max_eval_windows",
+                  "batch_size", "jobs"), lambda n: n >= 1, ">= 1"),
+                (("seed", "train_epochs"), lambda n: n >= 0, ">= 0"),
+                (("learning_rate",), lambda x: 0 < x < 1, "in (0, 1)")):
+            for name in names:
+                if not ok(value := getattr(self, name)):
+                    raise ValueError(f"{name} must be {rule}, got {value}")
 
 
 @dataclass

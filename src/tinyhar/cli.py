@@ -1,7 +1,9 @@
 """Batch command line: synth, train, quantize, eval, bench, sweep, mcu-check.
 
 Exit codes: 0 success, 1 validation error (bad flags, missing or malformed
-inputs), 2 runtime failure. Every run writes a config echo JSON capturing
+inputs), 2 runtime failure. Each numeric flag's range is checked by its
+argparse type, so a bad flag or ``--config`` value exits 1 naming it
+before any input is read. Every run writes a config echo JSON capturing
 the effective flag values into its output directory. All outputs are
 deterministic given --seed at a fixed BLAS thread count (host latency
 measurements excepted): a GEMM's summation order, and so a float
@@ -33,6 +35,26 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliError(message)
+
+
+def checked(parse, ok, rule: str):
+    """An argparse type: ``parse`` the text, then reject it unless ``ok``."""
+    def check(text):
+        value = parse(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    check.__name__ = parse.__name__  # argparse names a bad parse by it
+    return check
+
+
+count = checked(int, lambda n: n >= 1, "at least 1")
+nonnegative = checked(int, lambda n: n >= 0, "at least 0")
+rate = checked(float, lambda x: 0 < x < 1, "in (0, 1)")
+filter_count = checked(int, lambda n: n >= 1 and n % 4 == 0,
+                       "a positive multiple of 4")
+duration = checked(float, lambda s: 1 <= s * SYNC_RATE_HZ < np.inf,
+                   f"finite and at least one {SYNC_RATE_HZ:g} Hz frame")
 
 
 def _write_config_echo(outdir: Path, args: argparse.Namespace) -> None:
@@ -107,14 +129,6 @@ def _load_model(path: str):
                        f"(and `tinyhar quantize`)") from None
 
 
-def _require_positive(args, *flags: str) -> None:
-    """Raises, naming the flag, unless each of ``flags`` is at least 1."""
-    for flag in flags:
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if value < 1:
-            raise CliError(f"{flag} must be at least 1, got {value}")
-
-
 def _require_windows(windows, held_out_session: int) -> None:
     """Raises, naming the flag, if the held-out session gave no windows."""
     if not windows:
@@ -132,10 +146,6 @@ def _require_stats(model, path: str) -> None:
 
 def cmd_synth(args) -> int:
     outdir = Path(args.out)
-    _require_positive(args, "--subjects", "--sessions")
-    if not 1 <= args.duration_s * SYNC_RATE_HZ < np.inf:
-        raise CliError(f"--duration-s must hold at least one "
-                       f"{SYNC_RATE_HZ:g} Hz frame, got {args.duration_s}")
     sessions = synth.synth_generate(args.seed, subjects=args.subjects,
                                     sessions_per_subject=args.sessions,
                                     duration_s=args.duration_s)
@@ -156,10 +166,6 @@ def cmd_train(args) -> int:
     cfg = training.TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
                                learning_rate=args.learning_rate,
                                seed=args.seed)
-    _require_positive(args, "--window-len", "--stride", "--filters")
-    if args.filters % 4:
-        raise CliError(f"--filters must be a multiple of 4, got "
-                       f"{args.filters}")
     group = ChannelGroup.from_width(args.group)
     sessions = _load_dataset(args.data, group)
     train_set, test_set, stats = benchlab.prepared_windows(
@@ -195,23 +201,22 @@ def cmd_quantize(args) -> int:
     if not isinstance(model, ModelGraph):
         raise CliError(f"{args.model} is already quantized")
     _require_stats(model, args.model)
-    _require_positive(args, "--rep-windows", "--stride")
     # the first --rep-windows training windows, read session by session
-    sessions, count = [], 0
+    sessions, seen = [], 0
     window_len, channels = model.input_shape
     for rec in _iter_sessions(args.data,
                               lambda s: s != args.held_out_session,
                               ChannelGroup.from_width(channels)):
         sessions.append(rec)
-        count += len(range(0, len(rec.labels) - window_len + 1, args.stride))
-        if count >= args.rep_windows:
+        seen += len(range(0, len(rec.labels) - window_len + 1, args.stride))
+        if seen >= args.rep_windows:
             break
     rep_set = _windows(model, sessions, args.stride)[:args.rep_windows]
     if not rep_set:
         raise CliError(f"no representative windows: --rep-windows "
                        f"{args.rep_windows}, and the sessions other than "
                        f"held-out session {args.held_out_session} hold "
-                       f"{count} windows")
+                       f"{seen} windows")
     qmodel = quantize_model(model, rep_set)
     out_path = outdir / "model_int8.thar"
     size = modelfile.save(qmodel, out_path)
@@ -225,7 +230,6 @@ def cmd_eval(args) -> int:
     outdir = Path(args.out)
     model = _load_model(args.model)
     _require_stats(model, args.model)
-    _require_positive(args, "--stride")
     convs = [s for s in model.specs if s.kind == LayerKind.CONV1D]
     if not convs or any(s.kind == LayerKind.LSTM for s in model.specs):
         raise CliError(f"{args.model}: eval supports MC-CNN models only")
@@ -245,7 +249,6 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     outdir = Path(args.out)
-    _require_positive(args, "--reps")
     model = _load_model(args.model)
     rng = np.random.default_rng(args.seed)
     window = rng.normal(size=model.input_shape)
@@ -260,13 +263,6 @@ def cmd_bench(args) -> int:
 
 def cmd_sweep(args) -> int:
     outdir = Path(args.out)
-    _require_positive(args, "--batch-size", "--jobs", "--window-len",
-                      "--stride", "--max-eval-windows")
-    if args.epochs < 0:
-        raise CliError(f"--epochs must be at least 0, got {args.epochs}")
-    if not 0 < args.learning_rate < 1:
-        raise CliError(f"--learning-rate must be in (0, 1), got "
-                       f"{args.learning_rate}")
     cfg = SweepConfig(window_len=args.window_len, stride=args.stride,
                       held_out_session=args.held_out_session, seed=args.seed,
                       train_epochs=args.epochs, batch_size=args.batch_size,
@@ -318,26 +314,26 @@ def build_parser() -> _Parser:
         p.set_defaults(func=func)
         p.add_argument("--config", default=None,
                        help="JSON config file; explicit flags win")
-        p.add_argument("--seed", type=int, default=0, help="PRNG seed")
+        p.add_argument("--seed", type=nonnegative, default=0, help="PRNG seed")
         p.add_argument("--out", default=f"runs/{name}",
                        help="output directory")
         return p
 
     p = add("synth", cmd_synth, "generate a synthetic labeled dataset")
-    p.add_argument("--subjects", type=int, default=2, help="subject count")
-    p.add_argument("--sessions", type=int, default=5,
+    p.add_argument("--subjects", type=count, default=2, help="subject count")
+    p.add_argument("--sessions", type=count, default=5,
                    help="sessions per subject")
-    p.add_argument("--duration-s", type=float, default=300.0,
+    p.add_argument("--duration-s", type=duration, default=300.0,
                    help="session length in seconds")
 
     def add_split(p):  # a model file fixes its own window length
-        p.add_argument("--stride", type=int, default=12,
+        p.add_argument("--stride", type=count, default=12,
                        help="window stride in samples")
         p.add_argument("--held-out-session", type=int, default=5,
                        help="session id held out as test split")
 
     def add_windowing(p):
-        p.add_argument("--window-len", type=int, default=24,
+        p.add_argument("--window-len", type=count, default=24,
                        help="window length in samples (6 Hz)")
         add_split(p)
 
@@ -345,11 +341,11 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--group", type=int, default=23,
                    choices=[17, 23, 768, 791], help="channel group width")
-    p.add_argument("--filters", type=int, default=128,
+    p.add_argument("--filters", type=filter_count, default=128,
                    help="first conv layer filter count (divisible by 4)")
-    p.add_argument("--epochs", type=int, default=20, help="training epochs")
-    p.add_argument("--batch-size", type=int, default=32, help="batch size")
-    p.add_argument("--learning-rate", type=float, default=1e-3,
+    p.add_argument("--epochs", type=count, default=20, help="training epochs")
+    p.add_argument("--batch-size", type=count, default=32, help="batch size")
+    p.add_argument("--learning-rate", type=rate, default=1e-3,
                    help="Adam learning rate")
     add_windowing(p)
 
@@ -357,7 +353,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True, help="float .thar model file")
     p.add_argument("--data", required=True,
                    help="dataset directory (representative set source)")
-    p.add_argument("--rep-windows", type=int, default=64,
+    p.add_argument("--rep-windows", type=count, default=64,
                    help="representative window count for calibration")
     add_split(p)
 
@@ -368,22 +364,22 @@ def build_parser() -> _Parser:
 
     p = add("bench", cmd_bench, "measure host inference latency")
     p.add_argument("--model", required=True, help=".thar model file")
-    p.add_argument("--reps", type=int, default=50,
+    p.add_argument("--reps", type=count, default=50,
                    help="timed repetitions (after warm-up)")
 
     p = add("sweep", cmd_sweep, "run the full configuration sweep")
     p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--epochs", type=int, default=3,
+    p.add_argument("--epochs", type=nonnegative, default=3,
                    help="training epochs per MC-CNN config")
-    p.add_argument("--batch-size", type=int, default=32, help="batch size")
-    p.add_argument("--learning-rate", type=float, default=1e-3,
+    p.add_argument("--batch-size", type=count, default=32, help="batch size")
+    p.add_argument("--learning-rate", type=rate, default=1e-3,
                    help="Adam learning rate")
-    p.add_argument("--max-eval-windows", type=int, default=300,
+    p.add_argument("--max-eval-windows", type=count, default=300,
                    help="cap on evaluation windows per config and precision")
     p.add_argument("--measure-host-latency", action="store_true",
                    help="also record host wall-clock latency "
                         "(makes the CSV nondeterministic)")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=count, default=1,
                    help="parallel config workers")
     add_windowing(p)
 

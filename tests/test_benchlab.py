@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -233,10 +234,21 @@ class TestSweep:
         assert all(r.error for r in reports)
 
     @pytest.mark.parametrize("field", ["window_len", "stride",
-                                       "rep_windows", "max_eval_windows"])
+                                       "rep_windows", "max_eval_windows",
+                                       "jobs", "batch_size"])
     @pytest.mark.parametrize("value", [0, -5])
     def test_window_counts_below_one_are_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            benchlab.SweepConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value, rule", [
+        ("train_epochs", -1, ">= 0"), ("seed", -1, ">= 0"),
+        *(("learning_rate", value, "in (0, 1)")
+          for value in (0.0, 1.0, math.nan, 7.0))])
+    def test_training_field_out_of_range_is_rejected(self, field, value,
+                                                     rule):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{field} must be {rule}, got")):
             benchlab.SweepConfig(**{field: value})
 
     def test_parallel_matches_serial(self, tiny_sessions, tiny_cfg,

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import inspect
 import json
@@ -86,7 +87,7 @@ class TestSynth:
     def test_empty_dataset_flag_exits_one_naming_it(self, tmp_path, capsys,
                                                     flag, value):
         assert run("synth", flag, value, "--out", str(tmp_path)) == 1
-        assert f"error: {flag} must " in capsys.readouterr().err
+        assert f"error: argument {flag}: must " in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
 
@@ -118,7 +119,8 @@ class TestTrain:
                    "--filters", "8", "--epochs", "1", "--window-len", "12",
                    "--held-out-session", "2", "--batch-size", batch_size,
                    "--out", str(tmp_path)) == 1
-        assert "batch_size must be >= 1" in capsys.readouterr().err
+        assert f"argument --batch-size: must be at least 1, got {batch_size}" \
+            in capsys.readouterr().err
         assert not (tmp_path / "model_float.thar").exists()
 
     @pytest.mark.parametrize("filters", ["6", "0", "-4"])
@@ -128,7 +130,8 @@ class TestTrain:
                    "--filters", filters, "--epochs", "1", "--window-len",
                    "12", "--held-out-session", "2",
                    "--out", str(tmp_path)) == 1
-        assert "--filters must be " in capsys.readouterr().err
+        assert f"argument --filters: must be a positive multiple of 4, got " \
+            f"{filters}" in capsys.readouterr().err
         assert ingested == []
 
     def test_held_out_session_without_windows_exits_one_untrained(
@@ -210,7 +213,8 @@ class TestQuantize:
         assert run("quantize", "--model", str(trained), "--data",
                    str(dataset), "--held-out-session", "2",
                    "--rep-windows", str(rep), "--out", str(tmp_path)) == 1
-        assert "--rep-windows must be at least 1" in capsys.readouterr().err
+        assert f"argument --rep-windows: must be at least 1, got {rep}" \
+            in capsys.readouterr().err
         assert not (tmp_path / "model_int8.thar").exists()
 
 
@@ -356,7 +360,7 @@ class TestWindowFlags:
         model = [] if command == "train" else ["--model", str(trained)]
         assert run(command, *model, "--data", str(dataset), flag, value,
                    "--held-out-session", "2", "--out", str(tmp_path)) == 1
-        assert f"{flag} must be at least 1, got {value}" \
+        assert f"argument {flag}: must be at least 1, got {value}" \
             in capsys.readouterr().err
         assert ingested == []
 
@@ -613,7 +617,7 @@ class TestBench:
                                                 capsys, reps):
         assert run("bench", "--model", str(trained), "--reps", reps,
                    "--out", str(tmp_path)) == 1
-        assert f"--reps must be at least 1, got {reps}" \
+        assert f"argument --reps: must be at least 1, got {reps}" \
             in capsys.readouterr().err
         assert not (tmp_path / "latency.csv").exists()
 
@@ -729,7 +733,8 @@ class TestSweepCommand:
             self, dataset, tmp_path, capsys, unread, windows):
         assert run("sweep", "--data", str(dataset), "--max-eval-windows",
                    windows, "--out", str(tmp_path)) == 1
-        assert f"--max-eval-windows must be at least 1, got {windows}" \
+        assert f"argument --max-eval-windows: must be at least 1, got " \
+            f"{windows}" \
             in capsys.readouterr().err
         assert not (tmp_path / "report.csv").exists()
 
@@ -740,7 +745,7 @@ class TestSweepCommand:
         assert run("sweep", "--data", str(dataset), flag, "0",
                    "--out", str(tmp_path)) == 1
         err = capsys.readouterr().err  # names the flag, not the config field
-        assert f"{flag} must be at least 1, got 0" in err
+        assert f"argument {flag}: must be at least 1, got 0" in err
         assert f"{field} must be >= 1" not in err
         assert not (tmp_path / "report.csv").exists()
 
@@ -756,7 +761,8 @@ class TestSweepCommand:
             self, dataset, tmp_path, capsys, ingested, flag, value, rule):
         assert run("sweep", "--data", str(dataset), flag, value,
                    "--out", str(tmp_path)) == 1
-        assert f"{flag} must be {rule}, got " in capsys.readouterr().err
+        assert f"argument {flag}: must be {rule}, got " \
+            in capsys.readouterr().err
         assert ingested == []
         assert not (tmp_path / "report.csv").exists()
 
@@ -801,6 +807,48 @@ class TestFlags:
                    "--out", str(tmp_path / "o")) == 1
         assert named in capsys.readouterr().err
         assert not (tmp_path / "o").exists()  # rejected before any work
+
+    @pytest.mark.parametrize("command, config, rule", [
+        ("train", {"stride": 0}, "--stride: must be at least 1, got 0"),
+        ("train", {"epochs": 0}, "--epochs: must be at least 1, got 0"),
+        ("train", {"learning_rate": 7},
+         "--learning-rate: must be in (0, 1), got 7"),
+        ("sweep", {"learning_rate": 7},
+         "--learning-rate: must be in (0, 1), got 7")])
+    def test_out_of_range_config_value_exits_one_unread(
+            self, dataset, tmp_path, capsys, ingested, command, config, rule):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run(command, "--data", str(dataset), "--config", str(cfg),
+                   "--out", str(tmp_path / "o")) == 1
+        assert f"error: {cfg}: key {next(iter(config))!r}: argument {rule}" \
+            in capsys.readouterr().err
+        assert ingested == []
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_negative_seed_exits_one_unread_unwritten(
+            self, dataset, tmp_path, capsys, ingested, command):
+        data = ["--data", str(dataset)] if command == "train" else []
+        assert run(command, *data, "--seed", "-1",
+                   "--out", str(tmp_path / "o")) == 1
+        assert "argument --seed: must be at least 0, got -1" \
+            in capsys.readouterr().err
+        assert ingested == []
+        assert not (tmp_path / "o").exists()
+
+    def test_every_numeric_flag_has_a_checked_type(self):
+        """No option but --group, whose choices are its rule, and
+        --held-out-session, which may name any session, takes a bare int or
+        float: a flag added later gets its range checked by its type."""
+        commands = next(a.choices for a in cli.build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction))
+        bare = [(command, action.option_strings[0])
+                for command, parser in commands.items()
+                for action in parser._actions
+                if action.type in (int, float) and action.option_strings[0]
+                not in ("--group", "--held-out-session")]
+        assert len(commands) == 7 and bare == []
 
     def test_config_file_equals_its_flags(self, tmp_path):
         config = {"subjects": 1, "sessions": 1, "duration_s": 12.0,

@@ -2,6 +2,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from tinyhar import mcu
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -24,12 +26,18 @@ def test_run_pipeline_smoke(tmp_path):
     assert (out / "model_int8.thar").is_file()
 
 
-def test_run_sweep_rejects_max_eval_windows_below_one(tmp_path):
-    out = tmp_path / "sweep"
+@pytest.mark.parametrize("script, flag, value, rule", [
+    ("run_sweep.py", "--max-eval-windows", "0", "at least 1"),
+    ("run_sweep.py", "--jobs", "0", "at least 1"),
+    ("run_sweep.py", "--epochs", "-1", "at least 0"),
+    ("run_pipeline.py", "--filters", "6", "a positive multiple of 4")])
+def test_script_rejects_out_of_range_flag(tmp_path, script, flag, value,
+                                          rule):
+    out = tmp_path / "out"
     result = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_sweep.py"),
-         "--max-eval-windows", "0", "--out", str(out)],
+        [sys.executable, str(ROOT / "scripts" / script), flag, value,
+         "--out", str(out)],
         capture_output=True, text=True, timeout=60)
     assert result.returncode == 2
-    assert "max_eval_windows must be >= 1" in result.stderr
+    assert f"argument {flag}: must be {rule}, got {value}" in result.stderr
     assert not out.exists()  # rejected before any work
